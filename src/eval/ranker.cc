@@ -1,8 +1,11 @@
 #include "eval/ranker.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <limits>
 
+#include "nn/simd.h"
 #include "util/check.h"
 
 namespace imsr::eval {
@@ -36,12 +39,140 @@ void ScoresFromLogits(const float* logits, int64_t num_items, int64_t k,
   }
 }
 
-void ScoresFromLogitsStrided(const float* logits, int64_t num_items,
-                             int64_t k, int64_t stride, int64_t offset,
-                             ScoreRule rule, float* scores) {
-  for (int64_t i = 0; i < num_items; ++i) {
-    scores[i] = ScoreFromLogits(logits + i * stride + offset, k, rule);
+namespace {
+
+// ScoreUpperBound's relative slack for a row of k logits, derived in
+// DESIGN.md §15 and summarised here. ScoreFromLogits computes
+// s = fl(N' / T') with T' a k-term float sum of the weights w_j and N' a
+// k-term float sum of fl(w_j * l_j). Whatever the weights' rounding, they
+// are nonnegative and the max logit's is exp(0) = 1, so the exact
+// quotient R = sum w_j l_j / sum w_j is a weighted mean: R <= hi, the max
+// logit. A k-term sum in any order errs by at most gamma_k = ku / (1 - ku)
+// of its magnitudes (u = 2^-24), so with M = max_j |l_j| and the
+// division's own rounding, s <= R + (2k + O(k^2 u)) u M; subnormal
+// products and quotients add at most (k + 1) 2^-150 absolutely (T' >= 1).
+// The bound fl(hi + fl(fl(c M) + FLT_MIN)) with c = (4k + 4) u stays
+// above that after its own three roundings: it is at least
+// hi + (4k + 3 - O(ku)) u M + (FLT_MIN - 2^-150)(1 - 2u), which covers
+// both terms while k <= 2^20.
+float RelativeSlack(int64_t k) {
+  IMSR_CHECK(k >= 1 && k <= (int64_t{1} << 20));
+  return static_cast<float>(4 * k + 4) * 0x1p-24f;
+}
+
+// The attentive bound from a row's extremes; one definition for the
+// scalar ScoreUpperBound and the vectorized sweep.
+inline float AttentiveBound(float hi, float lo, float relative) {
+  return hi + (relative * std::max(hi, -lo) + FLT_MIN);
+}
+
+// Heap order: "less" means ranks before, so the root is the worst kept.
+bool EntryRanksBefore(const std::pair<data::ItemId, float>& a,
+                      const std::pair<data::ItemId, float>& b) {
+  return RanksBefore(a.first, a.second, b.first, b.second);
+}
+
+}  // namespace
+
+float ScoreUpperBound(const float* row, int64_t k, ScoreRule rule) {
+  float hi = row[0];
+  float lo = row[0];
+  for (int64_t j = 1; j < k; ++j) {
+    hi = std::max(hi, row[j]);
+    lo = std::min(lo, row[j]);
   }
+  if (rule == ScoreRule::kMaxInterest) return hi;
+  return AttentiveBound(hi, lo, RelativeSlack(k));
+}
+
+void TopNAccumulator::Reset(int64_t capacity) {
+  IMSR_CHECK_GE(capacity, 0);
+  capacity_ = static_cast<size_t>(capacity);
+  threshold_ = -std::numeric_limits<float>::infinity();
+  sorted_ = false;
+  heap_.clear();
+}
+
+void TopNAccumulator::Offer(data::ItemId item, float score) {
+  if (heap_.size() < capacity_) {
+    heap_.emplace_back(item, score);
+    std::push_heap(heap_.begin(), heap_.end(), EntryRanksBefore);
+    if (heap_.size() == capacity_) threshold_ = heap_.front().second;
+    return;
+  }
+  if (capacity_ == 0 ||
+      !RanksBefore(item, score, heap_.front().first, heap_.front().second)) {
+    return;
+  }
+  std::pop_heap(heap_.begin(), heap_.end(), EntryRanksBefore);
+  heap_.back() = {item, score};
+  std::push_heap(heap_.begin(), heap_.end(), EntryRanksBefore);
+  threshold_ = heap_.front().second;
+}
+
+const std::vector<std::pair<data::ItemId, float>>& TopNAccumulator::Finish() {
+  if (!sorted_) std::sort_heap(heap_.begin(), heap_.end(), EntryRanksBefore);
+  sorted_ = true;
+  return heap_;
+}
+
+// Bounds are computed for a chunk of rows at a time with SIMD lanes
+// across rows, then tested against the threshold a group at a time, so a
+// group with no survivor costs one vector compare. Survivors are offered
+// in item order. The bounds' bits do not matter, only that each is an
+// upper bound, so the vectorized and scalar clones may differ freely.
+IMSR_SIMD_CLONES
+int64_t OfferTopNFromLogits(const float* logits, int64_t rows, int64_t k,
+                            int64_t stride, data::ItemId first_item,
+                            ScoreRule rule, TopNAccumulator* top) {
+  IMSR_CHECK(top != nullptr);
+  const bool attentive = rule == ScoreRule::kAttentive;
+  const float relative = RelativeSlack(k);
+  constexpr int64_t kChunkRows = 256;
+  constexpr int64_t kGroupRows = 16;
+  float bound[kChunkRows];
+  float lo[kChunkRows];
+  int64_t reduced = 0;
+  for (int64_t c0 = 0; c0 < rows; c0 += kChunkRows) {
+    const int64_t n = std::min(kChunkRows, rows - c0);
+    const float* chunk = logits + c0 * stride;
+    IMSR_SIMD_PRAGMA()
+    for (int64_t i = 0; i < n; ++i) {
+      bound[i] = chunk[i * stride];
+      lo[i] = bound[i];
+    }
+    for (int64_t j = 1; j < k; ++j) {
+      IMSR_SIMD_PRAGMA()
+      for (int64_t i = 0; i < n; ++i) {
+        const float x = chunk[i * stride + j];
+        bound[i] = std::max(bound[i], x);
+        lo[i] = std::min(lo[i], x);
+      }
+    }
+    if (attentive) {
+      IMSR_SIMD_PRAGMA()
+      for (int64_t i = 0; i < n; ++i) {
+        bound[i] = AttentiveBound(bound[i], lo[i], relative);
+      }
+    }
+    for (int64_t g0 = 0; g0 < n; g0 += kGroupRows) {
+      const int64_t g1 = std::min(n, g0 + kGroupRows);
+      const float threshold = top->threshold();
+      int any = 0;
+      IMSR_SIMD_PRAGMA(reduction(| : any))
+      for (int64_t i = g0; i < g1; ++i) any |= !(bound[i] < threshold);
+      if (any == 0) continue;
+      for (int64_t i = g0; i < g1; ++i) {
+        // Strict: a row whose bound ties the threshold may still tie the
+        // worst kept score and win on item id.
+        if (bound[i] < top->threshold()) continue;
+        ++reduced;
+        top->Offer(first_item + static_cast<data::ItemId>(c0 + i),
+                   ScoreFromLogits(chunk + i * stride, k, rule));
+      }
+    }
+  }
+  return reduced;
 }
 
 const char* ScoreRuleName(ScoreRule rule) {
@@ -128,8 +259,8 @@ std::vector<std::pair<data::ItemId, float>> TopNFromScores(
   std::partial_sort(order.begin(),
                     order.begin() + static_cast<int64_t>(keep), order.end(),
                     [&scores](data::ItemId a, data::ItemId b) {
-                      return scores[static_cast<size_t>(a)] >
-                             scores[static_cast<size_t>(b)];
+                      return RanksBefore(a, scores[static_cast<size_t>(a)],
+                                         b, scores[static_cast<size_t>(b)]);
                     });
   std::vector<std::pair<data::ItemId, float>> top;
   top.reserve(keep);

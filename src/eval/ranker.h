@@ -6,7 +6,10 @@
 // The scoring path is allocation-free per user when driven through
 // RankScratch: logits = E H^T come from the blocked MatMulTransB kernel
 // (no materialised Transpose) into a reused buffer, and the per-item
-// attentive/max reduction is fused into a single pass.
+// attentive/max reduction is fused into a single pass. Serving selects a
+// top-N without full-corpus scores: TopNAccumulator streams candidates,
+// and OfferTopNFromLogits skips the reduction for rows whose
+// ScoreUpperBound cannot reach it. Every top-N ranks by RanksBefore.
 #ifndef IMSR_EVAL_RANKER_H_
 #define IMSR_EVAL_RANKER_H_
 
@@ -30,27 +33,70 @@ bool ScoreRuleFromName(const std::string& name, ScoreRule* rule,
 // Per-item reduction over one row of K interest logits: max_k for
 // kMaxInterest, the softmax-weighted combination (Eq. 5 with the
 // candidate as query) for kAttentive. ScoreAllItemsInto applies this to
-// every row of the logits matrix; the IVF re-rank applies it to shortlist
-// rows — sharing one definition keeps the two paths bitwise identical.
+// every row of the logits matrix, the IVF re-rank to shortlist rows, and
+// the exact serve path (OfferTopNFromLogits) to the rows its bound cannot
+// rule out — sharing one definition keeps every path bitwise identical.
 float ScoreFromLogits(const float* row, int64_t k, ScoreRule rule);
 
 // The full-corpus form: applies ScoreFromLogits to each of `num_items`
 // contiguous rows of K logits. ScoreAllItemsInto uses it on its own
-// E H^T product; serve::RecommendBatch applies it to fused per-user
-// logits — one definition keeps every path bitwise identical.
+// E H^T product.
 void ScoresFromLogits(const float* logits, int64_t num_items, int64_t k,
                       ScoreRule rule, float* scores);
 
-// Strided form for fused multi-user logit matrices: item i's K logits
-// start at logits + i * stride + offset (contiguous within the row).
-// ScoresFromLogits is the stride == k, offset == 0 case; both run the
-// same per-row reduction, so a user's scores read out of a fused
-// (num_items x total_k) product are bitwise identical to scores from a
-// dedicated (num_items x k) one — the serve micro-batch relies on this
-// (DESIGN.md §15).
-void ScoresFromLogitsStrided(const float* logits, int64_t num_items,
-                             int64_t k, int64_t stride, int64_t offset,
-                             ScoreRule rule, float* scores);
+// The strict order every top-N path ranks by: higher score first, equal
+// scores by ascending item id. TopNFromScores, TopNAccumulator and the
+// IVF re-rank all select and sort under it, so a top-N list is a pure
+// function of the scores — never of the selection algorithm.
+inline bool RanksBefore(data::ItemId a, float score_a, data::ItemId b,
+                        float score_b) {
+  if (score_a != score_b) return score_a > score_b;
+  return a < b;
+}
+
+// An upper bound on ScoreFromLogits(row, k, rule) *as computed in
+// float*, cheap enough to test before paying for the reduction. Under
+// kMaxInterest it is the score itself. Under kAttentive the score is a
+// softmax-weighted mean of the row, so it cannot exceed the row's max
+// logit hi in exact arithmetic; the bound adds a rounding slack derived
+// from this row's k and M = max_j |l_j|:
+// hi + ((4k + 4) 2^-24 M + FLT_MIN), valid for k <= 2^20 (checked).
+// DESIGN.md §15 has the rounding argument.
+float ScoreUpperBound(const float* row, int64_t k, ScoreRule rule);
+
+// Streaming top-N under RanksBefore: keeps the best `capacity` (item,
+// score) pairs offered so far in a heap whose root is the worst kept
+// entry, so an offer that cannot enter costs one comparison.
+class TopNAccumulator {
+ public:
+  // Empties the accumulator and sets how many entries it keeps (>= 0).
+  // Required before the first Offer.
+  void Reset(int64_t capacity);
+  // The score a candidate must reach to enter: the worst kept score once
+  // `capacity` entries are held, -infinity before. A candidate whose
+  // ScoreUpperBound is strictly below it can be skipped unscored.
+  float threshold() const { return threshold_; }
+  void Offer(data::ItemId item, float score);
+  // Sorts the kept entries best-first and returns them; later calls
+  // return the same list. No Offer may follow until the next Reset.
+  const std::vector<std::pair<data::ItemId, float>>& Finish();
+
+ private:
+  size_t capacity_ = 0;
+  float threshold_ = 0.0f;
+  bool sorted_ = false;
+  std::vector<std::pair<data::ItemId, float>> heap_;
+};
+
+// Offers rows [0, rows) of a logits tile to `top` as items first_item,
+// first_item + 1, ...: row i's k logits start at logits + i * stride.
+// Only rows whose ScoreUpperBound reaches top->threshold() are reduced
+// by ScoreFromLogits; the rest cannot enter the top-N and are skipped.
+// Returns the number of rows reduced. The kept set equals the one from
+// scoring every row — the bound never skips a row that would enter.
+int64_t OfferTopNFromLogits(const float* logits, int64_t rows, int64_t k,
+                            int64_t stride, data::ItemId first_item,
+                            ScoreRule rule, TopNAccumulator* top);
 
 // Reusable buffers for repeated full-corpus scoring (one per worker
 // thread in the evaluator; never shared across threads concurrently).
@@ -82,7 +128,8 @@ std::vector<float> ScoreAllItems(const nn::Tensor& interests,
 int64_t TargetRankFromScores(const std::vector<float>& scores,
                              data::ItemId target);
 
-// Top-N (item, score) pairs from precomputed scores, highest first.
+// Top-N (item, score) pairs from precomputed scores, in RanksBefore
+// order.
 std::vector<std::pair<data::ItemId, float>> TopNFromScores(
     const std::vector<float>& scores, int n);
 

@@ -22,31 +22,53 @@ namespace {
 // case, ~12 KiB for a single user).
 constexpr int64_t kScoreBlockRows = nn::kKMajorPanelRows;
 
-// The one exact-scoring body every serve path reduces to: logits from
-// the k-major table through the width-invariant kernel, then the fused
-// per-item reduction, swept in item blocks so the tile never leaves
-// cache. `interests` may be one user's snapshot view or several users'
-// rows packed into one operand — the kernel's bits do not depend on the
-// width and the reduction is independent per item, which is exactly why
-// RecommendBatch can fuse and block and still memcmp-match RecommendOne.
+// Largest RecommendBatch call Recommend() makes: the shard workers'
+// default batch_max, so the fused tile (block x total_k) stays within
+// the cache budget above.
+constexpr int64_t kRecommendSubBatch = 32;
+
+// The one exact-scoring body every serve path reduces to: a streaming
+// top-N per user inside the blocked sweep over the k-major table.
+// `interests` may be one user's snapshot view or several users' rows
+// packed into one operand; user u owns columns [col_offset[u],
+// col_offset[u] + user_k[u]) of each block's logits tile, and top[u] must
+// have been Reset to the user's capacity. Each block's tile is filled by
+// the width-invariant kernel and drained into every user's accumulator
+// while still cache-hot; OfferTopNFromLogits reduces only the rows whose
+// upper bound can still reach the user's current N-th best. The kernel's
+// bits do not depend on the operand width and the kept set does not
+// depend on which rows were skipped, which is why RecommendBatch can fuse
+// and prune and still memcmp-match RecommendOne and the brute force.
 // (The evaluator keeps its own ScoreAllItemsInto on the row-major table;
 // serve owns this layout.)
-void ScoreExactInto(const ServingSnapshot& snapshot,
-                    nn::ConstMatrixView interests, eval::ScoreRule rule,
-                    eval::RankScratch* scratch) {
+void ExactTopNInto(const ServingSnapshot& snapshot,
+                   nn::ConstMatrixView interests, const int64_t* col_offset,
+                   const int64_t* user_k, size_t num_users,
+                   eval::ScoreRule rule, nn::Tensor* tile,
+                   eval::TopNAccumulator* top) {
   const int64_t num_items = snapshot.num_items();
-  const int64_t k = interests.rows;
+  const int64_t total_k = interests.rows;
   const nn::ConstMatrixView table =
       nn::ViewOf(snapshot.item_embeddings_kmajor());
-  scratch->logits.ResizeUninitialized({kScoreBlockRows, k});
-  scratch->scores.resize(static_cast<size_t>(num_items));
+  tile->ResizeUninitialized({kScoreBlockRows, total_k});
+  IMSR_OBS_ONLY(int64_t reduced = 0;)
   for (int64_t b0 = 0; b0 < num_items; b0 += kScoreBlockRows) {
     const int64_t b1 = std::min<int64_t>(num_items, b0 + kScoreBlockRows);
-    nn::MatMulTransBPanelRangeInto(table, interests, b0, b1,
-                                   scratch->logits.data());
-    eval::ScoresFromLogits(scratch->logits.data(), b1 - b0, k, rule,
-                           scratch->scores.data() + b0);
+    nn::MatMulTransBPanelRangeInto(table, interests, b0, b1, tile->data());
+    // One strided tile pass per user: the tile fits L2 at serving
+    // widths, and most rows stop at the bound test.
+    for (size_t u = 0; u < num_users; ++u) {
+      [[maybe_unused]] const int64_t user_reduced = eval::OfferTopNFromLogits(
+          tile->data() + col_offset[u], b1 - b0, user_k[u], total_k,
+          static_cast<data::ItemId>(b0), rule, &top[u]);
+      IMSR_OBS_ONLY(reduced += user_reduced;)
+    }
   }
+  IMSR_OBS_ONLY({
+    const int64_t rows = num_items * static_cast<int64_t>(num_users);
+    IMSR_COUNTER_ADD("serve/exact_rows_reduced", reduced);
+    IMSR_COUNTER_ADD("serve/exact_rows_skipped", rows - reduced);
+  })
 }
 
 }  // namespace
@@ -75,9 +97,14 @@ void RecommendOne(const ServingSnapshot& snapshot,
                       snapshot.item_embeddings(), config.rule, top_n,
                       config.nprobe, &scratch->ivf, &response->items);
   } else {
-    ScoreExactInto(snapshot, snapshot.Interests(request.user), config.rule,
-                   &scratch->rank);
-    response->items = eval::TopNFromScores(scratch->rank.scores, top_n);
+    const nn::ConstMatrixView interests = snapshot.Interests(request.user);
+    const int64_t col_offset = 0;
+    if (scratch->batch_top.empty()) scratch->batch_top.resize(1);
+    eval::TopNAccumulator& top = scratch->batch_top[0];
+    top.Reset(std::min<int64_t>(top_n, snapshot.num_items()));
+    ExactTopNInto(snapshot, interests, &col_offset, &interests.rows, 1,
+                  config.rule, &scratch->batch_logits, &top);
+    response->items = top.Finish();
   }
   response->ok = true;
 }
@@ -153,15 +180,17 @@ void RecommendBatch(const ServingSnapshot& snapshot,
   // Exact path: concatenate each unique user's interest rows into one
   // packed operand and sweep the snapshot's k-major table once in item
   // blocks — the embedding table streams through cache once per batch
-  // instead of once per user, and each block's fused logits tile is
-  // reduced into every user's scores while still cache-hot. The kernel's
-  // bits are invariant to the operand width and the block split, and the
-  // strided per-user reduction shares ScoreFromLogits with the
-  // single-request path, so every response is bitwise identical to
+  // instead of once per user. Each unique user keeps one top-N
+  // accumulator sized to the largest top_n any of its requests asked
+  // for; under the strict RanksBefore order a smaller top_n's answer is
+  // a prefix of it, so every response is bitwise identical to
   // RecommendOne's.
   std::vector<data::UserId>& users = scratch->batch_users;
   std::vector<int64_t>& user_slot = scratch->batch_user_slot;
+  std::vector<int64_t>& capacity = scratch->batch_capacity;
+  const int64_t num_items = snapshot.num_items();
   users.clear();
+  capacity.clear();
   user_slot.assign(count, -1);
   for (size_t i = 0; i < count; ++i) {
     if (resolved[i] <= 0) continue;
@@ -175,17 +204,23 @@ void RecommendBatch(const ServingSnapshot& snapshot,
     if (slot < 0) {
       slot = static_cast<int64_t>(users.size());
       users.push_back(requests[i].user);
+      capacity.push_back(0);
     }
     user_slot[i] = slot;
+    int64_t& keep = capacity[static_cast<size_t>(slot)];
+    keep = std::max<int64_t>(keep, std::min<int64_t>(resolved[i], num_items));
   }
   if (users.empty()) return;
   const int64_t dim = snapshot.dim();
   std::vector<int64_t>& col_offset = scratch->batch_col_offset;
+  std::vector<int64_t>& user_k = scratch->batch_user_k;
   col_offset.clear();
+  user_k.clear();
   int64_t total_k = 0;
   for (size_t u = 0; u < users.size(); ++u) {
     col_offset.push_back(total_k);
-    total_k += snapshot.NumInterests(users[u]);
+    user_k.push_back(snapshot.NumInterests(users[u]));
+    total_k += user_k.back();
   }
   scratch->batch_interests.ResizeUninitialized({total_k, dim});
   for (size_t u = 0; u < users.size(); ++u) {
@@ -193,52 +228,22 @@ void RecommendBatch(const ServingSnapshot& snapshot,
     std::copy_n(rows.data, rows.rows * rows.cols,
                 scratch->batch_interests.data() + col_offset[u] * dim);
   }
-  const int64_t num_items = snapshot.num_items();
-  const nn::ConstMatrixView table =
-      nn::ViewOf(snapshot.item_embeddings_kmajor());
-  const nn::ConstMatrixView packed = {scratch->batch_interests.data(),
-                                      total_k, dim};
-  // Blocked sweep: each item block's fused logits tile is produced and
-  // reduced into every unique user's scores before the next block evicts
-  // it. Every unique user has at least one non-duplicate request, so no
-  // scored row is wasted.
-  std::vector<std::vector<float>>& scores = scratch->batch_scores;
-  if (scores.size() < users.size()) scores.resize(users.size());
-  for (size_t u = 0; u < users.size(); ++u) {
-    scores[u].resize(static_cast<size_t>(num_items));
-  }
-  scratch->batch_logits.ResizeUninitialized({kScoreBlockRows, total_k});
-  // Per-user interest counts hoisted out of the reduce loop.
-  std::vector<int64_t>& user_k = scratch->batch_user_k;
-  user_k.clear();
-  for (size_t u = 0; u < users.size(); ++u) {
-    user_k.push_back(snapshot.NumInterests(users[u]));
-  }
-  for (int64_t b0 = 0; b0 < num_items; b0 += kScoreBlockRows) {
-    const int64_t b1 = std::min<int64_t>(num_items, b0 + kScoreBlockRows);
-    nn::MatMulTransBPanelRangeInto(table, packed, b0, b1,
-                                   scratch->batch_logits.data());
-    // One strided tile pass per user: the tile fits L2 at serving
-    // widths, so this beats a row-major interchange (which pays one
-    // ScoreFromLogits call per (item, user) for no bandwidth win).
-    for (size_t u = 0; u < users.size(); ++u) {
-      eval::ScoresFromLogitsStrided(scratch->batch_logits.data(), b1 - b0,
-                                    user_k[u], total_k, col_offset[u],
-                                    config.rule, scores[u].data() + b0);
-    }
-  }
-  // Responses come out in request order; duplicates copy the first
-  // answer, everyone else selects from their user's scores.
+  std::vector<eval::TopNAccumulator>& top = scratch->batch_top;
+  if (top.size() < users.size()) top.resize(users.size());
+  for (size_t u = 0; u < users.size(); ++u) top[u].Reset(capacity[u]);
+  ExactTopNInto(snapshot, {scratch->batch_interests.data(), total_k, dim},
+                col_offset.data(), user_k.data(), users.size(), config.rule,
+                &scratch->batch_logits, top.data());
+  // Responses come out in request order, each a prefix of its user's
+  // sorted list.
   for (size_t i = 0; i < count; ++i) {
     if (resolved[i] <= 0) continue;
-    const int64_t dup = duplicate_of(i);
-    if (dup >= 0) {
-      responses[i].items = responses[static_cast<size_t>(dup)].items;
-      responses[i].ok = true;
-      continue;
-    }
-    responses[i].items = eval::TopNFromScores(
-        scores[static_cast<size_t>(user_slot[i])], resolved[i]);
+    const std::vector<std::pair<data::ItemId, float>>& best =
+        top[static_cast<size_t>(user_slot[i])].Finish();
+    responses[i].items.assign(
+        best.begin(),
+        best.begin() + std::min<int64_t>(resolved[i],
+                                         static_cast<int64_t>(best.size())));
     responses[i].ok = true;
   }
 }
@@ -290,33 +295,28 @@ std::vector<RecommendResponse> Recommend(
   IMSR_TRACE_SPAN("serve/recommend_batch");
   IMSR_OBS_ONLY(util::Stopwatch timer;)
   std::vector<RecommendResponse> responses(requests.size());
-  // IVF requires an index on the snapshot; without one the batch falls
-  // back to exact scoring (counted, so a misconfigured deployment shows
-  // up in the metrics instead of silently serving slow).
-  const IvfIndex* index =
-      config.retrieval == RetrievalMode::kIVF ? snapshot.index() : nullptr;
-  const bool use_ivf = index != nullptr;
-  IMSR_OBS_ONLY({
-    if (config.retrieval == RetrievalMode::kIVF && index == nullptr) {
-      IMSR_COUNTER_ADD("serve/ivf_fallback_exact",
-                       static_cast<int64_t>(requests.size()));
-    }
-  })
-  // Responses land in disjoint slots, so the fan-out needs no locking and
-  // the batch result is identical for any thread count.
+  // Each chunk answers its slice through RecommendBatch in sub-batches,
+  // so the fused logits tile stays cache-sized; RecommendBatch counts
+  // IVF fallbacks itself. Responses land in disjoint slots, so the
+  // fan-out needs no locking, and RecommendBatch's answers do not depend
+  // on how requests are grouped, so the result is identical for any
+  // thread count.
   util::ParallelChunks(
       static_cast<int64_t>(requests.size()), config.threads,
       [&](int64_t begin, int64_t end) {
         RecommendScratch scratch;
-        for (int64_t i = begin; i < end; ++i) {
-          RecommendOne(snapshot, requests[static_cast<size_t>(i)], config,
-                       &scratch, &responses[static_cast<size_t>(i)]);
+        for (int64_t i = begin; i < end; i += kRecommendSubBatch) {
+          const int64_t n = std::min(kRecommendSubBatch, end - i);
+          RecommendBatch(snapshot, requests.data() + i,
+                         static_cast<size_t>(n), config, &scratch,
+                         responses.data() + i);
         }
       });
   IMSR_COUNTER_ADD("serve/requests",
                    static_cast<int64_t>(requests.size()));
   IMSR_OBS_ONLY({
-    if (use_ivf) {
+    if (config.retrieval == RetrievalMode::kIVF &&
+        snapshot.index() != nullptr) {
       IMSR_COUNTER_ADD("serve/ivf_requests",
                        static_cast<int64_t>(requests.size()));
     }

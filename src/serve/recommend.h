@@ -1,12 +1,12 @@
-// Batch top-N serving over an immutable ServingSnapshot (Algorithm 2's
+// Top-N serving over an immutable ServingSnapshot (Algorithm 2's
 // inference procedure, lifted out of the evaluator so it can run against
 // a published snapshot while training mutates the live model).
 //
-// Requests in a batch are independent; the batch fans out over the
-// process-wide thread pool with one RankScratch per worker chunk, so the
-// corpus-sized logits/score buffers are allocated once per worker, not
-// per request. Per-request failures (unknown user, bad top_n) come back
-// as error responses — one bad request never fails the batch.
+// Exact retrieval streams a per-user top-N through one blocked sweep of
+// the corpus, reducing only the items whose score bound can still reach
+// the top-N; nothing corpus-sized is allocated per request. Per-request
+// failures (unknown user, bad top_n) come back as error responses — one
+// bad request never fails the batch.
 #ifndef IMSR_SERVE_RECOMMEND_H_
 #define IMSR_SERVE_RECOMMEND_H_
 
@@ -53,31 +53,33 @@ struct ServeConfig {
 };
 
 // Scratch buffers for RecommendOne / RecommendBatch — one per worker
-// thread/shard, so the corpus-sized score arrays are allocated once, not
-// per request.
+// thread/shard, so steady-state requests reuse their buffers. Nothing
+// here is corpus-sized: the exact path keeps a cache-resident logits
+// tile and one top-N accumulator per unique user, never a full-corpus
+// score vector.
 struct RecommendScratch {
-  eval::RankScratch rank;
   IvfIndex::Scratch ivf;
-  // RecommendBatch working state: the unique users' interest rows packed
-  // into one fused operand, the cache-resident logits tile the blocked
-  // item sweep reuses, each unique user's full-corpus scores, and the
-  // bookkeeping vectors — kept here so steady-state batches reuse their
-  // buffers.
+  // Exact-path working state: the unique users' interest rows packed
+  // into one fused operand, the logits tile the blocked item sweep
+  // reuses, each unique user's top-N accumulator and the bookkeeping
+  // vectors. RecommendOne uses the tile and the first accumulator.
   nn::Tensor batch_interests;
   nn::Tensor batch_logits;  // (block_rows x total_interests) tile
-  std::vector<std::vector<float>> batch_scores;  // per unique user
+  std::vector<eval::TopNAccumulator> batch_top;  // per unique user
   std::vector<data::UserId> batch_users;
   std::vector<int64_t> batch_col_offset;  // per unique user, into logits
   std::vector<int64_t> batch_user_k;      // per unique user interest count
+  std::vector<int64_t> batch_capacity;    // per unique user largest top_n
   std::vector<int> batch_top_n;
   std::vector<int64_t> batch_user_slot;
 };
 
 // Answers one request against `snapshot` into `response`, reusing
-// `scratch`. This is the single-request body the batch fan-out and the
-// server's shard workers share — bitwise-identical results on both
-// paths. Per-request failures (unknown user, bad top_n) land in the
-// response (ok=false + error), never abort.
+// `scratch`. Shares its exact-scoring body with RecommendBatch, so the
+// two return bitwise-identical responses; both equal the brute force
+// (every item scored, then TopNFromScores) bit for bit. Per-request
+// failures (unknown user, bad top_n) land in the response (ok=false +
+// error), never abort.
 void RecommendOne(const ServingSnapshot& snapshot,
                   const RecommendRequest& request, const ServeConfig& config,
                   RecommendScratch* scratch, RecommendResponse* response);
@@ -87,21 +89,24 @@ void RecommendOne(const ServingSnapshot& snapshot,
 // rows are concatenated into one operand and scored in one blocked item
 // sweep over the snapshot's k-major table — each block's logits tile
 // stays cache-resident between the MatMulTransBPanelRangeInto call
-// and the per-user reductions (exact path) — or one shortlist loop over
-// the shared IVF scratch, and duplicate (user, top_n) requests within
-// the batch copy the first answer.
+// and the per-user bound-pruned top-N (exact path) — or one shortlist
+// loop over the shared IVF scratch. Each unique user's top-N is selected
+// once at the largest top_n requested for it; smaller requests take a
+// prefix, and duplicate (user, top_n) IVF requests copy the first answer.
 // Responses are bitwise identical to calling RecommendOne per request —
 // same kernel bodies, same per-user dispatch shapes, same error strings
 // (memcmp-tested at batch size 1 and N in server_test). This is the
-// shard worker's micro-batch entry point; unlike Recommend() it never
-// fans out, because parallelism already comes from the shards.
+// shard worker's micro-batch entry point; it never fans out, because
+// parallelism already comes from the shards.
 void RecommendBatch(const ServingSnapshot& snapshot,
                     const RecommendRequest* requests, size_t count,
                     const ServeConfig& config, RecommendScratch* scratch,
                     RecommendResponse* responses);
 
 // Answers every request against `snapshot`; responses are parallel to
-// `requests`.
+// `requests`. Fans the batch out over the process-wide pool
+// (ServeConfig::threads); each chunk runs RecommendBatch on sub-batches
+// of at most 32 requests. Responses are identical for any thread count.
 std::vector<RecommendResponse> Recommend(
     const ServingSnapshot& snapshot,
     const std::vector<RecommendRequest>& requests,

@@ -3,7 +3,10 @@
 // identical results regardless of the pool's thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "eval/ranker.h"
@@ -288,6 +291,125 @@ TEST(KernelsTest, RankerPrecomputedScoresMatchFromScratchPaths) {
       }
       EXPECT_EQ(eval::TopNFromScores(scratch.scores, 10),
                 eval::TopNItems(*interests, items, 10, rule));
+    }
+  }
+}
+
+// TopNFromScores breaks ties by item id, so tied items have one order on
+// every path. Duplicated item rows score identically, which puts exact
+// ties everywhere, including across the N-th place.
+TEST(KernelsTest, RankerTopNBreaksTiesByItemId) {
+  util::Rng rng(111);
+  const nn::Tensor base = nn::Tensor::Randn({40, 8}, rng);
+  nn::Tensor items({200, 8});
+  for (int64_t i = 0; i < 200; ++i) {
+    for (int64_t d = 0; d < 8; ++d) items.at(i, d) = base.at(i % 40, d);
+  }
+  const nn::Tensor interests = nn::Tensor::Randn({3, 8}, rng);
+  for (auto rule : {eval::ScoreRule::kAttentive,
+                    eval::ScoreRule::kMaxInterest}) {
+    const std::vector<float> scores =
+        eval::ScoreAllItems(interests, items, rule);
+    std::vector<std::pair<data::ItemId, float>> sorted;
+    for (data::ItemId i = 0; i < 200; ++i) {
+      sorted.emplace_back(i, scores[static_cast<size_t>(i)]);
+    }
+    std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
+      if (a.second != b.second) return a.second > b.second;
+      return a.first < b.first;
+    });
+    for (int n : {1, 3, 7, 37, 200, 205}) {
+      const size_t keep = std::min<size_t>(static_cast<size_t>(n), 200);
+      const std::vector<std::pair<data::ItemId, float>> want(
+          sorted.begin(), sorted.begin() + static_cast<int64_t>(keep));
+      EXPECT_EQ(eval::TopNFromScores(scores, n), want) << "n=" << n;
+      EXPECT_EQ(eval::TopNItems(interests, items, n, rule), want)
+          << "n=" << n;
+    }
+    // Each score appears five times, as items i, i+40, ..., i+160.
+    EXPECT_EQ(sorted[1].first, sorted[0].first + 40);
+  }
+}
+
+// The pruning bound must hold for the score *as computed*, which under
+// kAttentive can round above the max logit; the rows below make it do so
+// (near-equal logits) across k, magnitudes from subnormal to 1e30, and
+// mixed signs.
+TEST(KernelsTest, ScoreUpperBoundCoversRoundedScore) {
+  util::Rng rng(112);
+  int64_t above_max = 0;
+  for (int64_t k : {1, 2, 3, 5, 12, 64, 200}) {
+    for (float magnitude : {1e-42f, 1e-30f, 1.0f, 1e4f, 1e30f}) {
+      std::vector<float> row(static_cast<size_t>(k));
+      for (int trial = 0; trial < 400; ++trial) {
+        const nn::Tensor noise = nn::Tensor::Randn({k}, rng);
+        const float center = magnitude * (1.0f + noise.data()[0] * 0.5f);
+        for (int64_t j = 0; j < k; ++j) {
+          const float x = noise.data()[j];
+          switch (trial % 4) {
+            case 0:  // all equal
+              row[static_cast<size_t>(j)] = center;
+              break;
+            case 1:  // within a few ulps
+              row[static_cast<size_t>(j)] = center * (1.0f + x * 1e-7f);
+              break;
+            case 2:  // mixed signs
+              row[static_cast<size_t>(j)] = magnitude * x;
+              break;
+            default:  // one large logit beside small ones of both signs
+              row[static_cast<size_t>(j)] = j == 0 ? center : center * x * 1e-3f;
+          }
+        }
+        float hi = row[0];
+        for (float v : row) hi = std::max(hi, v);
+        const float attentive =
+            eval::ScoreFromLogits(row.data(), k, eval::ScoreRule::kAttentive);
+        above_max += attentive > hi;
+        EXPECT_LE(attentive, eval::ScoreUpperBound(
+                                 row.data(), k, eval::ScoreRule::kAttentive))
+            << "k=" << k << " magnitude=" << magnitude << " trial=" << trial;
+        EXPECT_EQ(eval::ScoreFromLogits(row.data(), k,
+                                        eval::ScoreRule::kMaxInterest),
+                  eval::ScoreUpperBound(row.data(), k,
+                                        eval::ScoreRule::kMaxInterest));
+      }
+    }
+  }
+  // The slack is not decoration: some computed scores exceed the max.
+  EXPECT_GT(above_max, 0);
+}
+
+// The streaming accumulator keeps exactly TopNFromScores' list, whatever
+// order the candidates arrive in, with heavy ties.
+TEST(KernelsTest, TopNAccumulatorMatchesTopNFromScores) {
+  util::Rng rng(113);
+  const int64_t num_items = 300;
+  std::vector<float> scores(static_cast<size_t>(num_items));
+  for (float& score : scores) {
+    score = static_cast<float>(rng.NextBelow(25)) - 12.0f;  // many ties
+  }
+  std::vector<data::ItemId> order(static_cast<size_t>(num_items));
+  for (data::ItemId i = 0; i < num_items; ++i) {
+    order[static_cast<size_t>(i)] = i;
+  }
+  eval::TopNAccumulator top;
+  for (int64_t capacity : {int64_t{1}, int64_t{5}, int64_t{64}, num_items,
+                           num_items + 3}) {
+    for (int pass = 0; pass < 3; ++pass) {
+      if (pass > 0) {
+        for (size_t j = order.size() - 1; j > 0; --j) {
+          std::swap(order[j], order[rng.NextBelow(j + 1)]);
+        }
+      }
+      top.Reset(capacity);
+      for (data::ItemId item : order) {
+        top.Offer(item, scores[static_cast<size_t>(item)]);
+      }
+      EXPECT_EQ(top.Finish(),
+                eval::TopNFromScores(scores, static_cast<int>(capacity)))
+          << "capacity=" << capacity << " pass=" << pass;
+      EXPECT_EQ(top.Finish().size(),
+                static_cast<size_t>(std::min(capacity, num_items)));
     }
   }
 }

@@ -2,10 +2,14 @@
 // snapshot-vs-live-model bitwise evaluation equivalence (every ScoreRule
 // x ItemFilter combination, across thread counts), the SnapshotRegistry's
 // atomic publish (including publish-while-reading stress), the batch
-// Recommend API, and the trainer's publish points.
+// Recommend API, the pruned exact top-N against its brute-force oracle,
+// and the trainer's publish points.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -14,6 +18,7 @@
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
 #include "models/msr_model.h"
+#include "obs/obs.h"
 #include "serve/recommend.h"
 #include "serve/registry.h"
 #include "serve/snapshot.h"
@@ -407,6 +412,240 @@ TEST(RecommendTest, IdenticalAcrossThreadCounts) {
       }
     }
   }
+}
+
+// --- Exact top-N oracle -----------------------------------------------------
+
+using TopN = std::vector<std::pair<data::ItemId, float>>;
+
+// The brute force the bound-pruned exact path must reproduce bit for
+// bit: every item scored from the full panel product, then the
+// tie-ordered TopNFromScores.
+TopN BruteForceTopN(const ServingSnapshot& snapshot, data::UserId user,
+                    eval::ScoreRule rule, int top_n) {
+  nn::Tensor logits;
+  nn::MatMulTransBPanelInto(nn::ViewOf(snapshot.item_embeddings_kmajor()),
+                            snapshot.Interests(user), &logits);
+  std::vector<float> scores(static_cast<size_t>(snapshot.num_items()));
+  eval::ScoresFromLogits(logits.data(), snapshot.num_items(),
+                         snapshot.NumInterests(user), rule, scores.data());
+  return eval::TopNFromScores(scores, top_n);
+}
+
+bool BitwiseEqual(const TopN& a, const TopN& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(),
+                                   a.size() * sizeof(a[0])) == 0);
+}
+
+constexpr int64_t kOracleDim = 8;
+constexpr data::UserId kOracleUsers = 6;
+
+// A serving world built to stress the pruning bound, with rows scaled by
+// `scale` (60 puts the logits near 1e4). Users:
+//   0-3  K = 1, 2, 5, 12 random interest rows;
+//   4    K = 12: eleven copies of the unit row e_0 and one e_1, so item
+//        i's logits are exactly its first coordinate (x11) and its
+//        second;
+//   5    K = 6 rows in +/- pairs: mixed-sign logits.
+// Items: random rows; every third row repeats an earlier one, so exact
+// score ties land everywhere, including at the N-th place; every 37th
+// row is zero (all logits 0). The last rows (up to a quarter of the
+// corpus) target user 4 near 1e4. A row (L, L) gives 12 equal logits L,
+// whose attentive mean s(L) can round up to 3 ulps above L; a row
+// (-1e4, v) scores exactly v, the float just below s(L). Shuffled
+// together, a pinned v often sits at the N-th place when its (L, L) row
+// arrives, and a bound without rounding slack (L < v) would skip that
+// row although it scores s(L) > v.
+std::unique_ptr<ServingSnapshot> MakeOracleSnapshot(int64_t num_items,
+                                                    float scale,
+                                                    uint64_t seed) {
+  util::Rng rng(seed);
+  core::PackedInterests interests;
+  interests.dim = kOracleDim;
+  const std::vector<int32_t> counts = {1, 2, 5, 12, 12, 6};
+  for (data::UserId user = 0; user < kOracleUsers; ++user) {
+    const int32_t k = counts[static_cast<size_t>(user)];
+    interests.users.push_back(user);
+    interests.row_begin.push_back(static_cast<int64_t>(
+        interests.data.size() / static_cast<size_t>(kOracleDim)));
+    interests.counts.push_back(k);
+    const nn::Tensor rows = nn::Tensor::Randn({k, kOracleDim}, rng);
+    for (int32_t r = 0; r < k; ++r) {
+      for (int64_t d = 0; d < kOracleDim; ++d) {
+        float value = rows.at(r, d) * scale;
+        if (user == 4) value = d == (r == 11 ? 1 : 0) ? 1.0f : 0.0f;
+        if (user == 5 && r % 2 == 1) {
+          value = -interests.data[interests.data.size() - kOracleDim];
+        }
+        interests.data.push_back(value);
+      }
+    }
+  }
+  nn::Tensor items = nn::Tensor::Randn({num_items, kOracleDim}, rng);
+  for (int64_t i = 0; i < num_items; ++i) {
+    float* row = items.data() + i * kOracleDim;
+    if (i % 3 == 2) {
+      std::copy_n(items.data() + (i / 3) * kOracleDim, kOracleDim, row);
+    } else if (i % 37 == 36) {
+      std::fill_n(row, kOracleDim, 0.0f);
+    } else {
+      for (int64_t d = 0; d < kOracleDim; ++d) row[d] *= scale;
+    }
+  }
+  std::vector<std::pair<float, float>> near_ties;
+  float x = 15000.0f;
+  for (int j = 0; j < 64; ++j, x = std::nextafter(x, 2e4f)) {
+    near_ties.emplace_back(x, x);
+    const std::vector<float> equal(12, x);
+    const float pinned = std::nextafter(
+        eval::ScoreFromLogits(equal.data(), 12, eval::ScoreRule::kAttentive),
+        0.0f);
+    if (pinned > x) near_ties.emplace_back(-1e4f, pinned);
+  }
+  for (size_t j = near_ties.size() - 1; j > 0; --j) {
+    std::swap(near_ties[j], near_ties[rng.NextBelow(j + 1)]);
+  }
+  const int64_t take = std::min<int64_t>(
+      static_cast<int64_t>(near_ties.size()), num_items / 4);
+  for (int64_t j = 0; j < take; ++j) {
+    float* row = items.data() + (num_items - take + j) * kOracleDim;
+    row[0] = near_ties[static_cast<size_t>(j)].first;
+    row[1] = near_ties[static_cast<size_t>(j)].second;
+  }
+  return std::make_unique<ServingSnapshot>(std::move(items),
+                                           std::move(interests),
+                                           /*trained_through_span=*/1);
+}
+
+// RecommendOne, RecommendBatch and Recommend must each return exactly the
+// brute force's bytes: the bound may only skip rows that cannot enter
+// the top-N, and the strict (score desc, item id asc) order leaves no
+// freedom in which tied item is kept or where it sorts.
+TEST(RecommendOracleTest, PrunedExactTopNMatchesBruteForceBitwise) {
+  for (const int64_t num_items : {1, 1023, 1025, 3000}) {
+    for (const float scale : {1.0f, 60.0f}) {
+      const std::unique_ptr<ServingSnapshot> snapshot =
+          MakeOracleSnapshot(num_items, scale, /*seed=*/17 + num_items);
+      for (const eval::ScoreRule rule :
+           {eval::ScoreRule::kAttentive, eval::ScoreRule::kMaxInterest}) {
+        SCOPED_TRACE(std::to_string(num_items) + " items, scale " +
+                     std::to_string(scale) + ", " +
+                     eval::ScoreRuleName(rule));
+        ServeConfig config;
+        config.rule = rule;
+        config.retrieval = RetrievalMode::kExact;
+        config.threads = 3;
+        const int n = static_cast<int>(num_items);
+        // Every user four times with four top_n values: the batch keeps
+        // one accumulator per user at the largest and serves the rest as
+        // prefixes.
+        std::vector<RecommendRequest> requests;
+        std::vector<TopN> expected;
+        for (data::UserId user = 0; user < kOracleUsers; ++user) {
+          for (const int top_n : {1, 20, n, n + 5}) {
+            requests.push_back({user, top_n});
+            expected.push_back(BruteForceTopN(*snapshot, user, rule, top_n));
+          }
+        }
+        RecommendScratch scratch;
+        for (size_t i = 0; i < requests.size(); ++i) {
+          SCOPED_TRACE("user " + std::to_string(requests[i].user) +
+                       " top_n " + std::to_string(requests[i].top_n));
+          RecommendResponse one;
+          RecommendOne(*snapshot, requests[i], config, &scratch, &one);
+          EXPECT_TRUE(one.ok && BitwiseEqual(one.items, expected[i]))
+              << "RecommendOne";
+          RecommendBatch(*snapshot, &requests[i], 1, config, &scratch, &one);
+          EXPECT_TRUE(one.ok && BitwiseEqual(one.items, expected[i]))
+              << "RecommendBatch of one";
+        }
+        // The batch three ways: as built, reversed (a user's smaller
+        // top_n first), and only the small top_n values, so every fused
+        // accumulator prunes.
+        std::vector<RecommendRequest> reversed(requests.rbegin(),
+                                               requests.rend());
+        std::vector<size_t> small;
+        for (size_t i = 0; i < requests.size(); ++i) {
+          if (requests[i].top_n <= 20) small.push_back(i);
+        }
+        std::vector<RecommendRequest> small_requests;
+        for (size_t i : small) small_requests.push_back(requests[i]);
+        std::vector<RecommendResponse> batch(requests.size());
+        std::vector<RecommendResponse> batch_reversed(requests.size());
+        std::vector<RecommendResponse> batch_small(small.size());
+        RecommendBatch(*snapshot, requests.data(), requests.size(), config,
+                       &scratch, batch.data());
+        RecommendBatch(*snapshot, reversed.data(), reversed.size(), config,
+                       &scratch, batch_reversed.data());
+        RecommendBatch(*snapshot, small_requests.data(), small.size(),
+                       config, &scratch, batch_small.data());
+        const std::vector<RecommendResponse> fanned =
+            Recommend(*snapshot, requests, config);
+        std::vector<const RecommendResponse*> got_small(requests.size());
+        for (size_t j = 0; j < small.size(); ++j) {
+          got_small[small[j]] = &batch_small[j];
+        }
+        for (size_t i = 0; i < requests.size(); ++i) {
+          SCOPED_TRACE("user " + std::to_string(requests[i].user) +
+                       " top_n " + std::to_string(requests[i].top_n));
+          for (const RecommendResponse* got :
+               std::initializer_list<const RecommendResponse*>{
+                   &batch[i], &batch_reversed[requests.size() - 1 - i],
+                   got_small[i], &fanned[i]}) {
+            if (got == nullptr) continue;
+            EXPECT_TRUE(got->ok && BitwiseEqual(got->items, expected[i]));
+          }
+        }
+      }
+    }
+  }
+}
+
+// The pruning counters are added once per call, not per row: a call
+// over U unique users accounts for exactly U x num_items rows, split
+// between reduced and skipped. Under IMSR_OBS=OFF they do not exist.
+TEST(RecommendOracleTest, PruningCountersAccountForEveryRow) {
+  const int64_t num_items = 3000;
+  const std::unique_ptr<ServingSnapshot> snapshot =
+      MakeOracleSnapshot(num_items, /*scale=*/1.0f, /*seed=*/29);
+  ServeConfig config;
+  config.retrieval = RetrievalMode::kExact;
+  RecommendScratch scratch;
+  RecommendResponse one;
+  const std::vector<RecommendRequest> requests = {
+      {2, 5}, {3, 20}, {2, 1}, {0, 10}};
+  std::vector<RecommendResponse> batch(requests.size());
+#if !defined(IMSR_OBS_DISABLED)
+  auto counter = [](const char* name) {
+    return obs::Registry().GetCounter(name).value();
+  };
+  int64_t reduced = counter("serve/exact_rows_reduced");
+  int64_t skipped = counter("serve/exact_rows_skipped");
+  RecommendOne(*snapshot, {2, 5}, config, &scratch, &one);
+  const int64_t one_reduced = counter("serve/exact_rows_reduced") - reduced;
+  const int64_t one_skipped = counter("serve/exact_rows_skipped") - skipped;
+  EXPECT_EQ(one_reduced + one_skipped, num_items);
+  EXPECT_GE(one_reduced, 5);
+  EXPECT_GT(one_skipped, num_items / 2);
+
+  reduced = counter("serve/exact_rows_reduced");
+  skipped = counter("serve/exact_rows_skipped");
+  RecommendBatch(*snapshot, requests.data(), requests.size(), config,
+                 &scratch, batch.data());
+  EXPECT_EQ(counter("serve/exact_rows_reduced") - reduced +
+                counter("serve/exact_rows_skipped") - skipped,
+            3 * num_items);  // three unique users
+#else
+  RecommendOne(*snapshot, {2, 5}, config, &scratch, &one);
+  RecommendBatch(*snapshot, requests.data(), requests.size(), config,
+                 &scratch, batch.data());
+  for (const obs::CounterSnapshot& c : obs::Registry().Snapshot().counters) {
+    EXPECT_NE(c.name, "serve/exact_rows_reduced");
+    EXPECT_NE(c.name, "serve/exact_rows_skipped");
+  }
+#endif
+  EXPECT_TRUE(one.ok);
 }
 
 // End-to-end: the trainer publishes after pretraining and after each
