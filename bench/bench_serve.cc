@@ -11,8 +11,7 @@
 //   3. Exact vs IVF retrieval — on a clustered corpus (the regime the
 //      index is built for), index build cost, Recommend throughput in
 //      both modes, recall@top_n of IVF against the exact oracle, and the
-//      probe/shortlist/re-rank accounting. --json_out dumps this section
-//      as JSON for tools/bench_pr8.sh.
+//      per-query probe/shortlist/re-rank accounting.
 //
 // Flags: --scale=1.0 multiplies the size grid; --repeats=3 averages the
 // publish timings; --requests=2048 sets the throughput batch size;
@@ -20,14 +19,12 @@
 // --rule=attentive|max, --top_n=20, --dim=32, --seed=7.
 // IVF section: --ivf_sizes=10000,100000 item counts (empty disables),
 // --ivf_requests=512 timed batch, --ivf_recall_queries=200 oracle sample,
-// --nprobe=0 (default probe width), --json_out=<file>.
+// --nprobe=0 (default probe width).
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "bench/bench_common.h"
@@ -280,7 +277,6 @@ int main(int argc, char** argv) {
   const int64_t ivf_requests = flags.GetInt("ivf_requests", 512);
   const int64_t recall_queries = flags.GetInt("ivf_recall_queries", 200);
   const int nprobe = static_cast<int>(flags.GetInt("nprobe", 0));
-  const std::string json_out = flags.GetString("json_out", "");
   if (ivf_sizes.empty()) return 0;
 
   std::printf("Exact vs IVF Recommend on a clustered corpus (d=%lld, "
@@ -289,9 +285,8 @@ int main(int argc, char** argv) {
               eval::ScoreRuleName(rule),
               static_cast<long long>(ivf_requests));
   util::Table ivf_table({"items", "centroids", "nprobe", "index ms",
-                         "exact qps", "ivf qps", "speedup", "recall@N"});
-  std::ostringstream json;
-  json << "[\n";
+                         "exact qps", "ivf qps", "speedup", "recall@N",
+                         "probes/q", "shortlist/q", "reranked/q"});
   for (size_t s = 0; s < ivf_sizes.size(); ++s) {
     const int64_t items = std::max<int64_t>(1, ivf_sizes[s]);
     const int64_t users =
@@ -378,50 +373,18 @@ int main(int argc, char** argv) {
          util::FormatDouble(indexed_ms - snapshot_ms, 2),
          util::FormatDouble(exact_qps, 0), util::FormatDouble(ivf_qps, 0),
          util::FormatDouble(ivf_qps / exact_qps, 2),
-         util::FormatDouble(recall, 4)});
-
-    json << "  {\"items\": " << items << ", \"users\": " << users
-         << ", \"dim\": " << dim << ", \"top_n\": " << top_n
-         << ", \"rule\": \"" << eval::ScoreRuleName(rule) << "\""
-         << ", \"centroids\": " << index.num_centroids()
-         << ", \"nprobe\": " << effective_nprobe
-         << ", \"requests\": " << ivf_requests
-         << ",\n   \"snapshot_build_ms\": "
-         << util::FormatDouble(snapshot_ms, 3)
-         << ", \"indexed_build_ms\": " << util::FormatDouble(indexed_ms, 3)
-         << ", \"index_build_ms\": "
-         << util::FormatDouble(indexed_ms - snapshot_ms, 3)
-         << ",\n   \"exact_qps\": " << util::FormatDouble(exact_qps, 1)
-         << ", \"ivf_qps\": " << util::FormatDouble(ivf_qps, 1)
-         << ", \"speedup\": " << util::FormatDouble(ivf_qps / exact_qps, 3)
-         << ",\n   \"recall_at_top_n\": " << util::FormatDouble(recall, 4)
-         << ", \"recall_queries\": " << sample
-         << ", \"mean_probes\": "
-         << util::FormatDouble(static_cast<double>(totals.probes) / searches,
-                               1)
-         << ", \"mean_shortlist\": "
-         << util::FormatDouble(
-                static_cast<double>(totals.shortlist) / searches, 1)
-         << ", \"mean_reranked\": "
-         << util::FormatDouble(
-                static_cast<double>(totals.reranked) / searches, 1)
-         << "}" << (s + 1 < ivf_sizes.size() ? "," : "") << "\n";
+         util::FormatDouble(recall, 4),
+         util::FormatDouble(static_cast<double>(totals.probes) / searches, 1),
+         util::FormatDouble(static_cast<double>(totals.shortlist) / searches,
+                            1),
+         util::FormatDouble(static_cast<double>(totals.reranked) / searches,
+                            1)});
   }
-  json << "]\n";
   bench::PrintTable(ivf_table);
   std::printf(
       "IVF probes nprobe lists per interest, scores candidates with int8\n"
       "dots and re-ranks the shortlist with the exact float kernels, so\n"
       "returned scores match brute force bit for bit; recall@N counts\n"
       "how often the exact top-N items survive the probe.\n");
-  if (!json_out.empty()) {
-    std::ofstream out(json_out);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", json_out.c_str());
-      return 1;
-    }
-    out << json.str();
-    std::printf("wrote %s\n", json_out.c_str());
-  }
   return 0;
 }

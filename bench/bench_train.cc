@@ -1,8 +1,9 @@
 // Training-step micro benchmarks: the per-sample loss graph
 // (build + value) and the full TrainEpoch inner loop (graph + backward +
-// Adam step) over a fixed synthetic workload. These are the numbers the
-// memory-subsystem work (DESIGN.md §10) is judged against — BENCH_PR5.json
-// at the repo root records before/after runs via tools/bench_pr5.
+// Adam step) over a fixed synthetic workload. BENCH_PR5.json at the repo
+// root is the historical record of the memory-subsystem work (DESIGN.md
+// §10); the repo benchmark (perfbench/, span_train) now measures the
+// training loop end to end.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -60,7 +61,7 @@ struct TrainFixture {
 
 void BM_SampleLoss(benchmark::State& state) {
   // Forward graph construction + loss value for one sample — the unit the
-  // buffer pool and autograd arena are sized around.
+  // autograd arena is sized around.
   TrainFixture fixture(state.range(0));
   const data::TrainingSample& sample = fixture.samples.front();
   for (auto _ : state) {
@@ -76,8 +77,8 @@ void BM_TrainEpochStep(benchmark::State& state) {
   // fixed sample set (batch 32 -> samples/32 optimizer steps). Items
   // processed = training samples, so items/s is sample throughput.
   TrainFixture fixture(state.range(0));
-  // Warm up once so lazily created state (Adam moments, scratch, pooled
-  // buffers) exists before the timed region.
+  // Warm up once so lazily created state (Adam moments, scratch, arena
+  // blocks) exists before the timed region.
   fixture.trainer->TrainEpoch(fixture.samples, nullptr);
   for (auto _ : state) {
     benchmark::DoNotOptimize(

@@ -28,9 +28,8 @@ struct EvalConfig {
   // kIVF ranks each test item within the index's retrieved top-N instead
   // of the full corpus (a miss ranks top_n + 1, contributing 0 to HR and
   // NDCG — the serving-accurate protocol). Snapshots without an index,
-  // and the live-model overload, fall back to exact. The default follows
-  // IMSR_RETRIEVAL, which is kExact unless overridden.
-  serve::RetrievalMode retrieval = serve::DefaultRetrievalMode();
+  // and the live-model overload, fall back to exact.
+  serve::RetrievalMode retrieval = serve::RetrievalMode::kExact;
   // Lists probed per interest under kIVF; <= 0 uses the index default.
   int nprobe = 0;
 };

@@ -3,7 +3,7 @@
 // aggregation) per sample, in place of the seven-node reference chain
 // RowSlice -> MatMulTransA -> SquashRows -> RowVector -> MatVec ->
 // Softmax -> MatVecTransA. The per-sample graph tax (node construction,
-// pooled intermediates, backward-closure dispatch) dominates the
+// intermediate tensors, backward-closure dispatch) dominates the
 // training step at paper-scale shapes (K=4, d=32), so collapsing the
 // chain is worth far more than any kernel-level win inside it — see
 // DESIGN.md section 11.

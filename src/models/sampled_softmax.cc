@@ -120,7 +120,7 @@ nn::Var SampledSoftmaxBatchLoss(const std::vector<nn::Var>& user_reprs,
   if (nn::GradEnabled() && wants_grad) probs = nn::Softmax(scores);
 
   // Parent scratch persists across calls (capacity only); cleared before
-  // returning so pooled buffers it pins are released with the graph.
+  // returning so the tensors it pins are freed with the graph.
   thread_local std::vector<nn::Var> parents;
   parents.clear();
   parents.reserve(static_cast<size_t>(1 + batch));

@@ -17,9 +17,8 @@
 //    SimdEnabled() so `IMSR_SIMD=off` (env) or -DIMSR_SIMD=OFF (build)
 //    restores the historical bit patterns.
 //
-// The gate mirrors the buffer pool's triple (util/buffer_pool.h):
-// compile-time IMSR_SIMD_ENABLED, env var IMSR_SIMD, runtime
-// SetSimdEnabled for tests.
+// The gate is a triple: compile-time IMSR_SIMD_ENABLED, env var
+// IMSR_SIMD, runtime SetSimdEnabled for tests.
 #ifndef IMSR_NN_SIMD_H_
 #define IMSR_NN_SIMD_H_
 

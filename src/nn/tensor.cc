@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "nn/simd.h"
-#include "util/buffer_pool.h"
 #include "util/hot.h"
 #include "util/thread_pool.h"
 
@@ -26,44 +25,12 @@ int64_t ShapeNumel(const Shape& shape) {
 
 }  // namespace
 
-// ---- Storage lifecycle: every buffer comes from / returns to the
-// size-class pool (a plain heap vector under -DIMSR_POOL=OFF). ----
-
 Tensor::Tensor(Shape shape)
-    : shape_(shape),
-      data_(util::AcquireZeroedBuffer(
-          static_cast<size_t>(ShapeNumel(shape)))) {}
+    : shape_(shape), data_(static_cast<size_t>(ShapeNumel(shape))) {}
 
 Tensor::Tensor(Shape shape, std::vector<float> values)
     : shape_(shape), data_(std::move(values)) {
   IMSR_CHECK_EQ(ShapeNumel(shape_), static_cast<int64_t>(data_.size()));
-}
-
-Tensor::~Tensor() {
-  if (data_.capacity() != 0) util::ReleaseBuffer(std::move(data_));
-}
-
-Tensor::Tensor(const Tensor& other) : shape_(other.shape_) {
-  if (other.data_.empty()) return;
-  data_ = util::AcquireBuffer(other.data_.size());
-  std::memcpy(data_.data(), other.data_.data(),
-              other.data_.size() * sizeof(float));
-}
-
-Tensor& Tensor::operator=(const Tensor& other) {
-  if (this == &other) return *this;
-  shape_ = other.shape_;
-  if (data_.size() != other.data_.size()) {
-    if (data_.capacity() != 0) util::ReleaseBuffer(std::move(data_));
-    data_ = other.data_.empty()
-                ? std::vector<float>()
-                : util::AcquireBuffer(other.data_.size());
-  }
-  if (!other.data_.empty()) {
-    std::memcpy(data_.data(), other.data_.data(),
-                other.data_.size() * sizeof(float));
-  }
-  return *this;
 }
 
 Tensor::Tensor(Tensor&& other) noexcept
@@ -74,7 +41,6 @@ Tensor::Tensor(Tensor&& other) noexcept
 
 Tensor& Tensor::operator=(Tensor&& other) noexcept {
   if (this == &other) return *this;
-  if (data_.capacity() != 0) util::ReleaseBuffer(std::move(data_));
   shape_ = other.shape_;
   data_ = std::move(other.data_);
   other.shape_ = Shape();
@@ -83,11 +49,7 @@ Tensor& Tensor::operator=(Tensor&& other) noexcept {
 }
 
 void Tensor::ResizeUninitialized(Shape shape) {
-  const int64_t n = ShapeNumel(shape);
-  if (n != numel()) {
-    if (data_.capacity() != 0) util::ReleaseBuffer(std::move(data_));
-    data_ = util::AcquireBuffer(static_cast<size_t>(n));
-  }
+  data_.resize(static_cast<size_t>(ShapeNumel(shape)));
   shape_ = shape;
 }
 
@@ -101,12 +63,7 @@ Tensor Tensor::Full(Shape shape, float value) {
   return t;
 }
 
-Tensor Tensor::Uninitialized(Shape shape) {
-  Tensor t;
-  t.shape_ = shape;
-  t.data_ = util::AcquireBuffer(static_cast<size_t>(ShapeNumel(shape)));
-  return t;
-}
+Tensor Tensor::Uninitialized(Shape shape) { return Tensor(shape); }
 
 Tensor Tensor::Randn(Shape shape, util::Rng& rng, float mean, float stddev) {
   Tensor t = Uninitialized(shape);
@@ -731,7 +688,7 @@ void MatMulTransBInto(const Tensor& a, ConstMatrixView b, Tensor* out) {
   // Wide-output fast path: the dot-product kernels pay a horizontal
   // lane-combine per (i, j) dot, which dominates when k is modest and
   // there are many dots (the MatMul backward shape, m ~ batch tokens,
-  // n = k = d). Transposing b once (n*k floats, pooled scratch) and
+  // n = k = d). Transposing b once (n*k floats of scratch) and
   // running the register-blocked saxpy core amortises that away — and
   // because MatMulRows accumulates each element in the same sequential
   // kk order as the scalar dot, this path reproduces MatMulTransBRows

@@ -3,11 +3,10 @@
 // (everything in the paper is a vector, a matrix, or a small batch of
 // matrices), and the op set needed by the MSR models.
 //
-// Storage is recycled through util's size-class buffer pool (see
-// buffer_pool.h): construction acquires a buffer, destruction releases
-// it, so steady-state training reuses the previous step's memory instead
-// of hitting the heap. -DIMSR_POOL=OFF restores plain vectors; values are
-// bitwise identical either way.
+// Storage is a plain std::vector<float> owned by the tensor (DESIGN.md
+// section 10): construction zero-fills, copies are vector copies, and
+// ResizeUninitialized keeps the buffer's capacity so *Into scratch is
+// reused across calls.
 #ifndef IMSR_NN_TENSOR_H_
 #define IMSR_NN_TENSOR_H_
 
@@ -76,18 +75,18 @@ class Tensor {
   // Tensor of the given shape with explicit contents (size must match).
   Tensor(Shape shape, std::vector<float> values);
 
-  ~Tensor();
-  Tensor(const Tensor& other);
-  Tensor& operator=(const Tensor& other);
+  Tensor(const Tensor& other) = default;
+  Tensor& operator=(const Tensor& other) = default;
+  // Moves reset `other` to the empty tensor (shape included).
   Tensor(Tensor&& other) noexcept;
   Tensor& operator=(Tensor&& other) noexcept;
 
   static Tensor Zeros(Shape shape);
   static Tensor Ones(Shape shape);
   static Tensor Full(Shape shape, float value);
-  // Tensor whose contents are unspecified (pooled buffers carry stale
-  // values). Strictly for kernels that overwrite every element before the
-  // tensor escapes; everything else wants the zero-filled constructor.
+  // Tensor whose contents the caller must treat as unspecified. Marks
+  // kernels that overwrite every element before the tensor escapes; the
+  // storage is zero-filled like the constructor's, so it saves no memset.
   static Tensor Uninitialized(Shape shape);
   // I.i.d. N(mean, stddev^2) entries.
   static Tensor Randn(Shape shape, util::Rng& rng, float mean = 0.0f,
@@ -146,10 +145,11 @@ class Tensor {
   // Same data, new shape (numel must match).
   Tensor Reshape(Shape new_shape) const;
 
-  // Reshapes in place to `shape`, reusing the current buffer when numel
-  // matches and acquiring a fresh one otherwise. Contents are unspecified
-  // afterwards — this is the realloc step of the *Into kernels, which
-  // overwrite every element.
+  // Reshapes in place to `shape`, resizing the storage vector. The buffer
+  // (and data()) stays put whenever the new numel fits its capacity, so
+  // scratch that shrinks and regrows is never reallocated. Contents are
+  // unspecified afterwards — this is the realloc step of the *Into
+  // kernels, which overwrite every element.
   void ResizeUninitialized(Shape shape);
 
   // Deep copy (Tensor is value-semantic already; Clone is for emphasis at

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <numeric>
 
 #include "nn/simd.h"
@@ -129,24 +127,6 @@ bool RetrievalModeFromName(const std::string& name, RetrievalMode* mode,
     *error = "unknown retrieval mode '" + name + "' (valid: exact, ivf)";
   }
   return false;
-}
-
-RetrievalMode DefaultRetrievalMode() {
-  // Read once; a malformed value degrades loudly to exact, matching the
-  // util/env.h toggle semantics.
-  static const RetrievalMode mode = [] {
-    const char* raw = std::getenv("IMSR_RETRIEVAL");
-    if (raw == nullptr) return RetrievalMode::kExact;
-    RetrievalMode parsed = RetrievalMode::kExact;
-    std::string error;
-    if (RetrievalModeFromName(raw, &parsed, &error)) return parsed;
-    std::fprintf(stderr,
-                 "imsr: IMSR_RETRIEVAL=%s is malformed (%s); using the "
-                 "default 'exact'\n",
-                 raw, error.c_str());
-    return RetrievalMode::kExact;
-  }();
-  return mode;
 }
 
 IvfIndex::IvfIndex(const nn::Tensor& embeddings,

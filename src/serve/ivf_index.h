@@ -52,11 +52,6 @@ const char* RetrievalModeName(RetrievalMode mode);
 // fills `error` with the valid spellings.
 bool RetrievalModeFromName(const std::string& name, RetrievalMode* mode,
                            std::string* error);
-// Process-wide default: the IMSR_RETRIEVAL env var when set and
-// well-formed (read once; a malformed value warns on stderr), kExact
-// otherwise. Lets CI run the whole suite with retrieval defaulted to IVF
-// without touching every call site.
-RetrievalMode DefaultRetrievalMode();
 
 struct IvfBuildConfig {
   // Coarse centroid count; <= 0 picks ceil(sqrt(num_items)), clamped to

@@ -79,6 +79,13 @@ void RecommendOne(const ServingSnapshot& snapshot,
   response->user = request.user;
   response->ok = false;
   response->items.clear();
+  // Counted per request, like RecommendBatch's fallback count.
+  IMSR_OBS_ONLY({
+    if (config.retrieval == RetrievalMode::kIVF &&
+        snapshot.index() == nullptr) {
+      IMSR_COUNTER_ADD("serve/ivf_fallback_exact", 1);
+    }
+  })
   const int top_n =
       request.top_n > 0 ? request.top_n : config.default_top_n;
   if (top_n <= 0) {

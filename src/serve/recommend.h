@@ -45,9 +45,8 @@ struct ServeConfig {
   int threads = 0;
   // kIVF routes through the snapshot's IvfIndex (exact float scores on
   // the approximate shortlist); a snapshot without an index falls back
-  // to exact scoring (counted in serve/ivf_fallback_exact). The default
-  // follows IMSR_RETRIEVAL, which is kExact unless overridden.
-  RetrievalMode retrieval = DefaultRetrievalMode();
+  // to exact scoring (counted in serve/ivf_fallback_exact).
+  RetrievalMode retrieval = RetrievalMode::kExact;
   // Lists probed per interest under kIVF; <= 0 uses the index default.
   int nprobe = 0;
 };

@@ -199,13 +199,12 @@ std::shared_ptr<ServingSnapshot> BuildSnapshotShared(
     return nullptr;
   }
   // The store is provably untouched; the model has no revision counter,
-  // so export the (num_items x d) table and compare bytes — a few MB,
-  // cheap next to the per-user interest export this path avoids.
-  nn::Tensor embeddings = model.ExportItemEmbeddings();
+  // so compare its live (num_items x d) table against the frozen one in
+  // place — no export, just one read of the table.
+  const nn::Tensor& live = model.embeddings().parameter().value();
   const nn::Tensor& frozen = prev->item_embeddings();
-  if (embeddings.numel() != frozen.numel() ||
-      embeddings.size(0) != frozen.size(0) ||
-      std::memcmp(embeddings.data(), frozen.data(),
+  if (live.numel() != frozen.numel() || live.size(0) != frozen.size(0) ||
+      std::memcmp(live.data(), frozen.data(),
                   static_cast<size_t>(frozen.numel()) * sizeof(float)) !=
           0) {
     return nullptr;

@@ -182,10 +182,11 @@ std::shared_ptr<ServingSnapshot> BuildSnapshot(
 // data epoch forward via an O(1) pointer compare, keeping every shard's
 // response cache warm. Returns nullptr when anything changed (or prev
 // is null / hand-assembled): the caller falls back to a full
-// BuildSnapshot. The embedding check still exports and memcmps the
-// (num_items x d) table — cheap next to the per-user export — so a
+// BuildSnapshot. The embedding check memcmps the model's live
+// (num_items x d) table against prev's in place — no export — so a
 // trainer mutating the model between publishes is caught even though
-// the model has no revision counter.
+// the model has no revision counter. Like BuildSnapshot's export, it
+// reads the live table, so the caller must not train concurrently.
 std::shared_ptr<ServingSnapshot> BuildSnapshotShared(
     const models::MsrModel& model, const core::InterestStore& store,
     int trained_through_span, std::shared_ptr<const ServingSnapshot> prev);

@@ -32,8 +32,8 @@ struct PrequentialConfig {
   bool record_audit = false;  // keep the per-event ordering audit (tests)
   // kIVF ranks each event within the snapshot index's retrieved top-N
   // (miss ranks top_n + 1); snapshots without an index fall back to
-  // exact. Default follows IMSR_RETRIEVAL (kExact unless overridden).
-  serve::RetrievalMode retrieval = serve::DefaultRetrievalMode();
+  // exact.
+  serve::RetrievalMode retrieval = serve::RetrievalMode::kExact;
   int nprobe = 0;  // <= 0 uses the index default under kIVF
 };
 

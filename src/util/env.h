@@ -1,6 +1,6 @@
 // Environment-variable parsing with one strict, shared semantics for the
-// library's runtime toggles (IMSR_POOL, IMSR_SIMD, IMSR_FUSED_READOUT,
-// IMSR_THREADS, ...):
+// library's runtime toggles (IMSR_SIMD, IMSR_FUSED_READOUT, IMSR_THREADS,
+// ...):
 //
 //  * on/off toggles accept 1/true/on/yes and 0/false/off/no
 //    (case-insensitive); anything else is malformed;

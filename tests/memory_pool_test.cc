@@ -1,260 +1,15 @@
-// Tests for the zero-allocation training memory subsystem: the
-// size-class buffer pool (util/buffer_pool.h), the graph arena
-// (nn/arena.h), and the end-to-end allocation-regression guarantee that
-// a steady-state ImsrTrainer::TrainEpoch step touches neither the pool's
-// miss path nor the heap.
+// Tests for the graph arena (nn/arena.h): the bump allocator that backs
+// one training step's autograd graph nodes and is rewound between steps.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdint>
-#include <cstdlib>
-#include <new>
-#include <thread>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
-#include "core/imsr_trainer.h"
-#include "data/synthetic.h"
-#include "models/msr_model.h"
 #include "nn/arena.h"
-#include "nn/tensor.h"
-#include "util/buffer_pool.h"
-#include "util/thread_pool.h"
-
-// ---------------------------------------------------------------------------
-// Counting global operator new/delete. Every heap allocation made by this
-// binary passes through here; the steady-state test asserts the counter
-// stays flat across a TrainEpoch call. Under ASan/TSan the sanitizer
-// runtime owns the allocator and the strict zero-allocation assertions
-// are skipped (the pool-miss assertions still run).
-// ---------------------------------------------------------------------------
-
-namespace {
-
-std::atomic<uint64_t> g_heap_allocations{0};
-
-uint64_t HeapAllocations() {
-  return g_heap_allocations.load(std::memory_order_relaxed);
-}
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define IMSR_HEAP_COUNTING_UNRELIABLE 1
-#endif
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define IMSR_HEAP_COUNTING_UNRELIABLE 1
-#endif
-#endif
-
-bool HeapCountingReliable() {
-#if defined(IMSR_HEAP_COUNTING_UNRELIABLE)
-  return false;
-#else
-  return true;
-#endif
-}
-
-#if !defined(IMSR_HEAP_COUNTING_UNRELIABLE)
-void* CountedAlloc(size_t size) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* ptr = std::malloc(size == 0 ? 1 : size);
-  if (ptr == nullptr) throw std::bad_alloc();
-  return ptr;
-}
-
-void* CountedAlignedAlloc(size_t size, size_t alignment) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* ptr = nullptr;
-  if (posix_memalign(&ptr, alignment, size == 0 ? alignment : size) != 0) {
-    throw std::bad_alloc();
-  }
-  return ptr;
-}
-#endif  // !IMSR_HEAP_COUNTING_UNRELIABLE
-
-}  // namespace
-
-#if !defined(IMSR_HEAP_COUNTING_UNRELIABLE)
-void* operator new(size_t size) { return CountedAlloc(size); }
-void* operator new[](size_t size) { return CountedAlloc(size); }
-void* operator new(size_t size, const std::nothrow_t&) noexcept {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-void* operator new[](size_t size, const std::nothrow_t&) noexcept {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-void* operator new(size_t size, std::align_val_t align) {
-  return CountedAlignedAlloc(size, static_cast<size_t>(align));
-}
-void* operator new[](size_t size, std::align_val_t align) {
-  return CountedAlignedAlloc(size, static_cast<size_t>(align));
-}
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, size_t) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::align_val_t) noexcept {
-  std::free(ptr);
-}
-void operator delete[](void* ptr, std::align_val_t) noexcept {
-  std::free(ptr);
-}
-void operator delete(void* ptr, size_t, std::align_val_t) noexcept {
-  std::free(ptr);
-}
-void operator delete[](void* ptr, size_t, std::align_val_t) noexcept {
-  std::free(ptr);
-}
-#endif  // !IMSR_HEAP_COUNTING_UNRELIABLE
 
 namespace imsr {
 namespace {
-
-// --------------------------- buffer pool ----------------------------------
-
-TEST(BufferPoolTest, RoundTripWithinClassIsAHit) {
-  if (!util::PoolCompiledIn()) GTEST_SKIP() << "pool compiled out";
-  util::SetPoolEnabled(true);
-  util::DrainLocalPool();
-
-  const util::BufferPoolStats before = util::LocalPoolStats();
-  std::vector<float> buffer = util::AcquireBuffer(100);
-  EXPECT_EQ(buffer.size(), 100u);
-  EXPECT_GE(buffer.capacity(), 128u);  // rounded up to the 128-float class
-  const float* data = buffer.data();
-  util::ReleaseBuffer(std::move(buffer));
-
-  // Any size in the same class reuses the cached buffer without
-  // reallocating: same storage, hit counted, nothing dropped.
-  std::vector<float> again = util::AcquireBuffer(128);
-  const util::BufferPoolStats after = util::LocalPoolStats();
-  EXPECT_EQ(again.data(), data);
-  EXPECT_EQ(after.hits, before.hits + 1);
-  EXPECT_EQ(after.misses, before.misses + 1);  // only the first acquire
-  EXPECT_EQ(after.releases, before.releases + 1);
-  util::ReleaseBuffer(std::move(again));
-}
-
-TEST(BufferPoolTest, SmallerRequestInSameClassDoesNotReallocate) {
-  if (!util::PoolCompiledIn()) GTEST_SKIP() << "pool compiled out";
-  util::SetPoolEnabled(true);
-  util::DrainLocalPool();
-
-  std::vector<float> buffer = util::AcquireBuffer(1000);  // 1024 class
-  const float* data = buffer.data();
-  util::ReleaseBuffer(std::move(buffer));
-  // 600 rounds up to the 1024-float class, so the cached buffer serves it.
-  std::vector<float> again = util::AcquireBuffer(600);
-  EXPECT_EQ(again.data(), data);
-  EXPECT_EQ(again.size(), 600u);
-  util::ReleaseBuffer(std::move(again));
-}
-
-TEST(BufferPoolTest, DistinctClassesDoNotShareBuffers) {
-  if (!util::PoolCompiledIn()) GTEST_SKIP() << "pool compiled out";
-  util::SetPoolEnabled(true);
-  util::DrainLocalPool();
-
-  std::vector<float> small = util::AcquireBuffer(64);
-  util::ReleaseBuffer(std::move(small));
-  const util::BufferPoolStats before = util::LocalPoolStats();
-  // A request two classes up cannot be served by the cached 64-float
-  // buffer; it must miss.
-  std::vector<float> large = util::AcquireBuffer(4096);
-  const util::BufferPoolStats after = util::LocalPoolStats();
-  EXPECT_EQ(after.misses, before.misses + 1);
-  EXPECT_EQ(after.hits, before.hits);
-  util::ReleaseBuffer(std::move(large));
-}
-
-TEST(BufferPoolTest, ZeroedAcquireClearsRecycledContents) {
-  if (!util::PoolCompiledIn()) GTEST_SKIP() << "pool compiled out";
-  util::SetPoolEnabled(true);
-  util::DrainLocalPool();
-
-  std::vector<float> dirty = util::AcquireBuffer(256);
-  for (float& v : dirty) v = 3.5f;
-  util::ReleaseBuffer(std::move(dirty));
-  const std::vector<float> clean = util::AcquireZeroedBuffer(256);
-  for (float v : clean) EXPECT_EQ(v, 0.0f);
-}
-
-TEST(BufferPoolTest, FreeListsAreThreadLocal) {
-  if (!util::PoolCompiledIn()) GTEST_SKIP() << "pool compiled out";
-  util::SetPoolEnabled(true);
-  util::DrainLocalPool();
-
-  // Seed this thread's pool with one cached buffer.
-  util::ReleaseBuffer(util::AcquireBuffer(512));
-  const uint64_t main_hits = util::LocalPoolStats().hits;
-
-  // A fresh thread starts with an empty pool: same-class acquire misses,
-  // and its release caches the buffer locally (invisible here).
-  util::BufferPoolStats worker_stats;
-  std::thread worker([&] {
-    util::ReleaseBuffer(util::AcquireBuffer(512));
-    worker_stats = util::LocalPoolStats();
-  });
-  worker.join();
-  EXPECT_EQ(worker_stats.hits, 0u);
-  EXPECT_EQ(worker_stats.misses, 1u);
-  EXPECT_EQ(worker_stats.releases, 1u);
-
-  // This thread's cached buffer is still here and its stats unaffected.
-  EXPECT_EQ(util::LocalPoolStats().hits, main_hits);
-  std::vector<float> reused = util::AcquireBuffer(512);
-  EXPECT_EQ(util::LocalPoolStats().hits, main_hits + 1);
-  util::ReleaseBuffer(std::move(reused));
-}
-
-TEST(BufferPoolTest, DisabledPoolFallsBackToPlainVectors) {
-  if (!util::PoolCompiledIn()) GTEST_SKIP() << "pool compiled out";
-  util::SetPoolEnabled(true);
-  util::DrainLocalPool();
-  util::ReleaseBuffer(util::AcquireBuffer(256));  // cache one buffer
-
-  util::SetPoolEnabled(false);
-  const util::BufferPoolStats before = util::LocalPoolStats();
-  std::vector<float> buffer = util::AcquireBuffer(256);
-  // Fresh vector semantics: exact size, zero-filled, no pool traffic.
-  EXPECT_EQ(buffer.size(), 256u);
-  for (float v : buffer) EXPECT_EQ(v, 0.0f);
-  util::ReleaseBuffer(std::move(buffer));
-  const util::BufferPoolStats after = util::LocalPoolStats();
-  EXPECT_EQ(after.hits, before.hits);
-  EXPECT_EQ(after.misses, before.misses);
-  EXPECT_EQ(after.releases, before.releases);
-  util::SetPoolEnabled(true);
-}
-
-TEST(BufferPoolTest, DrainEmptiesTheCache) {
-  if (!util::PoolCompiledIn()) GTEST_SKIP() << "pool compiled out";
-  util::SetPoolEnabled(true);
-  util::ReleaseBuffer(util::AcquireBuffer(256));
-  EXPECT_GT(util::LocalPoolStats().bytes_cached, 0u);
-  util::DrainLocalPool();
-  EXPECT_EQ(util::LocalPoolStats().bytes_cached, 0u);
-  const util::BufferPoolStats before = util::LocalPoolStats();
-  util::ReleaseBuffer(util::AcquireBuffer(256));
-  EXPECT_EQ(util::LocalPoolStats().misses, before.misses + 1);
-}
-
-TEST(BufferPoolTest, TensorStorageRoundTripsThroughThePool) {
-  if (!util::PoolCompiledIn()) GTEST_SKIP() << "pool compiled out";
-  util::SetPoolEnabled(true);
-  util::DrainLocalPool();
-
-  { nn::Tensor warm({32, 32}); }  // populate the class
-  const util::BufferPoolStats before = util::LocalPoolStats();
-  for (int i = 0; i < 10; ++i) {
-    nn::Tensor tensor({32, 32});
-    tensor.Fill(1.0f);
-  }
-  const util::BufferPoolStats after = util::LocalPoolStats();
-  EXPECT_EQ(after.hits, before.hits + 10);
-  EXPECT_EQ(after.misses, before.misses);
-}
 
 // ------------------------------ arena -------------------------------------
 
@@ -323,78 +78,6 @@ TEST(GraphArenaTest, SteadyStateStopsGrowingCapacity) {
     arena.Reset();
   }
   EXPECT_EQ(arena.capacity_bytes(), warmed);
-}
-
-// --------------------- steady-state training step --------------------------
-
-core::TrainConfig RegressionTrainConfig() {
-  core::TrainConfig config;
-  config.pretrain_epochs = 1;
-  config.epochs = 1;
-  config.batch_size = 16;
-  config.negatives = 5;
-  config.initial_interests = 3;
-  config.enable_expansion = false;
-  config.seed = 11;
-  return config;
-}
-
-// The tentpole guarantee: once warm, a TrainEpoch neither misses the
-// buffer pool nor (in non-sanitizer builds) touches the heap. Run
-// single-threaded so the kernels take ParallelFor's inline path — the
-// dispatched path shares one heap-allocated control block per region,
-// which is not steady-state tensor churn.
-TEST(AllocationRegressionTest, SteadyStateTrainEpochIsAllocationFree) {
-  if (!util::PoolCompiledIn() || !util::PoolEnabled()) {
-    GTEST_SKIP() << "pool disabled";
-  }
-  const int previous_threads = util::GlobalThreadCount();
-  util::SetGlobalThreadCount(1);
-
-  data::SyntheticConfig data_config;
-  data_config.name = "alloc";
-  data_config.num_users = 12;
-  data_config.num_items = 120;
-  data_config.num_categories = 6;
-  data_config.pretrain_interactions_per_user = 24;
-  data_config.span_interactions_per_user = 8;
-  data_config.min_interactions = 5;
-  data_config.seed = 31;
-  const data::SyntheticDataset synthetic =
-      data::GenerateSynthetic(data_config);
-  const data::Dataset& dataset = *synthetic.dataset;
-
-  models::ModelConfig model_config;
-  model_config.kind = models::ExtractorKind::kComiRecDr;
-  model_config.embedding_dim = 16;
-  model_config.attention_dim = 12;
-  models::MsrModel model(model_config, dataset.num_items(), 1);
-  core::InterestStore store;
-  core::ImsrTrainer trainer(&model, &store, RegressionTrainConfig());
-  trainer.EnsureUserState(dataset, 0);
-  const std::vector<data::TrainingSample> samples =
-      data::BuildSpanSamples(dataset, 0, trainer.config().max_history);
-  ASSERT_FALSE(samples.empty());
-
-  // Warm-up: grows the pool, the arena, Adam state, scratch buffers and
-  // the obs metric registrations to their steady-state footprint.
-  trainer.TrainEpoch(samples, nullptr);
-  trainer.TrainEpoch(samples, nullptr);
-
-  const util::BufferPoolStats before = util::LocalPoolStats();
-  const uint64_t heap_before = HeapAllocations();
-  trainer.TrainEpoch(samples, nullptr);
-  const uint64_t heap_delta = HeapAllocations() - heap_before;
-  const util::BufferPoolStats after = util::LocalPoolStats();
-
-  EXPECT_EQ(after.misses, before.misses) << "steady-state pool misses";
-  EXPECT_EQ(after.dropped, before.dropped) << "steady-state pool drops";
-  EXPECT_GT(after.hits, before.hits);  // the step really used the pool
-  if (HeapCountingReliable()) {
-    EXPECT_EQ(heap_delta, 0u) << "heap allocations in a steady-state epoch";
-  }
-
-  util::SetGlobalThreadCount(previous_threads);
 }
 
 }  // namespace

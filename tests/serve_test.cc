@@ -3,7 +3,7 @@
 // x ItemFilter combination, across thread counts), the SnapshotRegistry's
 // atomic publish (including publish-while-reading stress), the batch
 // Recommend API, the pruned exact top-N against its brute-force oracle,
-// and the trainer's publish points.
+// the IVF-without-index fallbacks, and the trainer's publish points.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +22,7 @@
 #include "serve/recommend.h"
 #include "serve/registry.h"
 #include "serve/snapshot.h"
+#include "stream/prequential.h"
 
 namespace imsr::serve {
 namespace {
@@ -646,6 +647,155 @@ TEST(RecommendOracleTest, PruningCountersAccountForEveryRow) {
   }
 #endif
   EXPECT_TRUE(one.ok);
+}
+
+// Bitwise equality of two response lists (items and float scores).
+bool SameResponse(const RecommendResponse& a, const RecommendResponse& b) {
+  return a.ok == b.ok && a.error == b.error &&
+         a.items.size() == b.items.size() &&
+         (a.items.empty() ||
+          std::memcmp(a.items.data(), b.items.data(),
+                      a.items.size() * sizeof(a.items[0])) == 0);
+}
+
+// A snapshot published without an IvfIndex must answer kIVF exactly as
+// kExact on every read path — RecommendOne, RecommendBatch, Recommend,
+// EvaluateSpan and PrequentialEvaluator::ScoreEvent — and count each
+// fallback in its obs counter.
+TEST(IvfFallbackTest, IndexlessSnapshotAnswersIvfExactly) {
+  data::SyntheticConfig data_config;
+  data_config.name = "fallback";
+  data_config.num_users = 24;
+  data_config.num_items = 150;
+  data_config.num_categories = 6;
+  data_config.pretrain_interactions_per_user = 20;
+  data_config.span_interactions_per_user = 8;
+  data_config.min_interactions = 5;
+  data_config.seed = 23;
+  const data::SyntheticDataset synthetic =
+      data::GenerateSynthetic(data_config);
+  const data::Dataset& dataset = *synthetic.dataset;
+  models::ModelConfig model_config;
+  model_config.embedding_dim = 8;
+  models::MsrModel model(model_config, dataset.num_items(), /*seed=*/4);
+  core::InterestStore store;
+  core::TrainConfig train_config;
+  train_config.pretrain_epochs = 1;
+  train_config.batch_size = 32;
+  train_config.negatives = 3;
+  train_config.initial_interests = 3;
+  core::ImsrTrainer trainer(&model, &store, train_config);
+  trainer.Pretrain(dataset);
+  const std::shared_ptr<ServingSnapshot> snapshot =
+      BuildSnapshot(model, store, /*trained_through_span=*/0);
+  ASSERT_EQ(snapshot->index(), nullptr);
+
+  std::vector<RecommendRequest> requests;
+  for (int64_t u = 0; u < snapshot->num_users(); u += 3) {
+    requests.push_back(
+        {static_cast<data::UserId>(u), static_cast<int>(5 + (u % 4) * 5)});
+  }
+  requests.push_back(requests.front());  // duplicate user
+  requests.push_back({/*user=*/100000, 10});  // unknown user
+  ASSERT_GE(requests.size(), 4u);
+  const size_t count = requests.size();
+  ServeConfig exact;
+  ServeConfig ivf;
+  ivf.retrieval = RetrievalMode::kIVF;
+#if !defined(IMSR_OBS_DISABLED)
+  auto counter = [](const char* name) {
+    return obs::Registry().GetCounter(name).value();
+  };
+  const int64_t serve_before = counter("serve/ivf_fallback_exact");
+  const int64_t eval_before = counter("eval/ivf_fallback_exact");
+  const int64_t stream_before = counter("stream/ivf_fallback_exact");
+#endif
+
+  RecommendScratch scratch;
+  for (const RecommendRequest& request : requests) {
+    RecommendResponse want;
+    RecommendResponse got;
+    RecommendOne(*snapshot, request, exact, &scratch, &want);
+    RecommendOne(*snapshot, request, ivf, &scratch, &got);
+    EXPECT_TRUE(SameResponse(want, got)) << "RecommendOne user "
+                                         << request.user;
+  }
+  std::vector<RecommendResponse> want_batch(count);
+  std::vector<RecommendResponse> got_batch(count);
+  RecommendBatch(*snapshot, requests.data(), count, exact, &scratch,
+                 want_batch.data());
+  RecommendBatch(*snapshot, requests.data(), count, ivf, &scratch,
+                 got_batch.data());
+  const std::vector<RecommendResponse> want_all =
+      Recommend(*snapshot, requests, exact);
+  const std::vector<RecommendResponse> got_all =
+      Recommend(*snapshot, requests, ivf);
+  ASSERT_EQ(got_all.size(), count);
+  for (size_t i = 0; i < count; ++i) {
+    EXPECT_TRUE(SameResponse(want_batch[i], got_batch[i]))
+        << "RecommendBatch request " << i;
+    EXPECT_TRUE(SameResponse(want_all[i], got_all[i]))
+        << "Recommend request " << i;
+  }
+
+  eval::EvalConfig eval_exact;
+  eval_exact.top_n = 10;
+  eval::EvalConfig eval_ivf = eval_exact;
+  eval_ivf.retrieval = RetrievalMode::kIVF;
+  const eval::TopNMetrics want_eval =
+      eval::EvaluateSpan(*snapshot, dataset, /*test_span=*/1, eval_exact)
+          .metrics;
+  const eval::TopNMetrics got_eval =
+      eval::EvaluateSpan(*snapshot, dataset, /*test_span=*/1, eval_ivf)
+          .metrics;
+  ASSERT_GT(want_eval.users, 0);
+  EXPECT_EQ(got_eval.users, want_eval.users);
+  EXPECT_EQ(std::memcmp(&got_eval.hit_ratio, &want_eval.hit_ratio,
+                        sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&got_eval.ndcg, &want_eval.ndcg, sizeof(double)),
+            0);
+
+  stream::PrequentialConfig stream_exact;
+  stream_exact.top_n = 10;
+  stream::PrequentialConfig stream_ivf = stream_exact;
+  stream_ivf.retrieval = RetrievalMode::kIVF;
+  stream::PrequentialEvaluator want_stream(stream_exact);
+  stream::PrequentialEvaluator got_stream(stream_ivf);
+  uint64_t sequence = 0;
+  for (const data::UserId user : dataset.active_users(1)) {
+    for (const data::ItemId item : dataset.user_span(user, 1).all) {
+      stream::StreamEvent event;
+      event.user = user;
+      event.item = item;
+      event.sequence = ++sequence;
+      event.timestamp = static_cast<int64_t>(sequence);
+      EXPECT_EQ(want_stream.ScoreEvent(*snapshot, event, 0),
+                got_stream.ScoreEvent(*snapshot, event, 0));
+    }
+  }
+  ASSERT_GT(want_stream.scored(), 0);
+  EXPECT_EQ(got_stream.scored(), want_stream.scored());
+  EXPECT_EQ(got_stream.skipped(), want_stream.skipped());
+  const eval::WindowMetrics want_window = want_stream.Window();
+  const eval::WindowMetrics got_window = got_stream.Window();
+  EXPECT_EQ(got_window.count, want_window.count);
+  EXPECT_EQ(std::memcmp(&got_window.hit_ratio, &want_window.hit_ratio,
+                        sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&got_window.ndcg, &want_window.ndcg,
+                        sizeof(double)), 0);
+  EXPECT_EQ(got_stream.ivf_totals().searches, 0);
+
+#if !defined(IMSR_OBS_DISABLED)
+  // Every IVF request fell back: RecommendOne and RecommendBatch count
+  // each request, Recommend its sub-batches' requests, EvaluateSpan each
+  // evaluated user and ScoreEvent each scored event.
+  EXPECT_EQ(counter("serve/ivf_fallback_exact") - serve_before,
+            static_cast<int64_t>(3 * count));
+  EXPECT_EQ(counter("eval/ivf_fallback_exact") - eval_before,
+            want_eval.users);
+  EXPECT_EQ(counter("stream/ivf_fallback_exact") - stream_before,
+            want_stream.scored());
+#endif
 }
 
 // End-to-end: the trainer publishes after pretraining and after each

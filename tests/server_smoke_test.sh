@@ -6,9 +6,9 @@
 #      closed loop against it, and assert zero failed requests AND a
 #      nonzero cache-hit counter (Zipf 0.9 re-asks for hot users between
 #      publishes, so a working snapshot-versioned cache must hit).
-#   2. --cache=off --batch_max=1 — the PR 9 pop-score-respond loop, same
-#      zero-failure bar, and the stats line must report a fully idle
-#      cache (no lookups happen when the budget is zero).
+#   2. --batch_max=1 --cache_mb=0 — the unbatched pop-score-respond
+#      loop, same zero-failure bar, and the stats line must report a
+#      fully idle cache (no lookups happen when the budget is zero).
 #
 # Both cells assert SIGTERM produces a graceful drain and exit code 0.
 set -e
@@ -95,7 +95,7 @@ EOF
 }
 
 # --- Cell 1: batching + response cache enabled ------------------------------
-run_cell cached --batch_max=32 --cache=on --cache_mb=16
+run_cell cached --batch_max=32 --cache_mb=16
 
 # The stats line reads "... cache: <N> hits, <M> misses, ...": under a
 # Zipf 0.9 user pick the hot users repeat between publishes, so a working
@@ -105,10 +105,10 @@ CACHE_HITS="$(sed -n 's/.*cache: \([0-9]*\) hits.*/\1/p' "$SERVER_LOG")"
 [ "$CACHE_HITS" -gt 0 ] || fail "cached: expected nonzero cache hits"
 echo "cached cell: $CACHE_HITS cache hits"
 
-# --- Cell 2: cache off, batch_max=1 (the PR 9 serving loop) -----------------
-run_cell plain --batch_max=1 --cache=off --republish=full
+# --- Cell 2: cache off, batch_max=1 (the unbatched serving loop) -------------
+run_cell plain --batch_max=1 --cache_mb=0
 
 grep -q "cache: 0 hits, 0 misses" "$SERVER_LOG" || \
-  fail "plain: --cache=off still touched the cache"
+  fail "plain: --cache_mb=0 still touched the cache"
 
 echo "server_smoke_test: ok"

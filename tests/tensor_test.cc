@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "nn/tensor.h"
 #include "util/rng.h"
@@ -18,6 +19,40 @@ TEST(TensorTest, ConstructionAndShape) {
   for (int64_t i = 0; i < 2; ++i) {
     for (int64_t j = 0; j < 3; ++j) EXPECT_EQ(t.at(i, j), 0.0f);
   }
+}
+
+TEST(TensorTest, ConstructorZeroFillsEvenOverRecycledHeapMemory) {
+  // Free a dirty buffer of the same size first, so a recycling allocator
+  // would hand its bytes straight back.
+  { Tensor dirty = Tensor::Full({64, 64}, 3.5f); }
+  const Tensor t({64, 64});
+  for (int64_t i = 0; i < t.numel(); ++i) ASSERT_EQ(t.data()[i], 0.0f);
+}
+
+// The *Into kernels' scratch (the serve scoring tile, the IVF re-rank
+// buffers) relies on ResizeUninitialized never reallocating while the
+// new size fits the buffer it already holds.
+TEST(TensorTest, ResizeUninitializedKeepsStorageWithinCapacity) {
+  Tensor t({4096});
+  const float* storage = t.data();
+  t.ResizeUninitialized({10, 100});  // shrink across a power of two
+  EXPECT_EQ(t.data(), storage);
+  EXPECT_EQ(t.numel(), 1000);
+  EXPECT_EQ(t.size(0), 10);
+  t.ResizeUninitialized({64, 64});  // grow back within capacity
+  EXPECT_EQ(t.data(), storage);
+  EXPECT_EQ(t.numel(), 4096);
+  t.ResizeUninitialized({4096});  // same numel, new shape
+  EXPECT_EQ(t.data(), storage);
+  EXPECT_EQ(t.dim(), 1);
+}
+
+TEST(TensorTest, MoveLeavesSourceUndefined) {
+  Tensor a({2, 3});
+  const Tensor b = std::move(a);
+  EXPECT_EQ(b.numel(), 6);
+  EXPECT_FALSE(a.defined());
+  EXPECT_EQ(a.numel(), 0);
 }
 
 TEST(TensorTest, FactoryFunctions) {

@@ -14,7 +14,6 @@
 #include "models/msr_model.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "util/buffer_pool.h"
 
 namespace imsr::core {
 namespace {
@@ -382,45 +381,12 @@ TEST(TrainerTest, ObsMetricsRecordedAcrossTrainingAndExpansion) {
 #endif  // !IMSR_OBS_DISABLED
 
 // Exact float-for-float equality (memcmp, so even -0.0 vs +0.0 or NaN
-// payload differences would fail): the pool must be invisible to the
-// numerics, not merely close.
+// payload differences would fail): equivalent paths must agree bit for
+// bit, not merely closely.
 bool BitwiseEqual(const nn::Tensor& a, const nn::Tensor& b) {
   if (a.numel() != b.numel()) return false;
   return std::memcmp(a.data(), b.data(),
                      static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
-}
-
-TEST(TrainerTest, PoolOnAndOffTrajectoriesAreBitwiseIdentical) {
-  if (!util::PoolCompiledIn()) GTEST_SKIP() << "pool compiled out";
-  const bool was_enabled = util::PoolEnabled();
-  const data::SyntheticDataset synthetic = SmallData();
-  const data::Dataset& dataset = *synthetic.dataset;
-  struct RunResult {
-    nn::Tensor interests;
-    nn::Tensor embeddings;
-    nn::Tensor transform;
-  };
-  auto run = [&](bool pooled) {
-    util::SetPoolEnabled(pooled);
-    models::MsrModel model(
-        SmallModelConfig(models::ExtractorKind::kComiRecDr),
-        dataset.num_items(), 16);
-    InterestStore store;
-    ImsrTrainer trainer(&model, &store, SmallTrainConfig());
-    trainer.Pretrain(dataset);
-    trainer.TrainSpan(dataset, 1);
-    RunResult result;
-    result.interests = store.Interests(dataset.active_users(1)[0]);
-    result.embeddings = model.embeddings().parameter().value();
-    result.transform = model.extractor().SharedParameters()[0].value();
-    return result;
-  };
-  const RunResult pooled = run(true);
-  const RunResult heap = run(false);
-  util::SetPoolEnabled(was_enabled);
-  EXPECT_TRUE(BitwiseEqual(pooled.interests, heap.interests));
-  EXPECT_TRUE(BitwiseEqual(pooled.embeddings, heap.embeddings));
-  EXPECT_TRUE(BitwiseEqual(pooled.transform, heap.transform));
 }
 
 // ---- Minibatched path vs per-sample reference path ----

@@ -51,8 +51,8 @@
 // Retrieval (evaluate / recommend / stream): --retrieval=exact|ivf picks
 // brute-force or IVF approximate retrieval; under ivf an index is built
 // into every published snapshot and --nprobe=N sets the lists probed per
-// interest (default: the index's own default). The flag default follows
-// the IMSR_RETRIEVAL env var, exact unless set.
+// interest (default: the index's own default). The flag defaults to
+// exact.
 //
 // Observability (any subcommand): --metrics_out=metrics.json (or .csv)
 // exports the metrics registry at exit, --trace_out=trace.json exports a
@@ -160,10 +160,7 @@ void RegisterCheckpointFlags(util::FlagSet* set, bool writes) {
 }
 
 void RegisterRetrievalFlags(util::FlagSet* set) {
-  set->AddString("retrieval",
-                 serve::RetrievalModeName(serve::DefaultRetrievalMode()),
-                 "retrieval mode (exact | ivf); default follows "
-                 "IMSR_RETRIEVAL");
+  set->AddString("retrieval", "exact", "retrieval mode (exact | ivf)");
   set->AddInt("nprobe", 0,
               "IVF lists probed per interest (omit = index default)");
 }
@@ -303,15 +300,14 @@ bool ScoreRuleFromFlags(const util::Flags& flags, eval::ScoreRule* rule) {
   return true;
 }
 
-// Reads --retrieval (exact | ivf) and --nprobe. The default follows
-// IMSR_RETRIEVAL (exact unless set). An unknown --retrieval spelling or
-// an explicit --nprobe < 1 is a usage error.
+// Reads --retrieval (exact | ivf, default exact) and --nprobe. An
+// unknown --retrieval spelling or an explicit --nprobe < 1 is a usage
+// error.
 bool RetrievalFromFlags(const util::Flags& flags,
                         serve::RetrievalMode* mode, int* nprobe) {
   std::string error;
   if (!serve::RetrievalModeFromName(
-          flags.GetString("retrieval", serve::RetrievalModeName(
-                                           serve::DefaultRetrievalMode())),
+          flags.GetString("retrieval", "exact"),
           mode, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return false;

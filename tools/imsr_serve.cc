@@ -92,20 +92,14 @@ void MakeClusteredState(int64_t num_items, int64_t num_users, int64_t dim,
 
 void PublishSnapshot(const models::MsrModel& model,
                      const core::InterestStore& store, int span,
-                     bool with_index, bool allow_shared,
-                     serve::SnapshotRegistry* registry) {
-  // Timed republish of an unchanged model (--republish=shared): share
-  // the current snapshot's frozen content instead of re-exporting it —
-  // the version still bumps, the data epoch carries forward, and the
-  // publisher thread stops stealing a corpus-sized export from the
-  // serving core every cycle. Any model/store change (or
-  // --republish=full, the PR 9 behavior benchmarks baseline against)
-  // falls through to the full build.
+                     bool with_index, serve::SnapshotRegistry* registry) {
+  // Timed republish of an unchanged model: share the current snapshot's
+  // frozen content instead of re-exporting it — the version still bumps,
+  // the data epoch carries forward, and the publisher thread stops
+  // stealing a corpus-sized export from the serving core every cycle.
+  // Any model/store change falls through to the full build.
   std::shared_ptr<serve::ServingSnapshot> shared =
-      allow_shared
-          ? serve::BuildSnapshotShared(model, store, span,
-                                       registry->Current())
-          : nullptr;
+      serve::BuildSnapshotShared(model, store, span, registry->Current());
   if (shared != nullptr) {
     registry->Publish(std::move(shared));
   } else if (with_index) {
@@ -132,18 +126,11 @@ int main(int argc, char** argv) {
                "max requests a shard scores per queue drain (1 = the "
                "unbatched pop-score-respond loop)");
   flags.AddInt("cache_mb", 64,
-               "total response-cache budget in MiB, split across shards");
-  flags.AddString("cache", "on",
-                  "response cache (on | off); off ignores --cache_mb");
-  flags.AddString("republish", "shared",
-                  "timed-republish strategy (shared = reuse the current "
-                  "snapshot's frozen content when the model and store "
-                  "are unchanged | full = always re-export)");
+               "total response-cache budget in MiB, split across shards "
+               "(0 disables the cache)");
   flags.AddInt("top_n", 10, "default items per request");
   flags.AddString("rule", "attentive", "scoring rule (attentive | max)");
-  flags.AddString("retrieval",
-                  serve::RetrievalModeName(serve::DefaultRetrievalMode()),
-                  "retrieval mode (exact | ivf)");
+  flags.AddString("retrieval", "exact", "retrieval mode (exact | ivf)");
   flags.AddInt("nprobe", 0,
                "IVF lists probed per interest (omit = index default)");
   // Dataset boot.
@@ -202,21 +189,6 @@ int main(int argc, char** argv) {
   }
   const bool with_index = retrieval == serve::RetrievalMode::kIVF;
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  const std::string cache_flag = flags.GetString("cache");
-  if (cache_flag != "on" && cache_flag != "off") {
-    std::fprintf(stderr, "error: --cache must be 'on' or 'off', got '%s'\n",
-                 cache_flag.c_str());
-    return 2;
-  }
-  const std::string republish_flag = flags.GetString("republish");
-  if (republish_flag != "shared" && republish_flag != "full") {
-    std::fprintf(stderr,
-                 "error: --republish must be 'shared' or 'full', got "
-                 "'%s'\n",
-                 republish_flag.c_str());
-    return 2;
-  }
-  const bool shared_republish = republish_flag == "shared";
 
   // --- boot: build model + store, publish the first snapshot ----------
   serve::SnapshotRegistry registry;
@@ -303,8 +275,7 @@ int main(int argc, char** argv) {
                  "error: pick a boot mode: --log=<csv> or --items=N\n");
     return 2;
   }
-  PublishSnapshot(*model, store, span, with_index, shared_republish,
-                  &registry);
+  PublishSnapshot(*model, store, span, with_index, &registry);
   std::printf("snapshot v1 published in %.2fs (%s retrieval)\n",
               boot_watch.ElapsedSeconds(),
               serve::RetrievalModeName(retrieval));
@@ -320,9 +291,7 @@ int main(int argc, char** argv) {
   server_config.shards.batch_max =
       static_cast<int>(flags.GetInt("batch_max"));
   server_config.shards.cache_bytes =
-      cache_flag == "on"
-          ? static_cast<size_t>(flags.GetInt("cache_mb")) * (1u << 20)
-          : 0;
+      static_cast<size_t>(flags.GetInt("cache_mb")) * (1u << 20);
   server_config.shards.serve.default_top_n =
       static_cast<int>(flags.GetInt("top_n"));
   server_config.shards.serve.rule = rule;
@@ -389,8 +358,7 @@ int main(int argc, char** argv) {
           std::this_thread::sleep_for(std::chrono::milliseconds(20));
         }
         if (background_stop()) break;
-        PublishSnapshot(*model, store, ++span, with_index,
-                        shared_republish, &registry);
+        PublishSnapshot(*model, store, ++span, with_index, &registry);
         IMSR_COUNTER_ADD("serve/background_publishes", 1);
       }
     });
