@@ -4,7 +4,6 @@
 #include "nn/init.h"
 #include "nn/ops.h"
 #include "util/check.h"
-#include "util/env.h"
 
 namespace imsr::models {
 
@@ -52,15 +51,6 @@ void DynamicRoutingExtractor::ForwardBatch(
     out->push_back(
         nn::ops::SquashRows(nn::ops::MatMulTransA(coupling, e_hat)));
   }
-}
-
-bool DynamicRoutingExtractor::SupportsFusedRepr() const {
-  // Shared on/off env semantics (util/env.h): IMSR_FUSED_READOUT=0|off|
-  // false|no forces the unfused reference chain, garbage warns and keeps
-  // the default (fused).
-  static const bool enabled =
-      util::EnvEnabled("IMSR_FUSED_READOUT", /*default_value=*/true);
-  return enabled;
 }
 
 void DynamicRoutingExtractor::ForwardReprBatch(

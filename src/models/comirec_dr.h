@@ -33,11 +33,10 @@ class DynamicRoutingExtractor : public MultiInterestExtractor {
                     const std::vector<data::UserId>& users,
                     std::vector<nn::Var>* out) override;
 
-  // On by default; IMSR_FUSED_READOUT=0 in the environment forces the
-  // reference chain instead (same escape-hatch convention as IMSR_SIMD,
-  // see nn/simd.h) — for A/B timing and for bisecting numeric surprises
-  // to the fused node.
-  bool SupportsFusedRepr() const override;
+  // Always true. The unfused reference chain (ForwardBatch + readout)
+  // stays for teacher/EIR batches and as the bitwise oracle of the fused
+  // node (models_test).
+  bool SupportsFusedRepr() const override { return true; }
 
   // Shared-transform MatMul once for the batch, then per sample: frozen
   // B2I routing over the slice values and ONE fused readout node

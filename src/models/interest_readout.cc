@@ -48,7 +48,7 @@ void ReadoutBackward(nn::VarNode& node, const nn::Tensor& raw,
       for (int64_t j = 0; j < d; ++j) o[j] = bi * g[j];
     }
   }
-  // MatVecTransA: dbeta = H g (row dots through the reduction dispatch).
+  // MatVecTransA: dbeta = H g (row dots through the DotSpan reduction).
   nn::Tensor g_beta = nn::Tensor::Uninitialized({k});
   for (int64_t i = 0; i < k; ++i) {
     g_beta.at(i) = nn::DotSpan(ph + i * d, g, d);

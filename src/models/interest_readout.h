@@ -26,7 +26,7 @@ namespace imsr::models {
 // Returns v as ONE node with parents {e_hat_all, target_embeddings}.
 // Every forward kernel and every backward loop replicates the unfused
 // chain's computation and accumulation order bit for bit (same
-// scalar/SIMD reduction dispatch, same outer-product/saxpy orders, same
+// reduction kernels, same outer-product/saxpy orders, same
 // gradient-merge order into each parent), so losses and parameter
 // updates are bitwise identical to the reference path — trainer_test
 // asserts this at batch_size = 1 and readout tests assert it per node.

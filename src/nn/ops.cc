@@ -199,7 +199,7 @@ Var MatVecTransA(const Var& a, const Var& x) {
       a.node()->AccumulateGrad(std::move(ga));
     }
     if (Wants(x)) {
-      // dL/dx = A g — row dots through the shared scalar/SIMD dispatch.
+      // dL/dx = A g — row dots through the shared vectorized DotSpan.
       Tensor gx = Tensor::Uninitialized({m});
       const float* pa = a.value().data();
       for (int64_t i = 0; i < m; ++i) {
@@ -333,8 +333,8 @@ Var Softmax(const Var& a) {
   return Var::MakeNode(std::move(out), {a}, [a](VarNode& node) {
     if (!Wants(a)) return;
     // Row-wise Jacobian product: dx = y * (g - <g, y>). The <g, y> dot
-    // goes through the scalar/SIMD reduction dispatch; the Jacobian
-    // apply is elementwise (order-preserving).
+    // goes through the vectorized DotSpan (reduction class); the
+    // Jacobian apply is elementwise (order-preserving).
     const Tensor& y_all = node.value;
     const int64_t rows = y_all.dim() == 2 ? y_all.size(0) : 1;
     const int64_t cols = y_all.dim() == 2 ? y_all.size(1) : y_all.numel();
@@ -365,8 +365,8 @@ Var SquashRows(const Var& a) {
       const float* __restrict__ v = v_all.data() + i * cols;
       const float* __restrict__ g = node.grad.data() + i * cols;
       float* __restrict__ o = grad.data() + i * cols;
-      // Both accumulators are reductions (scalar/SIMD dispatch); splitting
-      // the fused loop keeps the scalar path's per-accumulator order.
+      // Both accumulators are reductions, each through DotSpan; splitting
+      // the fused loop keeps one fixed per-accumulator order.
       const float ss = nn::DotSpan(v, v, cols);
       const float vg = nn::DotSpan(v, g, cols);
       const float n = std::sqrt(ss);

@@ -255,9 +255,7 @@ int64_t RowGrain(int64_t rows, int64_t work_per_row) {
 // cannot reorder any element's additions. GCC's -O2 cost model refuses
 // to vectorize + scalarize the accumulator arrays, so the block is
 // compiled at -O3 via IMSR_HOT (GCC-only; clang relies on the simd
-// pragmas). The scalar dot-product kernel below is left at -O2 on
-// purpose: its register tiles are already the fast shape and -O3's
-// peeling slows them down.
+// pragmas).
 IMSR_HOT_BEGIN
 IMSR_SIMD_CLONES
 void MatMulRows(const float* __restrict__ pa, const float* __restrict__ pb,
@@ -400,86 +398,20 @@ void MatMulTransARank1(const float* __restrict__ pa,
 IMSR_HOT_END
 
 // Dot-product core for A * B^T over output rows [i_begin, i_end): 2x4
-// register tiles (8 independent accumulator chains) with every lane using
-// the same sequential kk order, so tile/remainder placement cannot change
-// a result bitwise.
-void MatMulTransBRows(const float* __restrict__ pa,
-                      const float* __restrict__ pb, float* __restrict__ po,
-                      int64_t i_begin, int64_t i_end, int64_t k, int64_t n) {
-  int64_t i = i_begin;
-  for (; i + 2 <= i_end; i += 2) {
-    const float* __restrict__ a0 = pa + (i + 0) * k;
-    const float* __restrict__ a1 = pa + (i + 1) * k;
-    float* __restrict__ o0 = po + (i + 0) * n;
-    float* __restrict__ o1 = po + (i + 1) * n;
-    int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const float* __restrict__ b0 = pb + (j + 0) * k;
-      const float* __restrict__ b1 = pb + (j + 1) * k;
-      const float* __restrict__ b2 = pb + (j + 2) * k;
-      const float* __restrict__ b3 = pb + (j + 3) * k;
-      float acc00 = 0.0f, acc01 = 0.0f, acc02 = 0.0f, acc03 = 0.0f;
-      float acc10 = 0.0f, acc11 = 0.0f, acc12 = 0.0f, acc13 = 0.0f;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float a0k = a0[kk];
-        const float a1k = a1[kk];
-        acc00 += a0k * b0[kk];
-        acc01 += a0k * b1[kk];
-        acc02 += a0k * b2[kk];
-        acc03 += a0k * b3[kk];
-        acc10 += a1k * b0[kk];
-        acc11 += a1k * b1[kk];
-        acc12 += a1k * b2[kk];
-        acc13 += a1k * b3[kk];
-      }
-      o0[j + 0] = acc00;
-      o0[j + 1] = acc01;
-      o0[j + 2] = acc02;
-      o0[j + 3] = acc03;
-      o1[j + 0] = acc10;
-      o1[j + 1] = acc11;
-      o1[j + 2] = acc12;
-      o1[j + 3] = acc13;
-    }
-    for (; j < n; ++j) {
-      const float* __restrict__ brow = pb + j * k;
-      float acc0 = 0.0f;
-      float acc1 = 0.0f;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        acc0 += a0[kk] * brow[kk];
-        acc1 += a1[kk] * brow[kk];
-      }
-      o0[j] = acc0;
-      o1[j] = acc1;
-    }
-  }
-  for (; i < i_end; ++i) {
-    const float* __restrict__ arow = pa + i * k;
-    float* __restrict__ orow = po + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      const float* __restrict__ brow = pb + j * k;
-      float acc = 0.0f;
-      for (int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      orow[j] = acc;
-    }
-  }
-}
-
-// Vectorized twin of MatMulTransBRows: same 2x4 register tile, but the kk
-// loop carries an omp simd reduction, so each accumulator becomes a
-// vector of per-lane partial sums combined at the end. That reorders the
-// floating-point additions of each dot product — results agree with the
-// scalar kernel only to rounding (see the tolerance contract in
-// DESIGN.md section 11), which is why dispatch goes through SimdEnabled().
-// Still deterministic: lane count is fixed at build time and every
-// (i, j) dot is computed whole inside one task, so thread count and tile
-// placement cannot change a bit.
+// register tiles (8 independent accumulator chains), and the kk loop
+// carries an omp simd reduction, so each accumulator becomes a vector of
+// per-lane partial sums combined at the end. That reorders the
+// floating-point additions of each dot product — results agree with a
+// sequential dot only to rounding (the reduction-class tolerance of
+// DESIGN.md section 11). Still deterministic: lane count is fixed per
+// build and ISA, and every (i, j) dot is computed whole inside one task,
+// so thread count and tile placement cannot change a bit.
 IMSR_HOT_BEGIN
 IMSR_SIMD_CLONES
-void MatMulTransBRowsSimd(const float* __restrict__ pa,
-                          const float* __restrict__ pb,
-                          float* __restrict__ po, int64_t i_begin,
-                          int64_t i_end, int64_t k, int64_t n) {
+void MatMulTransBDotRows(const float* __restrict__ pa,
+                         const float* __restrict__ pb,
+                         float* __restrict__ po, int64_t i_begin,
+                         int64_t i_end, int64_t k, int64_t n) {
   int64_t i = i_begin;
   for (; i + 2 <= i_end; i += 2) {
     const float* __restrict__ a0 = pa + (i + 0) * k;
@@ -551,10 +483,9 @@ IMSR_HOT_END
 // output rows — kLanes independent (i, j) elements per vector — while
 // every element's kk loop stays strictly sequential. Order-preserving
 // class: the vector width never touches a reduction, so the bits equal
-// MatMulTransBRows' scalar dot order for any SimdEnabled setting, any
-// operand width n, and any row-range split. (a * b == b * a bitwise
-// under IEEE 754, so the broadcast-multiply form below matches the
-// scalar dot exactly.)
+// a sequential scalar dot for any operand width n and any row-range
+// split. (a * b == b * a bitwise under IEEE 754, so the
+// broadcast-multiply form below matches the scalar dot exactly.)
 //
 // Row indices are panel-relative; `po` points at the output for row
 // r_begin — stores are range-relative, so a caller can hand each row
@@ -631,6 +562,51 @@ void PanelRangeImpl(ConstMatrixView a_panels, ConstMatrixView b,
   }
 }
 
+// A * B^T over the m rows at `pa`, written to `po` (m x n) — the one
+// dispatch behind MatMulTransBInto and MatMulTransBGatherInto. The
+// kernel is keyed by `full_rows`, the row count of the whole product
+// these rows belong to, so a gathered subset takes the same kernel as
+// the full product and each row keeps its bits. `parallel` allows the
+// global pool above the work threshold.
+//
+// Wide outputs (n >= 8, full_rows >= 16): the dot kernel pays a
+// horizontal lane-combine per (i, j) dot, which dominates when k is
+// modest and there are many dots (the MatMul backward shape, m ~ batch
+// tokens, n = k = d). Transposing b once (n*k floats of scratch) and
+// running the register-blocked saxpy core amortises that away; because
+// MatMulRows accumulates each element in sequential kk order, this
+// branch equals a plain sequential dot bit for bit. Narrow outputs
+// (routing logits, corpus ranking with a handful of interests) keep the
+// dot kernel: there the long-k dots vectorize well and a transposed b
+// would put the inner loop on a strided column.
+void MatMulTransBCore(const float* pa, const float* pb, float* po,
+                      int64_t m, int64_t full_rows, int64_t k, int64_t n,
+                      bool parallel) {
+  const bool wide = n >= 8 && full_rows >= 16;
+  Tensor bt;
+  if (wide) {
+    bt = Tensor::Uninitialized({k, n});
+    float* pt = bt.data();
+    for (int64_t j = 0; j < n; ++j) {
+      const float* __restrict__ brow = pb + j * k;
+      for (int64_t kk = 0; kk < k; ++kk) pt[kk * n + j] = brow[kk];
+    }
+    std::fill(po, po + m * n, 0.0f);  // the saxpy core accumulates
+  }
+  const auto rows = [&](int64_t begin, int64_t end) {
+    if (wide) {
+      MatMulRows(pa, bt.data(), po, begin, end, k, n);
+    } else {
+      MatMulTransBDotRows(pa, pb, po, begin, end, k, n);
+    }
+  };
+  if (parallel && m * k * n >= kParallelWorkThreshold) {
+    util::GlobalPool().ParallelFor(m, RowGrain(m, k * n), rows);
+  } else {
+    rows(0, m);
+  }
+}
+
 }  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -682,48 +658,8 @@ void MatMulTransBInto(const Tensor& a, ConstMatrixView b, Tensor* out) {
   const int64_t k = a.size(1);
   const int64_t n = b.rows;
   out->ResizeUninitialized({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data;
-  float* po = out->data();
-  // Wide-output fast path: the dot-product kernels pay a horizontal
-  // lane-combine per (i, j) dot, which dominates when k is modest and
-  // there are many dots (the MatMul backward shape, m ~ batch tokens,
-  // n = k = d). Transposing b once (n*k floats of scratch) and
-  // running the register-blocked saxpy core amortises that away — and
-  // because MatMulRows accumulates each element in the same sequential
-  // kk order as the scalar dot, this path reproduces MatMulTransBRows
-  // bit for bit. Narrow outputs (routing logits, corpus ranking with a
-  // handful of interests) keep the dot kernels: there the long-k dots
-  // vectorize well and a transposed b would put the inner loop on a
-  // strided column.
-  if (SimdEnabled() && n >= 8 && m >= 16) {
-    Tensor bt = Tensor::Uninitialized({k, n});
-    float* pt = bt.data();
-    for (int64_t j = 0; j < n; ++j) {
-      const float* __restrict__ brow = pb + j * k;
-      for (int64_t kk = 0; kk < k; ++kk) pt[kk * n + j] = brow[kk];
-    }
-    out->Fill(0.0f);  // the saxpy kernel accumulates into the output
-    if (m * k * n >= kParallelWorkThreshold) {
-      util::GlobalPool().ParallelFor(
-          m, RowGrain(m, k * n), [&](int64_t begin, int64_t end) {
-            MatMulRows(pa, pt, po, begin, end, k, n);
-          });
-    } else {
-      MatMulRows(pa, pt, po, 0, m, k, n);
-    }
-    return;
-  }
-  auto* const rows_kernel =
-      SimdEnabled() ? MatMulTransBRowsSimd : MatMulTransBRows;
-  if (m * k * n >= kParallelWorkThreshold) {
-    util::GlobalPool().ParallelFor(
-        m, RowGrain(m, k * n), [&](int64_t begin, int64_t end) {
-          rows_kernel(pa, pb, po, begin, end, k, n);
-        });
-  } else {
-    rows_kernel(pa, pb, po, 0, m, k, n);
-  }
+  MatMulTransBCore(a.data(), b.data, out->data(), m, m, k, n,
+                   /*parallel=*/true);
 }
 
 void PanelizeKMajorInto(const Tensor& a, Tensor* out) {
@@ -758,10 +694,10 @@ void MatMulTransBPanelInto(ConstMatrixView a_panels, ConstMatrixView b,
   const int64_t n = b.rows;
   out->ResizeUninitialized({m, n});
   float* po = out->data();
-  // One kernel for every width — no SimdEnabled() dispatch: the panel
-  // layout makes the vectorized form order-preserving, so there is
-  // nothing to gate. The serial/parallel choice only picks a row
-  // partition, which the kernel's bits do not depend on.
+  // One kernel for every width, no shape dispatch: the panel layout
+  // makes the vectorized form order-preserving. The serial/parallel
+  // choice only picks a row partition, which the kernel's bits do not
+  // depend on.
   if (m * k * n >= kParallelWorkThreshold) {
     util::GlobalPool().ParallelFor(
         m, RowGrain(m, k * n), [&](int64_t begin, int64_t end) {
@@ -802,19 +738,12 @@ void MatMulTransBGatherInto(const Tensor& a, ConstMatrixView b,
   const int64_t n = b.rows;
   GatherRowsInto(a, rows, num_rows, gathered);
   out->ResizeUninitialized({num_rows, n});
-  // Kernel choice follows the FULL (a rows x n) shape, not the gathered
-  // one: the wide-output saxpy path is bit-identical to the scalar rows
-  // kernel (see MatMulTransBInto), so when the full shape takes it, the
-  // scalar kernel reproduces its rows here; otherwise the same dot
-  // kernel the full shape dispatches to runs on the gathered rows. Per
-  // the kernel contract each (i, j) dot is computed whole in the same kk
-  // order for any row range, so the gathered rows match the full
-  // product's bits.
-  const bool full_wide = SimdEnabled() && n >= 8 && a.size(0) >= 16;
-  auto* const rows_kernel = (!SimdEnabled() || full_wide)
-                                ? MatMulTransBRows
-                                : MatMulTransBRowsSimd;
-  rows_kernel(gathered->data(), b.data, out->data(), 0, num_rows, k, n);
+  // Same dispatch as MatMulTransBInto, keyed by the FULL row count; each
+  // (i, j) dot is computed whole in the same kk order for any row range,
+  // so the gathered rows match the full product's bits. Serial, so IVF
+  // re-rank on a shard worker never touches the global pool.
+  MatMulTransBCore(gathered->data(), b.data, out->data(), num_rows,
+                   a.size(0), k, n, /*parallel=*/false);
 }
 
 Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
@@ -894,18 +823,11 @@ void TransposeInto(const Tensor& a, Tensor* out) {
 
 namespace {
 
-// Scalar / vectorized dot-product and sum-of-squares cores. The simd
-// variants carry per-lane partial sums (reduction clause), so their
-// addition order differs from the scalar chain — reduction-class kernels
-// under the DESIGN.md section 11 contract, dispatched on SimdEnabled().
+// Vectorized dot-product and sum-of-squares cores. They carry per-lane
+// partial sums (reduction clause), so their addition order differs from
+// a sequential chain — reduction-class kernels under the DESIGN.md
+// section 11 contract.
 IMSR_HOT_BEGIN
-float DotSpanScalar(const float* __restrict__ pa,
-                    const float* __restrict__ pb, int64_t n) {
-  float acc = 0.0f;
-  for (int64_t i = 0; i < n; ++i) acc += pa[i] * pb[i];
-  return acc;
-}
-
 IMSR_SIMD_CLONES
 float DotSpanSimd(const float* __restrict__ pa,
                   const float* __restrict__ pb, int64_t n) {
@@ -913,12 +835,6 @@ float DotSpanSimd(const float* __restrict__ pa,
   IMSR_SIMD_PRAGMA(reduction(+ : acc))
   for (int64_t i = 0; i < n; ++i) acc += pa[i] * pb[i];
   return acc;
-}
-
-float SumSquaresSpanScalar(const float* __restrict__ pa, int64_t n) {
-  float ss = 0.0f;
-  for (int64_t i = 0; i < n; ++i) ss += pa[i] * pa[i];
-  return ss;
 }
 
 IMSR_SIMD_CLONES
@@ -933,7 +849,7 @@ IMSR_HOT_END
 }  // namespace
 
 float DotSpan(const float* a, const float* b, int64_t n) {
-  return SimdEnabled() ? DotSpanSimd(a, b, n) : DotSpanScalar(a, b, n);
+  return DotSpanSimd(a, b, n);
 }
 
 Tensor MatVec(const Tensor& a, const Tensor& x) {
@@ -946,11 +862,7 @@ Tensor MatVec(const Tensor& a, const Tensor& x) {
   const float* pa = a.data();
   const float* px = x.data();
   float* po = out.data();
-  if (SimdEnabled()) {
-    for (int64_t i = 0; i < m; ++i) po[i] = DotSpanSimd(pa + i * k, px, k);
-  } else {
-    for (int64_t i = 0; i < m; ++i) po[i] = DotSpanScalar(pa + i * k, px, k);
-  }
+  for (int64_t i = 0; i < m; ++i) po[i] = DotSpanSimd(pa + i * k, px, k);
   return out;
 }
 
@@ -993,32 +905,17 @@ float DotFlat(const Tensor& a, const Tensor& b) {
 }
 
 float L2NormFlat(const Tensor& a) {
-  const float ss = SimdEnabled() ? SumSquaresSpanSimd(a.data(), a.numel())
-                                 : SumSquaresSpanScalar(a.data(), a.numel());
-  return std::sqrt(ss);
+  return std::sqrt(SumSquaresSpanSimd(a.data(), a.numel()));
 }
 
 namespace {
-
-// `out` may alias `in` (SoftmaxRowsInPlace) — no __restrict__ here; the
-// loops only ever touch matching indices, so aliasing is benign.
-void SoftmaxSpanScalar(const float* in, float* out, int64_t n) {
-  float max_value = in[0];
-  for (int64_t i = 1; i < n; ++i) max_value = std::max(max_value, in[i]);
-  float total = 0.0f;
-  for (int64_t i = 0; i < n; ++i) {
-    out[i] = std::exp(in[i] - max_value);
-    total += out[i];
-  }
-  for (int64_t i = 0; i < n; ++i) out[i] /= total;
-}
 
 // Branchless e^x for the vectorized softmax: Cephes-style range
 // reduction (x = n ln2 + r, |r| <= ln2/2), a degree-5 polynomial for
 // e^r, and 2^n built by exponent-field bit assembly — every step is
 // float arithmetic plus one int convert, so the whole loop vectorizes
 // where a libm call chain cannot. Max relative error ~2 ulp (~2.4e-7),
-// an order below the reduction-class tolerance the SIMD softmax already
+// an order below the reduction-class tolerance the softmax already
 // carries for its reordered sum. Inputs are clamped to the finite-result
 // range, which also keeps the exponent assembly in bounds.
 inline float ExpApprox(float x) {
@@ -1044,10 +941,11 @@ inline float ExpApprox(float x) {
   return p * scale;
 }
 
-// Vectorized twin. fp-max is order-insensitive; the exp goes through the
-// polynomial ExpApprox (a few e-7 relative of libm) and the `total`
-// reduction reorders additions — together the reduction-class tolerance
-// the scalar twin's bitwise path escapes via SimdEnabled().
+// Vectorized softmax over one span. fp-max is order-insensitive; the exp
+// goes through the polynomial ExpApprox (a few e-7 relative of libm) and
+// the `total` reduction reorders additions — together the
+// reduction-class tolerance. `out` may alias `in` (SoftmaxRowsInPlace):
+// the loops only ever touch matching indices, so aliasing is benign.
 IMSR_HOT_BEGIN
 IMSR_SIMD_CLONES
 void SoftmaxSpanSimd(const float* in, float* out, int64_t n) {
@@ -1113,15 +1011,6 @@ void Softmax4RowsSimd(const float* in, float* out, int64_t rows) {
 }
 IMSR_HOT_END
 
-// Resolves the span kernel once per matrix — the routing loop softmaxes
-// thousands of 4-wide rows per step, so a per-span flag check and
-// wrapper call are measurable overhead.
-using SoftmaxSpanFn = void (*)(const float*, float*, int64_t);
-
-SoftmaxSpanFn ResolveSoftmaxSpan() {
-  return SimdEnabled() ? SoftmaxSpanSimd : SoftmaxSpanScalar;
-}
-
 }  // namespace
 
 Tensor Softmax(const Tensor& a) {
@@ -1135,22 +1024,21 @@ void SoftmaxInto(const Tensor& a, Tensor* out) {
   IMSR_CHECK(out != &a) << "SoftmaxInto output must not alias the input";
   IMSR_CHECK(a.dim() == 1 || a.dim() == 2);
   out->ResizeUninitialized(a.shape());
-  const SoftmaxSpanFn span_fn = ResolveSoftmaxSpan();
   if (a.dim() == 1) {
-    span_fn(a.data(), out->data(), a.numel());
+    SoftmaxSpanSimd(a.data(), out->data(), a.numel());
     return;
   }
   const int64_t rows = a.size(0);
   const int64_t cols = a.size(1);
   const float* pa = a.data();
   float* po = out->data();
-  if (cols == 4 && SimdEnabled()) {
+  if (cols == 4) {
     Softmax4RowsSimd(pa, po, rows);
     return;
   }
   const auto span_rows = [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
-      span_fn(pa + i * cols, po + i * cols, cols);
+      SoftmaxSpanSimd(pa + i * cols, po + i * cols, cols);
     }
   };
   if (rows * cols >= kParallelWorkThreshold) {
@@ -1166,14 +1054,13 @@ void SoftmaxRowsInPlace(Tensor* a) {
   const int64_t rows = a->dim() == 1 ? 1 : a->size(0);
   const int64_t cols = a->dim() == 1 ? a->numel() : a->size(1);
   float* pa = a->data();
-  if (cols == 4 && a->dim() == 2 && SimdEnabled()) {
+  if (cols == 4 && a->dim() == 2) {
     Softmax4RowsSimd(pa, pa, rows);
     return;
   }
-  const SoftmaxSpanFn span_fn = ResolveSoftmaxSpan();
   const auto span_rows = [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
-      span_fn(pa + i * cols, pa + i * cols, cols);
+      SoftmaxSpanSimd(pa + i * cols, pa + i * cols, cols);
     }
   };
   if (rows * cols >= kParallelWorkThreshold) {
@@ -1188,22 +1075,15 @@ Tensor LogSumExpRows(const Tensor& a) {
   const int64_t rows = a.dim() == 1 ? 1 : a.size(0);
   const int64_t cols = a.dim() == 1 ? a.numel() : a.size(1);
   Tensor out = Tensor::Uninitialized({rows});
-  const bool simd = SimdEnabled();
   for (int64_t i = 0; i < rows; ++i) {
     const float* row = a.data() + i * cols;
     float max_value = row[0];
     for (int64_t j = 1; j < cols; ++j) max_value = std::max(max_value, row[j]);
     float total = 0.0f;
-    if (simd) {
-      // Reduction class: per-lane partial sums reorder the additions.
-      IMSR_SIMD_PRAGMA(reduction(+ : total))
-      for (int64_t j = 0; j < cols; ++j) {
-        total += std::exp(row[j] - max_value);
-      }
-    } else {
-      for (int64_t j = 0; j < cols; ++j) {
-        total += std::exp(row[j] - max_value);
-      }
+    // Reduction class: per-lane partial sums reorder the additions.
+    IMSR_SIMD_PRAGMA(reduction(+ : total))
+    for (int64_t j = 0; j < cols; ++j) {
+      total += std::exp(row[j] - max_value);
     }
     out.at(i) = max_value + std::log(total);
   }
@@ -1290,14 +1170,12 @@ void SquashRowsInto(const Tensor& a, Tensor* out) {
   const int64_t rows = a.dim() == 1 ? 1 : a.size(0);
   const int64_t cols = a.dim() == 1 ? a.numel() : a.size(1);
   out->ResizeUninitialized(a.shape());
-  const bool simd = SimdEnabled();
   for (int64_t i = 0; i < rows; ++i) {
     const float* in = a.data() + i * cols;
     float* po = out->data() + i * cols;
-    // The |v|^2 sum is a reduction (reordered under SIMD); the final
+    // The |v|^2 sum is a reduction (lane-reordered); the final
     // coeff * v scale is elementwise and order-preserving.
-    const float ss = simd ? SumSquaresSpanSimd(in, cols)
-                          : SumSquaresSpanScalar(in, cols);
+    const float ss = SumSquaresSpanSimd(in, cols);
     const float norm = std::sqrt(ss);
     // squash(v) = |v|^2/(1+|v|^2) * v/|v|; zero rows map to zero.
     const float coeff = norm > 0.0f ? ss / (1.0f + ss) / norm : 0.0f;

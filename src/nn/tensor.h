@@ -259,8 +259,8 @@ Tensor MatVecBatch(const Tensor& a, const Tensor& xs);
 
 // Dot product of equally sized tensors (flattened).
 float DotFlat(const Tensor& a, const Tensor& b);
-// Dot product over raw spans of length n — the same scalar/SIMD dispatch
-// as DotFlat (reduction class: the vectorized path reorders additions).
+// Dot product over raw spans of length n — the same vectorized kernel
+// as DotFlat (reduction class: per-lane partial sums reorder additions).
 // Exposed for fused ops that score packed row blocks without making
 // Tensor views.
 float DotSpan(const float* a, const float* b, int64_t n);
@@ -320,8 +320,8 @@ void PanelizeKMajorInto(const Tensor& a, Tensor* out);
 // out[i][j] = dot(A.row(i), b.row(j)) into (m x n). Order-preserving
 // class: SIMD lanes run across output rows (independent elements), each
 // element's kk accumulation is strictly sequential, so the bits equal
-// the scalar dot order (MatMulTransBRows) regardless of the SimdEnabled
-// flag, the operand width n, or the row split. That width invariance is
+// a sequential scalar dot regardless of the operand width n or the row
+// split. That width invariance is
 // what the serve read path builds on: the snapshot keeps its embedding
 // table in this layout, so scoring many users' concatenated interest
 // rows in one fused call is bitwise identical to one call per user — the
@@ -340,12 +340,13 @@ void MatMulTransBPanelRangeInto(ConstMatrixView a_panels, ConstMatrixView b,
                                 int64_t i_begin, int64_t i_end, float* out);
 
 // Gathered A * B^T: out[r][j] = dot(a.row(rows[r]), b.row(j)) for the
-// `num_rows` row indices in `rows`. Picks the kernel by the FULL shape
-// (a.size(0) x b.rows), not the gathered one, so every computed row is
-// bitwise identical to the corresponding row of MatMulTransBInto(a, b)
-// regardless of how few rows are gathered (the IVF re-rank contract:
-// shortlist scores must match the brute-force oracle's bits). `gathered`
-// is caller-owned scratch for the row copies (buffer reused).
+// `num_rows` row indices in `rows`. Shares MatMulTransBInto's dispatch,
+// keyed by the FULL shape (a.size(0) x b.rows), not the gathered one, so
+// every computed row is bitwise identical to the corresponding row of
+// MatMulTransBInto(a, b) regardless of how few rows are gathered (the
+// IVF re-rank contract: shortlist scores must match the brute-force
+// oracle's bits). Always serial. `gathered` is caller-owned scratch for
+// the row copies (buffer reused).
 void MatMulTransBGatherInto(const Tensor& a, ConstMatrixView b,
                             const int64_t* rows, int64_t num_rows,
                             Tensor* gathered, Tensor* out);

@@ -21,7 +21,7 @@ constexpr int64_t kAssignBlock = 4096;
 
 // Integer dot of two int8 code rows. Integer addition is exactly
 // associative, so the vectorized reduction is bitwise identical to the
-// scalar chain — no scalar twin or SimdEnabled() dispatch needed.
+// scalar chain.
 IMSR_HOT_BEGIN
 IMSR_SIMD_CLONES
 int32_t DotI8(const int8_t* __restrict__ a, const int8_t* __restrict__ b,

@@ -7,36 +7,14 @@
 namespace imsr::util {
 namespace {
 
-std::string ToLower(const std::string& text) {
-  std::string lower = text;
-  for (char& c : lower) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  return lower;
-}
-
-void WarnMalformed(const char* name, const char* value,
-                   const char* expected) {
+void WarnMalformed(const char* name, const char* value) {
   std::fprintf(stderr,
-               "imsr: ignoring malformed %s='%s' (expected %s); using the "
-               "default\n",
-               name, value, expected);
+               "imsr: ignoring malformed %s='%s' (expected an integer); "
+               "using the default\n",
+               name, value);
 }
 
 }  // namespace
-
-EnvParse ParseEnvBool(const std::string& text, bool* value) {
-  const std::string lower = ToLower(text);
-  if (lower == "1" || lower == "true" || lower == "on" || lower == "yes") {
-    *value = true;
-    return EnvParse::kParsed;
-  }
-  if (lower == "0" || lower == "false" || lower == "off" || lower == "no") {
-    *value = false;
-    return EnvParse::kParsed;
-  }
-  return EnvParse::kMalformed;
-}
 
 EnvParse ParseEnvInt(const std::string& text, int64_t min_value,
                      int64_t* value) {
@@ -51,22 +29,6 @@ EnvParse ParseEnvInt(const std::string& text, int64_t min_value,
   return EnvParse::kParsed;
 }
 
-bool EnvEnabled(const char* name, bool default_value, EnvParse* outcome) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) {
-    if (outcome != nullptr) *outcome = EnvParse::kUnset;
-    return default_value;
-  }
-  bool value = default_value;
-  const EnvParse parse = ParseEnvBool(raw, &value);
-  if (outcome != nullptr) *outcome = parse;
-  if (parse == EnvParse::kMalformed) {
-    WarnMalformed(name, raw, "1/true/on/yes or 0/false/off/no");
-    return default_value;
-  }
-  return value;
-}
-
 int64_t EnvInt(const char* name, int64_t default_value, int64_t min_value,
                EnvParse* outcome) {
   const char* raw = std::getenv(name);
@@ -78,7 +40,7 @@ int64_t EnvInt(const char* name, int64_t default_value, int64_t min_value,
   const EnvParse parse = ParseEnvInt(raw, min_value, &value);
   if (outcome != nullptr) *outcome = parse;
   if (parse == EnvParse::kMalformed) {
-    WarnMalformed(name, raw, "an integer");
+    WarnMalformed(name, raw);
     return default_value;
   }
   return value;

@@ -1,7 +1,7 @@
 // Hot-kernel optimization attributes. A handful of saxpy-shaped inner
-// loops (MatMulRows, MatMulTransARank1, the SIMD kernels in nn/tensor.cc)
-// want -O3's vectorizer even in the default -O2 build — strict IEEE, no
-// -ffast-math, so results stay deterministic. The raw
+// loops (MatMulRows, MatMulTransARank1, the vectorized kernels in
+// nn/tensor.cc) want -O3's vectorizer even in the default -O2 build —
+// strict IEEE, no -ffast-math, so results stay deterministic. The raw
 // `#pragma GCC push_options / optimize("O3")` spelling is GCC-only:
 // clang defines __GNUC__ too but ignores those pragmas (with a warning
 // under -Weverything), so the blocks are wrapped in a macro that expands

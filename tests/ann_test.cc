@@ -178,6 +178,11 @@ TEST(IvfOracleTest, FullProbeFullRerankMatchesBruteForceBitwise) {
   for (int u = 0; u < 16; ++u) {
     users.push_back(MakeInterests(corpus, /*k=*/1 + (u % 4), rng));
   }
+  // Expanded users (k0 = 4 plus NID's delta-K = 3 per expansion) reach
+  // the wide (K >= 8) branch of the gathered re-rank kernel.
+  for (const int64_t k : {8, 9, 12}) {
+    users.push_back(MakeInterests(corpus, k, rng));
+  }
   IvfBuildConfig config;
   config.min_rerank = static_cast<int>(kNumItems);  // re-rank everything
   const IvfIndex index(corpus.embeddings, PackInterests(users, kDim),

@@ -6,12 +6,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
 #include "eval/ranker.h"
 #include "nn/optim.h"
-#include "nn/simd.h"
 #include "nn/tensor.h"
 #include "nn/variable.h"
 #include "util/rng.h"
@@ -31,6 +31,26 @@ nn::Tensor ReferenceMatMul(const nn::Tensor& a, const nn::Tensor& b) {
       float acc = 0.0f;
       for (int64_t kk = 0; kk < k; ++kk) {
         acc += a.at(i, kk) * b.at(kk, j);
+      }
+      out.at(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+// Naive A * B^T with every element accumulated over ascending kk from
+// 0.0f — the sequential dot order the order-preserving kernels must
+// reproduce bit for bit.
+nn::Tensor ReferenceMatMulTransB(const nn::Tensor& a, const nn::Tensor& b) {
+  const int64_t m = a.size(0);
+  const int64_t k = a.size(1);
+  const int64_t n = b.size(0);
+  nn::Tensor out({m, n});
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (int64_t kk = 0; kk < k; ++kk) {
+        acc += a.at(i, kk) * b.at(j, kk);
       }
       out.at(i, j) = acc;
     }
@@ -180,42 +200,67 @@ TEST(KernelsTest, AdamStepBitwiseIdenticalAcrossThreadCounts) {
 
 // The serve scoring kernel: A supplied in the panelized k-major layout,
 // SIMD lanes across output rows, every element's kk accumulation
-// strictly sequential. Its bits must equal the scalar dot order (the
-// SimdEnabled()==false MatMulTransBInto path) for ANY operand width,
-// any SIMD setting, and any thread count — that width invariance is the
-// RecommendBatch == RecommendOne contract. m values cover lane
+// strictly sequential. Its bits must equal the sequential-kk reference
+// for ANY operand width and any thread count — that width invariance is
+// the RecommendBatch == RecommendOne contract. m values cover lane
 // remainders (non-multiple-of-8), a compact partial last panel
 // (m < 1024 and m = 2001 = 1024 + 977), and both the serial and
-// pool-dispatched regimes; n straddles every historical dispatch
+// pool-dispatched regimes; n straddles the A * B^T wide/narrow dispatch
 // boundary.
 TEST(KernelsTest, MatMulTransBPanelMatchesScalarOrderAnyWidth) {
   util::Rng rng(111);
-  const bool prev_simd = nn::SetSimdEnabled(true);
   for (int64_t m : {5, 12, 300, 2001}) {
     const nn::Tensor a = nn::Tensor::Randn({m, 24}, rng);
     nn::Tensor panels;
     nn::PanelizeKMajorInto(a, &panels);
     for (int64_t n : {1, 2, 3, 8, 12, 51}) {
       const nn::Tensor b = nn::Tensor::Randn({n, 24}, rng);
-      // Scalar-order reference: the dot kernels with SIMD forced off.
-      nn::SetSimdEnabled(false);
-      nn::Tensor expected;
-      nn::MatMulTransBInto(a, b, &expected);
-      for (const bool simd : {false, true}) {
-        nn::SetSimdEnabled(simd);
-        for (int threads : {1, 3}) {
-          util::SetGlobalThreadCount(threads);
-          nn::Tensor out;
-          nn::MatMulTransBPanelInto(nn::ViewOf(panels), nn::ViewOf(b), &out);
-          EXPECT_EQ(out.storage(), expected.storage())
-              << "m=" << m << " n=" << n << " simd=" << simd
-              << " threads=" << threads;
-        }
-        util::SetGlobalThreadCount(1);
+      const nn::Tensor expected = ReferenceMatMulTransB(a, b);
+      for (int threads : {1, 3}) {
+        util::SetGlobalThreadCount(threads);
+        nn::Tensor out;
+        nn::MatMulTransBPanelInto(nn::ViewOf(panels), nn::ViewOf(b), &out);
+        EXPECT_EQ(out.storage(), expected.storage())
+            << "m=" << m << " n=" << n << " threads=" << threads;
+      }
+      util::SetGlobalThreadCount(1);
+    }
+  }
+}
+
+// The gathered A * B^T (IVF re-rank) shares MatMulTransBInto's dispatch,
+// keyed by the full row count: every gathered row must memcmp the
+// matching row of the full product, on both sides of the wide/narrow
+// predicate (n >= 8 && m >= 16) and for repeated and reversed indices.
+TEST(KernelsTest, MatMulTransBGatherRowsMatchFullProductBitwise) {
+  util::Rng rng(112);
+  const std::vector<std::pair<int64_t, int64_t>> shapes = {
+      {15, 8}, {16, 7}, {16, 8}, {300, 3}, {300, 12}};
+  for (const auto& [m, n] : shapes) {
+    for (int64_t k : {5, 24}) {
+      const nn::Tensor a = nn::Tensor::Randn({m, k}, rng);
+      const nn::Tensor b = nn::Tensor::Randn({n, k}, rng);
+      nn::Tensor full;
+      nn::MatMulTransBInto(a, b, &full);
+      std::vector<int64_t> rows = {0, m / 2, 0, m - 1, m / 2};
+      for (int64_t r = m - 1; r >= 0; --r) rows.push_back(r);
+      nn::Tensor gathered;
+      nn::Tensor out;
+      nn::MatMulTransBGatherInto(a, nn::ViewOf(b), rows.data(),
+                                 static_cast<int64_t>(rows.size()),
+                                 &gathered, &out);
+      ASSERT_EQ(out.size(0), static_cast<int64_t>(rows.size()));
+      ASSERT_EQ(out.size(1), n);
+      for (size_t r = 0; r < rows.size(); ++r) {
+        EXPECT_EQ(std::memcmp(out.data() + static_cast<int64_t>(r) * n,
+                              full.data() + rows[r] * n,
+                              static_cast<size_t>(n) * sizeof(float)),
+                  0)
+            << "m=" << m << " n=" << n << " k=" << k << " row " << r
+            << " (index " << rows[r] << ")";
       }
     }
   }
-  nn::SetSimdEnabled(prev_simd);
 }
 
 // Width invariance directly: one fused call over concatenated operands

@@ -1,5 +1,5 @@
-// SIMD/scalar equivalence suite for the vectorized nn kernels (see
-// nn/simd.h for the two-class determinism contract):
+// Equivalence suite for the vectorized nn kernels (see nn/simd.h for the
+// two-class determinism contract):
 //
 //  * Order-preserving kernels (saxpy accumulation, elementwise maps,
 //    optimizer updates) carry an unconditional `omp simd` annotation —
@@ -7,26 +7,21 @@
 //    BITWISE against naive references written here with the identical
 //    accumulation order.
 //  * Reduction kernels (dots, sums of squares, softmax/logsumexp sums)
-//    reorder additions when vectorized and therefore dispatch on
-//    SimdEnabled(); the two paths are compared within a bounded
-//    tolerance, and the scalar path is compared bitwise against a naive
-//    reference (it must reproduce historical results exactly).
+//    reorder additions when vectorized, so they are compared within a
+//    bounded tolerance against naive sequential-sum / libm references
+//    written here.
 //
 // Sizes sweep the SSE/AVX/AVX-512 lane boundaries (4/8/16) and odd
 // tails; unaligned variants shift the spans off the allocation base.
-// In an -DIMSR_SIMD=OFF build SetSimdEnabled(true) is clamped to off,
-// so every comparison degenerates to scalar-vs-scalar and the suite
-// still passes — the bitwise reference checks are the ones doing work
-// there.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "nn/optim.h"
-#include "nn/simd.h"
 #include "nn/tensor.h"
 #include "nn/variable.h"
 #include "util/rng.h"
@@ -39,21 +34,40 @@ namespace {
 const std::vector<int64_t> kSizes = {1,  3,  4,  7,  8,  15, 16,
                                      17, 31, 32, 33, 63, 64, 65};
 
-// Restores the runtime SIMD flag on scope exit so test order never
-// leaks state.
-class SimdFlagGuard {
- public:
-  SimdFlagGuard() : saved_(nn::SetSimdEnabled(nn::SimdEnabled())) {}
-  ~SimdFlagGuard() { nn::SetSimdEnabled(saved_); }
-
- private:
-  bool saved_;
-};
-
 float ReferenceDot(const float* a, const float* b, int64_t n) {
   float acc = 0.0f;
   for (int64_t i = 0; i < n; ++i) acc += a[i] * b[i];
   return acc;
+}
+
+// Sequential-sum softmax over one span with libm exp.
+std::vector<float> ReferenceSoftmax(const float* in, int64_t n) {
+  const float max_value = *std::max_element(in, in + n);
+  std::vector<float> out(static_cast<size_t>(n));
+  float total = 0.0f;
+  for (int64_t i = 0; i < n; ++i) {
+    out[static_cast<size_t>(i)] = std::exp(in[i] - max_value);
+    total += out[static_cast<size_t>(i)];
+  }
+  for (float& v : out) v /= total;
+  return out;
+}
+
+float ReferenceLogSumExp(const float* in, int64_t n) {
+  const float max_value = *std::max_element(in, in + n);
+  float total = 0.0f;
+  for (int64_t i = 0; i < n; ++i) total += std::exp(in[i] - max_value);
+  return max_value + std::log(total);
+}
+
+// squash(v) = |v|^2/(1+|v|^2) * v/|v| with a sequential |v|^2 sum.
+std::vector<float> ReferenceSquash(const float* in, int64_t n) {
+  const float ss = ReferenceDot(in, in, n);
+  const float norm = std::sqrt(ss);
+  const float coeff = norm > 0.0f ? ss / (1.0f + ss) / norm : 0.0f;
+  std::vector<float> out(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) out[static_cast<size_t>(i)] = coeff * in[i];
+  return out;
 }
 
 // Tolerance for a reordered n-term float sum: proportional to the sum of
@@ -70,46 +84,21 @@ std::vector<float> RandomVector(int64_t n, util::Rng& rng) {
   return v;
 }
 
-TEST(SimdTest, RuntimeFlagClampsToCompiledMode) {
-  SimdFlagGuard guard;
-  const bool was = nn::SetSimdEnabled(true);
-  EXPECT_EQ(nn::SimdEnabled(), nn::SimdCompiledIn());
-  nn::SetSimdEnabled(false);
-  EXPECT_FALSE(nn::SimdEnabled());
-  // SetSimdEnabled reports the previous state.
-  EXPECT_FALSE(nn::SetSimdEnabled(was));
-}
+// ---- Reduction kernels: within tolerance of sequential references ----
 
-TEST(SimdTest, DotSpanScalarPathMatchesReferenceBitwise) {
-  SimdFlagGuard guard;
-  util::Rng rng(11);
-  nn::SetSimdEnabled(false);
-  for (int64_t n : kSizes) {
-    const std::vector<float> a = RandomVector(n, rng);
-    const std::vector<float> b = RandomVector(n, rng);
-    EXPECT_EQ(nn::DotSpan(a.data(), b.data(), n),
-              ReferenceDot(a.data(), b.data(), n))
-        << "n=" << n;
-  }
-}
-
-TEST(SimdTest, DotSpanOnOffWithinTolerance) {
-  SimdFlagGuard guard;
+TEST(SimdTest, DotSpanWithinToleranceOfSequentialReference) {
   util::Rng rng(12);
   for (int64_t n : kSizes) {
     const std::vector<float> a = RandomVector(n, rng);
     const std::vector<float> b = RandomVector(n, rng);
-    nn::SetSimdEnabled(true);
-    const float simd = nn::DotSpan(a.data(), b.data(), n);
-    nn::SetSimdEnabled(false);
-    const float scalar = nn::DotSpan(a.data(), b.data(), n);
-    EXPECT_NEAR(simd, scalar, DotTolerance(a.data(), b.data(), n))
+    EXPECT_NEAR(nn::DotSpan(a.data(), b.data(), n),
+                ReferenceDot(a.data(), b.data(), n),
+                DotTolerance(a.data(), b.data(), n))
         << "n=" << n;
   }
 }
 
 TEST(SimdTest, DotSpanUnalignedTails) {
-  SimdFlagGuard guard;
   util::Rng rng(13);
   // Shift both spans 1..3 floats off the allocation base so the
   // vectorized loop sees misaligned loads in every lane configuration.
@@ -119,29 +108,22 @@ TEST(SimdTest, DotSpanUnalignedTails) {
       const std::vector<float> b = RandomVector(n + offset, rng);
       const float* pa = a.data() + offset;
       const float* pb = b.data() + offset;
-      nn::SetSimdEnabled(true);
-      const float simd = nn::DotSpan(pa, pb, n);
-      nn::SetSimdEnabled(false);
-      const float scalar = nn::DotSpan(pa, pb, n);
-      EXPECT_NEAR(simd, scalar, DotTolerance(pa, pb, n))
+      EXPECT_NEAR(nn::DotSpan(pa, pb, n), ReferenceDot(pa, pb, n),
+                  DotTolerance(pa, pb, n))
           << "n=" << n << " offset=" << offset;
     }
   }
 }
 
-TEST(SimdTest, MatVecOnOffWithinTolerance) {
-  SimdFlagGuard guard;
+TEST(SimdTest, MatVecWithinToleranceOfSequentialReference) {
   util::Rng rng(14);
   for (int64_t k : kSizes) {
     const int64_t m = 5;
     const nn::Tensor a = nn::Tensor::Randn({m, k}, rng);
     const nn::Tensor x = nn::Tensor::Randn({k}, rng);
-    nn::SetSimdEnabled(true);
-    const nn::Tensor simd = nn::MatVec(a, x);
-    nn::SetSimdEnabled(false);
-    const nn::Tensor scalar = nn::MatVec(a, x);
+    const nn::Tensor out = nn::MatVec(a, x);
     for (int64_t i = 0; i < m; ++i) {
-      EXPECT_NEAR(simd.at(i), scalar.at(i),
+      EXPECT_NEAR(out.at(i), ReferenceDot(a.data() + i * k, x.data(), k),
                   DotTolerance(a.data() + i * k, x.data(), k))
           << "k=" << k << " row=" << i;
     }
@@ -149,9 +131,7 @@ TEST(SimdTest, MatVecOnOffWithinTolerance) {
 }
 
 TEST(SimdTest, MatVecBatchMatchesPerRowMatVec) {
-  SimdFlagGuard guard;
   util::Rng rng(15);
-  nn::SetSimdEnabled(true);
   const nn::Tensor a = nn::Tensor::Randn({9, 33}, rng);
   const nn::Tensor xs = nn::Tensor::Randn({6, 33}, rng);
   const nn::Tensor batched = nn::MatVecBatch(a, xs);
@@ -167,89 +147,80 @@ TEST(SimdTest, MatVecBatchMatchesPerRowMatVec) {
   }
 }
 
-TEST(SimdTest, MatMulTransBOnOffWithinTolerance) {
-  SimdFlagGuard guard;
+TEST(SimdTest, MatMulTransBWithinToleranceOfSequentialReference) {
   util::Rng rng(16);
   for (int64_t k : kSizes) {
     // 5 x 7 output exercises the 2x4 tile plus both remainder edges.
     const nn::Tensor a = nn::Tensor::Randn({5, k}, rng);
     const nn::Tensor b = nn::Tensor::Randn({7, k}, rng);
-    nn::SetSimdEnabled(true);
-    const nn::Tensor simd = nn::MatMulTransB(a, b);
-    nn::SetSimdEnabled(false);
-    const nn::Tensor scalar = nn::MatMulTransB(a, b);
+    const nn::Tensor out = nn::MatMulTransB(a, b);
     for (int64_t i = 0; i < 5; ++i) {
       for (int64_t j = 0; j < 7; ++j) {
-        EXPECT_NEAR(simd.at(i, j), scalar.at(i, j),
-                    DotTolerance(a.data() + i * k, b.data() + j * k, k))
+        const float* pa = a.data() + i * k;
+        const float* pb = b.data() + j * k;
+        EXPECT_NEAR(out.at(i, j), ReferenceDot(pa, pb, k),
+                    DotTolerance(pa, pb, k))
             << "k=" << k;
       }
     }
   }
 }
 
-TEST(SimdTest, L2NormOnOffWithinTolerance) {
-  SimdFlagGuard guard;
+TEST(SimdTest, L2NormWithinToleranceOfSequentialReference) {
   util::Rng rng(17);
   for (int64_t n : kSizes) {
     const nn::Tensor a = nn::Tensor::Randn({n}, rng);
-    nn::SetSimdEnabled(true);
-    const float simd = nn::L2NormFlat(a);
-    nn::SetSimdEnabled(false);
-    const float scalar = nn::L2NormFlat(a);
-    EXPECT_NEAR(simd, scalar,
-                2e-7f * static_cast<float>(n) * scalar + 1e-30f)
+    const float reference = std::sqrt(ReferenceDot(a.data(), a.data(), n));
+    EXPECT_NEAR(nn::L2NormFlat(a), reference,
+                2e-7f * static_cast<float>(n) * reference + 1e-30f)
         << "n=" << n;
   }
 }
 
-TEST(SimdTest, SoftmaxOnOffWithinToleranceAndNormalised) {
-  SimdFlagGuard guard;
+TEST(SimdTest, SoftmaxWithinToleranceOfSequentialReferenceAndNormalised) {
   util::Rng rng(18);
   for (int64_t n : kSizes) {
     const nn::Tensor a = nn::Tensor::Randn({n}, rng);
-    nn::SetSimdEnabled(true);
-    const nn::Tensor simd = nn::Softmax(a);
-    nn::SetSimdEnabled(false);
-    const nn::Tensor scalar = nn::Softmax(a);
+    const nn::Tensor out = nn::Softmax(a);
+    const std::vector<float> reference = ReferenceSoftmax(a.data(), n);
     float total = 0.0f;
     for (int64_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(simd.at(i), scalar.at(i), 1e-6f) << "n=" << n;
-      total += simd.at(i);
+      EXPECT_NEAR(out.at(i), reference[static_cast<size_t>(i)], 1e-6f)
+          << "n=" << n;
+      total += out.at(i);
     }
     EXPECT_NEAR(total, 1.0f, 1e-5f) << "n=" << n;
   }
 }
 
-TEST(SimdTest, LogSumExpRowsOnOffWithinTolerance) {
-  SimdFlagGuard guard;
+TEST(SimdTest, LogSumExpRowsWithinToleranceOfSequentialReference) {
   util::Rng rng(19);
   for (int64_t n : kSizes) {
     const nn::Tensor a = nn::Tensor::Randn({3, n}, rng);
-    nn::SetSimdEnabled(true);
-    const nn::Tensor simd = nn::LogSumExpRows(a);
-    nn::SetSimdEnabled(false);
-    const nn::Tensor scalar = nn::LogSumExpRows(a);
+    const nn::Tensor out = nn::LogSumExpRows(a);
     for (int64_t r = 0; r < 3; ++r) {
-      EXPECT_NEAR(simd.at(r), scalar.at(r),
-                  2e-7f * static_cast<float>(n) *
-                          std::fabs(scalar.at(r)) +
+      const float reference = ReferenceLogSumExp(a.data() + r * n, n);
+      EXPECT_NEAR(out.at(r), reference,
+                  2e-7f * static_cast<float>(n) * std::fabs(reference) +
                       1e-5f)
           << "n=" << n;
     }
   }
 }
 
-TEST(SimdTest, SquashRowsOnOffWithinTolerance) {
-  SimdFlagGuard guard;
+TEST(SimdTest, SquashRowsWithinToleranceOfSequentialReference) {
   util::Rng rng(20);
   for (int64_t n : kSizes) {
     const nn::Tensor a = nn::Tensor::Randn({4, n}, rng);
-    nn::SetSimdEnabled(true);
-    const nn::Tensor simd = nn::SquashRows(a);
-    nn::SetSimdEnabled(false);
-    const nn::Tensor scalar = nn::SquashRows(a);
-    EXPECT_LE(nn::MaxAbsDiff(simd, scalar), 1e-5f) << "n=" << n;
+    const nn::Tensor out = nn::SquashRows(a);
+    for (int64_t r = 0; r < 4; ++r) {
+      const std::vector<float> reference =
+          ReferenceSquash(a.data() + r * n, n);
+      for (int64_t j = 0; j < n; ++j) {
+        EXPECT_NEAR(out.at(r, j), reference[static_cast<size_t>(j)], 1e-5f)
+            << "n=" << n;
+      }
+    }
   }
 }
 

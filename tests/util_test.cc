@@ -556,27 +556,6 @@ TEST(SerializationTest, AtomicWriteRoundTripAndFailure) {
   EXPECT_FALSE(error.empty());
 }
 
-TEST(EnvTest, ParseEnvBoolAcceptsSharedSpellings) {
-  bool value = false;
-  for (const char* on : {"1", "true", "on", "yes", "TRUE", "On", "YES"}) {
-    EXPECT_EQ(ParseEnvBool(on, &value), EnvParse::kParsed) << on;
-    EXPECT_TRUE(value) << on;
-  }
-  for (const char* off : {"0", "false", "off", "no", "OFF", "False", "NO"}) {
-    EXPECT_EQ(ParseEnvBool(off, &value), EnvParse::kParsed)
-        << off;
-    EXPECT_FALSE(value) << off;
-  }
-}
-
-TEST(EnvTest, ParseEnvBoolRejectsGarbage) {
-  bool value = true;
-  for (const char* bad : {"", "2", "yep", "disable", "0x1", " 1"}) {
-    EXPECT_EQ(ParseEnvBool(bad, &value), EnvParse::kMalformed)
-        << "'" << bad << "'";
-  }
-}
-
 TEST(EnvTest, ParseEnvIntIsFullToken) {
   int64_t value = 0;
   EXPECT_EQ(ParseEnvInt("8", 1, &value), EnvParse::kParsed);
@@ -602,19 +581,11 @@ TEST(EnvTest, ParseEnvIntEnforcesMinimum) {
 TEST(EnvTest, EnvLookupsFallBackOnUnsetAndMalformed) {
   EnvParse outcome;
   ASSERT_EQ(unsetenv("IMSR_ENV_TEST_VAR"), 0);
-  EXPECT_TRUE(EnvEnabled("IMSR_ENV_TEST_VAR", true, &outcome));
-  EXPECT_EQ(outcome, EnvParse::kUnset);
   EXPECT_EQ(EnvInt("IMSR_ENV_TEST_VAR", 7, 1, &outcome), 7);
   EXPECT_EQ(outcome, EnvParse::kUnset);
-
-  ASSERT_EQ(setenv("IMSR_ENV_TEST_VAR", "off", 1), 0);
-  EXPECT_FALSE(EnvEnabled("IMSR_ENV_TEST_VAR", true, &outcome));
-  EXPECT_EQ(outcome, EnvParse::kParsed);
 
   ASSERT_EQ(setenv("IMSR_ENV_TEST_VAR", "4x", 1), 0);
   EXPECT_EQ(EnvInt("IMSR_ENV_TEST_VAR", 7, 1, &outcome), 7);
-  EXPECT_EQ(outcome, EnvParse::kMalformed);
-  EXPECT_TRUE(EnvEnabled("IMSR_ENV_TEST_VAR", true, &outcome));
   EXPECT_EQ(outcome, EnvParse::kMalformed);
   ASSERT_EQ(unsetenv("IMSR_ENV_TEST_VAR"), 0);
 }
