@@ -21,7 +21,8 @@ std::string ProfileRow(const std::string& label,
                        const std::vector<double>& probs) {
   std::string row = label;
   for (double p : probs) {
-    row += " " + util::FormatDouble(p, 3);
+    row += ' ';
+    row += util::FormatDouble(p, 3);
   }
   return row;
 }

@@ -143,9 +143,10 @@ void BM_FullCorpusRanking(benchmark::State& state) {
 BENCHMARK(BM_FullCorpusRanking)->Arg(1000)->Arg(4000);
 
 void BM_RankAllUsers(benchmark::State& state) {
-  // Full-corpus evaluation sweep: every user's interests score the whole
-  // item table (the Table-3/-4 inner loop), batched over the persistent
-  // pool with per-chunk scratch reuse.
+  // Brute-force ranking sweep: every user's interests score the whole
+  // item table (the oracle the served and evaluated top-N are tested
+  // against), batched over the persistent pool with per-chunk scratch
+  // reuse.
   util::Rng rng(10);
   constexpr int64_t kUsers = 64;
   constexpr int64_t kInterests = 6;

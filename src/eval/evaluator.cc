@@ -3,26 +3,17 @@
 #include <algorithm>
 
 #include "obs/obs.h"
+#include "serve/recommend.h"
 #include "util/check.h"
 #include "util/parallel.h"
 #include "util/stopwatch.h"
 
 namespace imsr::eval {
-namespace {
 
-// Shared scoring core. `has(user)` and `interests(user)` abstract over
-// the two storage backends (ServingSnapshot vs live InterestStore); both
-// feed the identical ScoreAllItemsInto kernel, so the backends produce
-// bitwise-identical metrics for equal values.
-// `index` (nullable) enables the IVF ranking path; the live-model
-// overload passes nullptr.
-template <typename HasFn, typename InterestsFn>
-EvalResult EvaluateSpanImpl(const nn::Tensor& item_embeddings,
-                            const HasFn& has, const InterestsFn& interests,
-                            const serve::IvfIndex* index,
-                            const data::Dataset& dataset, int test_span,
-                            const EvalConfig& config, ItemFilter filter,
-                            int history_span) {
+EvalResult EvaluateSpan(const serve::ServingSnapshot& snapshot,
+                        const data::Dataset& dataset, int test_span,
+                        const EvalConfig& config, ItemFilter filter,
+                        int history_span) {
   IMSR_TRACE_SPAN("eval/span");
   IMSR_CHECK(test_span >= 0 && test_span < dataset.num_spans());
   if (filter != ItemFilter::kAll) {
@@ -41,7 +32,7 @@ EvalResult EvaluateSpanImpl(const nn::Tensor& item_embeddings,
     const data::UserSpanData& span_data =
         dataset.user_span(user, test_span);
     if (span_data.test < 0) continue;
-    if (!has(user)) continue;
+    if (!snapshot.HasUser(user)) continue;
 
     if (filter != ItemFilter::kAll) {
       const std::vector<data::ItemId> history =
@@ -51,11 +42,13 @@ EvalResult EvaluateSpanImpl(const nn::Tensor& item_embeddings,
       if (filter == ItemFilter::kExistingOnly && !existing) continue;
       if (filter == ItemFilter::kNewOnly && existing) continue;
     }
+    IMSR_CHECK_LT(span_data.test, snapshot.num_items());
     instances.push_back({user, span_data.test});
   }
 
-  const bool use_ivf =
-      config.retrieval == serve::RetrievalMode::kIVF && index != nullptr;
+  const serve::IvfIndex* index =
+      config.retrieval == serve::RetrievalMode::kIVF ? snapshot.index()
+                                                     : nullptr;
   IMSR_OBS_ONLY({
     if (config.retrieval == serve::RetrievalMode::kIVF &&
         index == nullptr) {
@@ -63,49 +56,43 @@ EvalResult EvaluateSpanImpl(const nn::Tensor& item_embeddings,
                        static_cast<int64_t>(instances.size()));
     }
   })
+  serve::ServeConfig exact;
+  exact.rule = config.rule;
 
   util::Stopwatch stopwatch;
   std::vector<int64_t> ranks(instances.size(), 0);
   std::vector<serve::IvfSearchStats> search_stats(
-      use_ivf ? instances.size() : 0);
-  // Users are independent; chunks run on the persistent pool. Each chunk
-  // (at most one per worker) reuses one RankScratch so the corpus-sized
-  // logits/score buffers are allocated once, not per user. Ranks land in
-  // disjoint slots, so metrics are bitwise identical for any thread count.
+      index != nullptr ? instances.size() : 0);
+  // Users are independent; chunks run on the persistent pool, each
+  // reusing one RecommendScratch. Ranks land in disjoint slots, so
+  // metrics are bitwise identical for any thread count.
   util::ParallelChunks(
       static_cast<int64_t>(instances.size()), config.threads,
       [&](int64_t begin, int64_t end) {
         IMSR_TRACE_SPAN("eval/rank_chunk");
         IMSR_OBS_ONLY(util::Stopwatch chunk_timer;)
-        RankScratch scratch;
-        serve::IvfIndex::Scratch ivf_scratch;
-        std::vector<std::pair<data::ItemId, float>> top;
+        serve::RecommendScratch scratch;
+        serve::RecommendResponse response;
         for (int64_t i = begin; i < end; ++i) {
           const Instance& instance =
               instances[static_cast<size_t>(i)];
-          if (use_ivf) {
-            // Serving-accurate protocol: the rank is the target's
-            // position in the retrieved top-N; a miss ranks top_n + 1
-            // (contributes 0 to HR@N and NDCG@N, like any rank beyond
-            // the cutoff).
-            index->SearchTopN(interests(instance.user), item_embeddings,
-                              config.rule, config.top_n, config.nprobe,
-                              &ivf_scratch, &top,
+          if (index != nullptr) {
+            // Serving-accurate protocol: rank within the retrieved
+            // top-N; a miss ranks top_n + 1 (contributes 0).
+            index->SearchTopN(snapshot.Interests(instance.user),
+                              snapshot.item_embeddings(), config.rule,
+                              config.top_n, config.nprobe, &scratch.ivf,
+                              &response.items,
                               &search_stats[static_cast<size_t>(i)]);
-            int64_t rank = static_cast<int64_t>(config.top_n) + 1;
-            for (size_t r = 0; r < top.size(); ++r) {
-              if (top[r].first == instance.target) {
-                rank = static_cast<int64_t>(r) + 1;
-                break;
-              }
-            }
-            ranks[static_cast<size_t>(i)] = rank;
           } else {
-            ScoreAllItemsInto(interests(instance.user), item_embeddings,
-                              config.rule, &scratch);
-            ranks[static_cast<size_t>(i)] =
-                TargetRankFromScores(scratch.scores, instance.target);
+            // Top-(N+1): the tail entry shows a tie at the N-th place.
+            serve::RecommendOne(snapshot,
+                                {instance.user, config.top_n + 1}, exact,
+                                &scratch, &response);
+            IMSR_CHECK(response.ok) << response.error;
           }
+          ranks[static_cast<size_t>(i)] = RankInServedList(
+              response.items, instance.target, config.top_n);
         }
         IMSR_HISTOGRAM_RECORD("eval/rank_latency_ms",
                               chunk_timer.ElapsedMillis());
@@ -125,31 +112,15 @@ EvalResult EvaluateSpanImpl(const nn::Tensor& item_embeddings,
   return result;
 }
 
-}  // namespace
-
-EvalResult EvaluateSpan(const serve::ServingSnapshot& snapshot,
-                        const data::Dataset& dataset, int test_span,
-                        const EvalConfig& config, ItemFilter filter,
-                        int history_span) {
-  return EvaluateSpanImpl(
-      snapshot.item_embeddings(),
-      [&snapshot](data::UserId user) { return snapshot.HasUser(user); },
-      [&snapshot](data::UserId user) { return snapshot.Interests(user); },
-      snapshot.index(), dataset, test_span, config, filter, history_span);
-}
-
 EvalResult EvaluateSpan(const nn::Tensor& item_embeddings,
                         const core::InterestStore& store,
                         const data::Dataset& dataset, int test_span,
                         const EvalConfig& config, ItemFilter filter,
                         int history_span) {
-  return EvaluateSpanImpl(
-      item_embeddings,
-      [&store](data::UserId user) { return store.Has(user); },
-      [&store](data::UserId user) {
-        return nn::ViewOf(store.Interests(user));
-      },
-      nullptr, dataset, test_span, config, filter, history_span);
+  const serve::ServingSnapshot snapshot(item_embeddings, store.ExportPacked(),
+                                        /*trained_through_span=*/-1);
+  return EvaluateSpan(snapshot, dataset, test_span, config, filter,
+                      history_span);
 }
 
 }  // namespace imsr::eval

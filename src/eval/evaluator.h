@@ -3,10 +3,10 @@
 // procedure and §V-A1's protocol).
 //
 // The primary entry point consumes an immutable serve::ServingSnapshot —
-// the same frozen state the online read path serves from — so offline
-// metrics measure exactly what production would serve. The live-model
-// overload (embedding tensor + InterestStore) is a thin adapter over the
-// same scoring core; for equal values the two are bitwise identical.
+// the same frozen state the online read path serves from — and ranks
+// each target within serve::RecommendOne's top-(N+1), so offline metrics
+// measure exactly what production would serve. The live-model overload
+// (embedding tensor + InterestStore) snapshots its inputs and delegates.
 #ifndef IMSR_EVAL_EVALUATOR_H_
 #define IMSR_EVAL_EVALUATOR_H_
 
@@ -55,9 +55,8 @@ EvalResult EvaluateSpan(const serve::ServingSnapshot& snapshot,
                         ItemFilter filter = ItemFilter::kAll,
                         int history_span = -1);
 
-// Live-model adapter: scores straight from the training-side objects
-// (`item_embeddings` is the model's (num_items x d) table). Same scoring
-// core as the snapshot overload, bitwise identical for equal values.
+// Live-model adapter: snapshots a copy of `item_embeddings` (the model's
+// (num_items x d) table) and `store`, then runs the overload above.
 EvalResult EvaluateSpan(const nn::Tensor& item_embeddings,
                         const core::InterestStore& store,
                         const data::Dataset& dataset, int test_span,

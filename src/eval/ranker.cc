@@ -220,8 +220,11 @@ void ScoreAllItemsInto(nn::ConstMatrixView interests,
   const int64_t num_items = item_embeddings.size(0);
   const int64_t k = interests.rows;
 
-  // logits = E H^T, one row of K interest scores per item.
-  nn::MatMulTransBInto(item_embeddings, interests, &scratch->logits);
+  // logits = E H^T, one row of K interest scores per item, through the
+  // serve sweep's panel kernel so every score carries the served bits.
+  nn::PanelizeKMajorInto(item_embeddings, &scratch->panels);
+  nn::MatMulTransBPanelInto(nn::ViewOf(scratch->panels), interests,
+                            &scratch->logits);
   scratch->scores.resize(static_cast<size_t>(num_items));
   ScoresFromLogits(scratch->logits.data(), num_items, k, rule,
                    scratch->scores.data());
@@ -246,6 +249,23 @@ int64_t TargetRankFromScores(const std::vector<float>& scores,
     if (scores[i] >= target_score) ++rank;
   }
   return rank;
+}
+
+int64_t RankInServedList(
+    const std::vector<std::pair<data::ItemId, float>>& items,
+    data::ItemId target, int top_n) {
+  const int64_t miss = static_cast<int64_t>(top_n) + 1;
+  const auto hit = std::find_if(
+      items.begin(), items.end(),
+      [target](const std::pair<data::ItemId, float>& entry) {
+        return entry.first == target;
+      });
+  if (hit == items.end()) return miss;
+  int64_t rank = 1;
+  for (const auto& [item, score] : items) {
+    if (item != target && score >= hit->second) ++rank;
+  }
+  return std::min(rank, miss);
 }
 
 std::vector<std::pair<data::ItemId, float>> TopNFromScores(

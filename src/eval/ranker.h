@@ -3,13 +3,13 @@
 // via Eq. 5, scored by inner product) and ComiRec's max-interest serving
 // rule.
 //
-// The scoring path is allocation-free per user when driven through
-// RankScratch: logits = E H^T come from the blocked MatMulTransB kernel
-// (no materialised Transpose) into a reused buffer, and the per-item
-// attentive/max reduction is fused into a single pass. Serving selects a
-// top-N without full-corpus scores: TopNAccumulator streams candidates,
-// and OfferTopNFromLogits skips the reduction for rows whose
-// ScoreUpperBound cannot reach it. Every top-N ranks by RanksBefore.
+// Every exact score is one per-item reduction of the panel kernel's
+// logits = E H^T (nn::MatMulTransBPanel*, nn::MatMulTransBGatherInto),
+// so the brute force here, the served sweep and the IVF re-rank agree
+// bit for bit. Serving and evaluation select a top-N
+// without full-corpus scores: TopNAccumulator streams candidates, and
+// OfferTopNFromLogits skips rows whose ScoreUpperBound cannot reach it.
+// Every top-N ranks by RanksBefore.
 #ifndef IMSR_EVAL_RANKER_H_
 #define IMSR_EVAL_RANKER_H_
 
@@ -98,15 +98,17 @@ int64_t OfferTopNFromLogits(const float* logits, int64_t rows, int64_t k,
                             int64_t stride, data::ItemId first_item,
                             ScoreRule rule, TopNAccumulator* top);
 
-// Reusable buffers for repeated full-corpus scoring (one per worker
-// thread in the evaluator; never shared across threads concurrently).
+// Reusable buffers for repeated full-corpus scoring (one per thread).
 struct RankScratch {
+  nn::Tensor panels;          // the table in panelized k-major layout
   nn::Tensor logits;          // (num_items x K), reused across users
   std::vector<float> scores;  // num_items
 };
 
-// Scores every item into scratch->scores (resized to num_items), reusing
-// scratch->logits for the E H^T product.
+// Scores every item into scratch->scores (resized to num_items), the
+// served top-N's brute-force oracle: the table is panelized into
+// scratch->panels for MatMulTransBPanelInto, so every score has the bits
+// RecommendOne and the IVF re-rank give that item.
 void ScoreAllItemsInto(const nn::Tensor& interests,
                        const nn::Tensor& item_embeddings, ScoreRule rule,
                        RankScratch* scratch);
@@ -127,6 +129,15 @@ std::vector<float> ScoreAllItems(const nn::Tensor& interests,
 // against it).
 int64_t TargetRankFromScores(const std::vector<float>& scores,
                              data::ItemId target);
+
+// 1-based rank of `target` in a served list: top_n + 1 when absent, else
+// 1 + the other entries scoring >= it (TargetRankFromScores' tie rule),
+// capped at top_n + 1. On RecommendOne's top-(top_n + 1) this equals
+// min(full-corpus rank, top_n + 1), all HR@N and NDCG@N read (DESIGN.md
+// §9).
+int64_t RankInServedList(
+    const std::vector<std::pair<data::ItemId, float>>& items,
+    data::ItemId target, int top_n);
 
 // Top-N (item, score) pairs from precomputed scores, in RanksBefore
 // order.

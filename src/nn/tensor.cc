@@ -562,48 +562,31 @@ void PanelRangeImpl(ConstMatrixView a_panels, ConstMatrixView b,
   }
 }
 
-// A * B^T over the m rows at `pa`, written to `po` (m x n) — the one
-// dispatch behind MatMulTransBInto and MatMulTransBGatherInto. The
-// kernel is keyed by `full_rows`, the row count of the whole product
-// these rows belong to, so a gathered subset takes the same kernel as
-// the full product and each row keeps its bits. `parallel` allows the
-// global pool above the work threshold.
-//
-// Wide outputs (n >= 8, full_rows >= 16): the dot kernel pays a
-// horizontal lane-combine per (i, j) dot, which dominates when k is
-// modest and there are many dots (the MatMul backward shape, m ~ batch
-// tokens, n = k = d). Transposing b once (n*k floats of scratch) and
-// running the register-blocked saxpy core amortises that away; because
-// MatMulRows accumulates each element in sequential kk order, this
-// branch equals a plain sequential dot bit for bit. Narrow outputs
-// (routing logits, corpus ranking with a handful of interests) keep the
-// dot kernel: there the long-k dots vectorize well and a transposed b
-// would put the inner loop on a strided column.
-void MatMulTransBCore(const float* pa, const float* pb, float* po,
-                      int64_t m, int64_t full_rows, int64_t k, int64_t n,
-                      bool parallel) {
-  const bool wide = n >= 8 && full_rows >= 16;
-  Tensor bt;
-  if (wide) {
-    bt = Tensor::Uninitialized({k, n});
-    float* pt = bt.data();
-    for (int64_t j = 0; j < n; ++j) {
-      const float* __restrict__ brow = pb + j * k;
-      for (int64_t kk = 0; kk < k; ++kk) pt[kk * n + j] = brow[kk];
+// Repacks source rows rows[r] (r when `rows` is null) of the row-major
+// (m x k) matrix at `pa` into the panelized k-major layout at `out`. In
+// tiles of 16 rows, so each kk writes one 64-byte run: row by row, a full
+// panel's k stores sit 4 KiB apart, all in one cache set.
+void PanelizeRowsInto(const float* pa, int64_t m, int64_t k,
+                      const int64_t* rows, int64_t num_rows, float* out) {
+  constexpr int64_t kTileRows = 16;
+  for (int64_t p0 = 0; p0 < num_rows; p0 += kKMajorPanelRows) {
+    const int64_t panel_rows =
+        std::min<int64_t>(kKMajorPanelRows, num_rows - p0);
+    float* panel = out + p0 * k;
+    for (int64_t t0 = 0; t0 < panel_rows; t0 += kTileRows) {
+      const int64_t tile = std::min<int64_t>(kTileRows, panel_rows - t0);
+      const float* src[kTileRows];
+      for (int64_t r = 0; r < tile; ++r) {
+        const int64_t row = rows == nullptr ? p0 + t0 + r : rows[p0 + t0 + r];
+        IMSR_CHECK(row >= 0 && row < m)
+            << "gather index " << row << " out of range " << m;
+        src[r] = pa + row * k;
+      }
+      for (int64_t kk = 0; kk < k; ++kk) {
+        float* __restrict__ dst = panel + kk * panel_rows + t0;
+        for (int64_t r = 0; r < tile; ++r) dst[r] = src[r][kk];
+      }
     }
-    std::fill(po, po + m * n, 0.0f);  // the saxpy core accumulates
-  }
-  const auto rows = [&](int64_t begin, int64_t end) {
-    if (wide) {
-      MatMulRows(pa, bt.data(), po, begin, end, k, n);
-    } else {
-      MatMulTransBDotRows(pa, pb, po, begin, end, k, n);
-    }
-  };
-  if (parallel && m * k * n >= kParallelWorkThreshold) {
-    util::GlobalPool().ParallelFor(m, RowGrain(m, k * n), rows);
-  } else {
-    rows(0, m);
   }
 }
 
@@ -649,6 +632,11 @@ void MatMulTransBInto(const Tensor& a, const Tensor& b, Tensor* out) {
   MatMulTransBInto(a, ViewOf(b), out);
 }
 
+// Wide outputs (n >= 8, m >= 16, the MatMul backward shape) would pay
+// the dot kernel's lane combine per (i, j), so b is transposed once and
+// the saxpy core, sequential in kk, runs instead. Narrow outputs (routing
+// logits) keep the dot kernel. Exact (user, item) scores never come
+// here; they run the panel kernel.
 void MatMulTransBInto(const Tensor& a, ConstMatrixView b, Tensor* out) {
   IMSR_CHECK(out != nullptr);
   IMSR_CHECK(b.data != nullptr);
@@ -658,8 +646,32 @@ void MatMulTransBInto(const Tensor& a, ConstMatrixView b, Tensor* out) {
   const int64_t k = a.size(1);
   const int64_t n = b.rows;
   out->ResizeUninitialized({m, n});
-  MatMulTransBCore(a.data(), b.data, out->data(), m, m, k, n,
-                   /*parallel=*/true);
+  const float* pa = a.data();
+  const float* pb = b.data;
+  float* po = out->data();
+  const bool wide = n >= 8 && m >= 16;
+  Tensor bt;
+  if (wide) {
+    bt = Tensor::Uninitialized({k, n});
+    float* pt = bt.data();
+    for (int64_t j = 0; j < n; ++j) {
+      const float* __restrict__ brow = pb + j * k;
+      for (int64_t kk = 0; kk < k; ++kk) pt[kk * n + j] = brow[kk];
+    }
+    std::fill(po, po + m * n, 0.0f);  // the saxpy core accumulates
+  }
+  const auto rows = [&](int64_t begin, int64_t end) {
+    if (wide) {
+      MatMulRows(pa, bt.data(), po, begin, end, k, n);
+    } else {
+      MatMulTransBDotRows(pa, pb, po, begin, end, k, n);
+    }
+  };
+  if (m * k * n >= kParallelWorkThreshold) {
+    util::GlobalPool().ParallelFor(m, RowGrain(m, k * n), rows);
+  } else {
+    rows(0, m);
+  }
 }
 
 void PanelizeKMajorInto(const Tensor& a, Tensor* out) {
@@ -671,16 +683,7 @@ void PanelizeKMajorInto(const Tensor& a, Tensor* out) {
   // and the logical dims are unchanged, so byte-level comparisons and
   // accounting keep working.
   out->ResizeUninitialized({m, k});
-  const float* pa = a.data();
-  float* po = out->data();
-  for (int64_t p0 = 0; p0 < m; p0 += kKMajorPanelRows) {
-    const int64_t rows = std::min<int64_t>(kKMajorPanelRows, m - p0);
-    float* panel = po + p0 * k;
-    for (int64_t r = 0; r < rows; ++r) {
-      const float* __restrict__ arow = pa + (p0 + r) * k;
-      for (int64_t kk = 0; kk < k; ++kk) panel[kk * rows + r] = arow[kk];
-    }
-  }
+  PanelizeRowsInto(a.data(), m, k, /*rows=*/nullptr, m, out->data());
 }
 
 void MatMulTransBPanelInto(ConstMatrixView a_panels, ConstMatrixView b,
@@ -735,15 +738,14 @@ void MatMulTransBGatherInto(const Tensor& a, ConstMatrixView b,
   IMSR_CHECK_EQ(a.size(1), b.cols);
   IMSR_CHECK_GE(num_rows, 1);
   const int64_t k = a.size(1);
-  const int64_t n = b.rows;
-  GatherRowsInto(a, rows, num_rows, gathered);
-  out->ResizeUninitialized({num_rows, n});
-  // Same dispatch as MatMulTransBInto, keyed by the FULL row count; each
-  // (i, j) dot is computed whole in the same kk order for any row range,
-  // so the gathered rows match the full product's bits. Serial, so IVF
-  // re-rank on a shard worker never touches the global pool.
-  MatMulTransBCore(gathered->data(), b.data, out->data(), num_rows,
-                   a.size(0), k, n, /*parallel=*/false);
+  gathered->ResizeUninitialized({num_rows, k});
+  PanelizeRowsInto(a.data(), a.size(0), k, rows, num_rows,
+                   gathered->data());
+  out->ResizeUninitialized({num_rows, b.rows});
+  // A row's bits do not depend on its panel, so each gathered row equals
+  // the full sweep's. Serial: IVF re-rank on a shard worker never
+  // touches the global pool.
+  PanelRangeImpl(ViewOf(*gathered), b, 0, num_rows, out->data());
 }
 
 Tensor MatMulTransA(const Tensor& a, const Tensor& b) {

@@ -228,7 +228,8 @@ void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out);
 // MatMul(a, Transpose(b)); nothing is materialised.
 Tensor MatMulTransB(const Tensor& a, const Tensor& b);
 // MatMulTransB writing into `out` (reallocated only on shape mismatch) so
-// per-user ranking loops can reuse one scratch buffer.
+// training loops can reuse one scratch buffer. Its kernel depends on the
+// shape; exact (user, item) scores use MatMulTransBPanelInto instead.
 void MatMulTransBInto(const Tensor& a, const Tensor& b, Tensor* out);
 // Same, with the transposed operand given as a view over packed storage.
 // The Tensor overload delegates here, so for equal values the two produce
@@ -340,13 +341,12 @@ void MatMulTransBPanelRangeInto(ConstMatrixView a_panels, ConstMatrixView b,
                                 int64_t i_begin, int64_t i_end, float* out);
 
 // Gathered A * B^T: out[r][j] = dot(a.row(rows[r]), b.row(j)) for the
-// `num_rows` row indices in `rows`. Shares MatMulTransBInto's dispatch,
-// keyed by the FULL shape (a.size(0) x b.rows), not the gathered one, so
-// every computed row is bitwise identical to the corresponding row of
-// MatMulTransBInto(a, b) regardless of how few rows are gathered (the
-// IVF re-rank contract: shortlist scores must match the brute-force
-// oracle's bits). Always serial. `gathered` is caller-owned scratch for
-// the row copies (buffer reused).
+// `num_rows` row indices in `rows` (the IVF re-rank). The rows are
+// gathered straight into the panelized k-major layout in `gathered`
+// (caller-owned scratch, buffer reused) and scored by the panel kernel
+// of MatMulTransBPanelInto, so every row is bitwise identical to the
+// matching row of the full panel product at any width — shortlist
+// scores carry the exact sweep's bits. Always serial.
 void MatMulTransBGatherInto(const Tensor& a, ConstMatrixView b,
                             const int64_t* rows, int64_t num_rows,
                             Tensor* gathered, Tensor* out);

@@ -392,8 +392,8 @@ void IvfIndex::SearchTopN(
           ids[static_cast<size_t>(
               scratch->selected[static_cast<size_t>(r)])];
     }
-    // Exact float re-rank: the gathered-row kernel + the shared per-row
-    // reduction reproduce the brute-force oracle's bits for every
+    // Exact float re-rank: the gathered panel kernel + the shared
+    // per-row reduction reproduce the exact sweep's bits for every
     // shortlisted item.
     nn::MatMulTransBGatherInto(embeddings, interests,
                                scratch->rerank_rows.data(), rerank,

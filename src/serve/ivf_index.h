@@ -15,10 +15,11 @@
 //    product against the centroids), score every unique member of the
 //    probed lists with integer int8 dots (exactly associative, hence
 //    bitwise deterministic even vectorized), then re-rank the
-//    best-looking shortlist with the EXACT float kernels — gathered
-//    rows through nn::MatMulTransBGatherInto + eval::ScoreFromLogits,
-//    the same code path as the brute-force oracle, so every returned
-//    score is bit-identical to what exact scoring would assign.
+//    best-looking shortlist with the EXACT float kernels — rows
+//    gathered into the panel layout through nn::MatMulTransBGatherInto
+//    + eval::ScoreFromLogits, the kernels of the exact serve sweep and
+//    the brute-force oracle, so every returned score is bit-identical
+//    to what exact scoring would assign.
 //
 // Retrieval stays approximate only in WHICH items reach the shortlist;
 // tests/ann_test.cc gates recall against the brute-force oracle and the

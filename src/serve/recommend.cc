@@ -39,8 +39,6 @@ constexpr int64_t kRecommendSubBatch = 32;
 // bits do not depend on the operand width and the kept set does not
 // depend on which rows were skipped, which is why RecommendBatch can fuse
 // and prune and still memcmp-match RecommendOne and the brute force.
-// (The evaluator keeps its own ScoreAllItemsInto on the row-major table;
-// serve owns this layout.)
 void ExactTopNInto(const ServingSnapshot& snapshot,
                    nn::ConstMatrixView interests, const int64_t* col_offset,
                    const int64_t* user_k, size_t num_users,

@@ -76,7 +76,8 @@ struct RecommendScratch {
 // Answers one request against `snapshot` into `response`, reusing
 // `scratch`. Shares its exact-scoring body with RecommendBatch, so the
 // two return bitwise-identical responses; both equal the brute force
-// (every item scored, then TopNFromScores) bit for bit. Per-request
+// (eval::ScoreAllItemsInto, then TopNFromScores) bit for bit. The
+// offline and prequential evaluators rank through this call. Per-request
 // failures (unknown user, bad top_n) land in the response (ok=false +
 // error), never abort.
 void RecommendOne(const ServingSnapshot& snapshot,

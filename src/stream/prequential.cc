@@ -24,7 +24,6 @@ bool PrequentialEvaluator::ScoreEvent(
   }
   IMSR_CHECK_LT(event.item, snapshot.num_items());
 
-  int64_t rank;
   if (config_.retrieval == serve::RetrievalMode::kIVF &&
       snapshot.index() != nullptr) {
     // Serving-accurate protocol: rank is the event item's position in
@@ -32,26 +31,24 @@ bool PrequentialEvaluator::ScoreEvent(
     serve::IvfSearchStats stats;
     snapshot.index()->SearchTopN(
         snapshot.Interests(event.user), snapshot.item_embeddings(),
-        config_.rule, config_.top_n, config_.nprobe, &ivf_scratch_,
-        &ivf_top_, &stats);
+        config_.rule, config_.top_n, config_.nprobe, &scratch_.ivf,
+        &response_.items, &stats);
     ivf_totals_.Add(stats);
-    rank = static_cast<int64_t>(config_.top_n) + 1;
-    for (size_t r = 0; r < ivf_top_.size(); ++r) {
-      if (ivf_top_[r].first == event.item) {
-        rank = static_cast<int64_t>(r) + 1;
-        break;
-      }
-    }
   } else {
     IMSR_OBS_ONLY({
       if (config_.retrieval == serve::RetrievalMode::kIVF) {
         IMSR_COUNTER_ADD("stream/ivf_fallback_exact", 1);
       }
     })
-    ScoreAllItemsInto(snapshot.Interests(event.user),
-                      snapshot.item_embeddings(), config_.rule, &scratch_);
-    rank = eval::TargetRankFromScores(scratch_.scores, event.item);
+    // The served exact top-(N+1), ranked like the offline evaluator.
+    serve::ServeConfig exact;
+    exact.rule = config_.rule;
+    serve::RecommendOne(snapshot, {event.user, config_.top_n + 1}, exact,
+                        &scratch_, &response_);
+    IMSR_CHECK(response_.ok) << response_.error;
   }
+  const int64_t rank =
+      eval::RankInServedList(response_.items, event.item, config_.top_n);
   window_.AddRank(rank);
   ++scored_;
   IMSR_COUNTER_ADD("stream/events_scored", 1);

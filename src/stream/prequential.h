@@ -18,6 +18,7 @@
 
 #include "eval/metrics.h"
 #include "eval/ranker.h"
+#include "serve/recommend.h"
 #include "serve/snapshot.h"
 #include "stream/event.h"
 
@@ -31,8 +32,8 @@ struct PrequentialConfig {
   eval::ScoreRule rule = eval::ScoreRule::kAttentive;
   bool record_audit = false;  // keep the per-event ordering audit (tests)
   // kIVF ranks each event within the snapshot index's retrieved top-N
-  // (miss ranks top_n + 1); snapshots without an index fall back to
-  // exact.
+  // (eval::RankInServedList: a miss ranks top_n + 1); snapshots without
+  // an index fall back to exact.
   serve::RetrievalMode retrieval = serve::RetrievalMode::kExact;
   int nprobe = 0;  // <= 0 uses the index default under kIVF
 };
@@ -62,12 +63,13 @@ class PrequentialEvaluator {
   PrequentialEvaluator(const PrequentialEvaluator&) = delete;
   PrequentialEvaluator& operator=(const PrequentialEvaluator&) = delete;
 
-  // Ranks the event's true item over the full corpus using the snapshot's
-  // frozen interests/embeddings. Returns true when the event was scored;
-  // false when the snapshot has no interests for the user yet (counted as
-  // skipped — a cold-start user contributes once the trainer has
-  // published state for them). Aborts if the snapshot claims to have
-  // trained through the event itself (ordering violation).
+  // Ranks the event's true item within the snapshot's served exact
+  // top-(N+1) (eval::RankInServedList, as the offline evaluator does).
+  // Returns true when the event was scored; false when the snapshot has
+  // no interests for the user yet (counted as skipped — a cold-start user
+  // contributes once the trainer has published state for them). Aborts
+  // if the snapshot claims to have trained through the event itself
+  // (ordering violation).
   bool ScoreEvent(const serve::ServingSnapshot& snapshot,
                   const StreamEvent& event,
                   uint64_t trained_through_sequence);
@@ -86,9 +88,8 @@ class PrequentialEvaluator {
  private:
   PrequentialConfig config_;
   eval::SlidingWindowAccumulator window_;
-  eval::RankScratch scratch_;
-  serve::IvfIndex::Scratch ivf_scratch_;
-  std::vector<std::pair<data::ItemId, float>> ivf_top_;
+  serve::RecommendScratch scratch_;
+  serve::RecommendResponse response_;  // the served top-N being ranked
   serve::IvfSearchTotals ivf_totals_;
   int64_t scored_ = 0;
   int64_t skipped_ = 0;

@@ -228,20 +228,23 @@ TEST(KernelsTest, MatMulTransBPanelMatchesScalarOrderAnyWidth) {
   }
 }
 
-// The gathered A * B^T (IVF re-rank) shares MatMulTransBInto's dispatch,
-// keyed by the full row count: every gathered row must memcmp the
-// matching row of the full product, on both sides of the wide/narrow
-// predicate (n >= 8 && m >= 16) and for repeated and reversed indices.
+// The gathered A * B^T (IVF re-rank) runs the panel kernel on rows
+// gathered into the panel layout: every gathered row must memcmp the
+// matching row of the full panel product (the exact serve sweep's
+// bits) at every width, for repeated and reversed indices, and when the
+// gather itself spans more than one panel (m = 1500).
 TEST(KernelsTest, MatMulTransBGatherRowsMatchFullProductBitwise) {
   util::Rng rng(112);
   const std::vector<std::pair<int64_t, int64_t>> shapes = {
-      {15, 8}, {16, 7}, {16, 8}, {300, 3}, {300, 12}};
+      {15, 8}, {16, 1}, {16, 7}, {16, 8}, {300, 3}, {300, 12}, {1500, 5}};
   for (const auto& [m, n] : shapes) {
     for (int64_t k : {5, 24}) {
       const nn::Tensor a = nn::Tensor::Randn({m, k}, rng);
       const nn::Tensor b = nn::Tensor::Randn({n, k}, rng);
+      nn::Tensor panels;
+      nn::PanelizeKMajorInto(a, &panels);
       nn::Tensor full;
-      nn::MatMulTransBInto(a, b, &full);
+      nn::MatMulTransBPanelInto(nn::ViewOf(panels), nn::ViewOf(b), &full);
       std::vector<int64_t> rows = {0, m / 2, 0, m - 1, m / 2};
       for (int64_t r = m - 1; r >= 0; --r) rows.push_back(r);
       nn::Tensor gathered;

@@ -3,13 +3,17 @@
 // x ItemFilter combination, across thread counts), the SnapshotRegistry's
 // atomic publish (including publish-while-reading stress), the batch
 // Recommend API, the pruned exact top-N against its brute-force oracle,
-// the IVF-without-index fallbacks, and the trainer's publish points.
+// the IVF-without-index fallbacks, the seam oracle (evaluators, server
+// and IVF score and rank alike on near-tie corpora), and the trainer's
+// publish points.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -796,6 +800,230 @@ TEST(IvfFallbackTest, IndexlessSnapshotAnswersIvfExactly) {
   EXPECT_EQ(counter("stream/ivf_fallback_exact") - stream_before,
             want_stream.scored());
 #endif
+}
+
+// --- Seam oracle: evaluator, server and IVF score one way --------------------
+
+constexpr int64_t kSeamDim = 24;
+constexpr int64_t kSeamItems = 1100;  // two panels, the second partial
+constexpr int kSeamTopN = 20;
+
+// Item rows built for near-ties. In each group of five, row 0 is
+// random, rows 1 and 3 are row 0 with one coordinate moved up or down
+// by 1 ulp, row 2 repeats row 0 and row 4 repeats row 1. The repeats
+// score exactly alike (the pessimistic tie rule's case); the 1-ulp
+// variants score within a few ulps of their base row, close enough that
+// any other accumulation order reorders them.
+nn::Tensor MakeSeamItems(uint64_t seed) {
+  util::Rng rng(seed);
+  nn::Tensor items = nn::Tensor::Randn({kSeamItems, kSeamDim}, rng);
+  for (int64_t i = 0; i < kSeamItems; ++i) {
+    const int64_t slot = i % 5;
+    if (slot == 0) continue;
+    const int64_t source = slot == 4 ? i - 3 : i - slot;
+    float* row = items.data() + i * kSeamDim;
+    std::copy_n(items.data() + source * kSeamDim, kSeamDim, row);
+    const int64_t c = i % kSeamDim;
+    if (slot == 1) row[c] = std::nextafter(row[c], INFINITY);
+    if (slot == 3) row[c] = std::nextafter(row[c], -INFINITY);
+  }
+  return items;
+}
+
+// Every exact (user, item) score is one computation: the served top-N
+// (RecommendOne), the evaluator's brute force (ScoreAllItemsInto, then
+// TopNFromScores) and IVF at full probe and full re-rank agree bit for
+// bit, for K = 1..12 under both rules, on a corpus of near-tie rows.
+TEST(SeamOracleTest, ServedExactBruteForceAndFullIvfAgreeBitwise) {
+  const nn::Tensor items = MakeSeamItems(/*seed=*/301);
+  util::Rng rng(302);
+  core::PackedInterests packed;
+  packed.dim = kSeamDim;
+  for (int32_t k = 1; k <= 12; ++k) {
+    for (int profile = 0; profile < 2; ++profile) {
+      packed.users.push_back(static_cast<data::UserId>(packed.users.size()));
+      packed.row_begin.push_back(
+          static_cast<int64_t>(packed.data.size()) / kSeamDim);
+      packed.counts.push_back(k);
+      const nn::Tensor rows = nn::Tensor::Randn({k, kSeamDim}, rng);
+      packed.data.insert(packed.data.end(), rows.data(),
+                         rows.data() + rows.numel());
+    }
+  }
+  auto snapshot = std::make_shared<ServingSnapshot>(items, packed, 0);
+  IvfBuildConfig build;
+  build.min_rerank = static_cast<int>(kSeamItems);  // re-rank everything
+  snapshot->AttachIndex(std::make_unique<IvfIndex>(items, packed, build));
+  const int full_probe =
+      static_cast<int>(snapshot->index()->num_centroids());
+
+  RecommendScratch scratch;
+  IvfIndex::Scratch ivf_scratch;
+  eval::RankScratch oracle_scratch;
+  int64_t tied_lists = 0;
+  for (const eval::ScoreRule rule :
+       {eval::ScoreRule::kAttentive, eval::ScoreRule::kMaxInterest}) {
+    ServeConfig config;
+    config.rule = rule;
+    for (const data::UserId user : snapshot->Users()) {
+      eval::ScoreAllItemsInto(snapshot->Interests(user), items, rule,
+                              &oracle_scratch);
+      for (const int top_n : {1, kSeamTopN, kSeamTopN + 1}) {
+        const std::string where =
+            std::string(eval::ScoreRuleName(rule)) + " user " +
+            std::to_string(user) + " K=" +
+            std::to_string(snapshot->NumInterests(user)) +
+            " top_n=" + std::to_string(top_n);
+        const TopN oracle = eval::TopNFromScores(oracle_scratch.scores, top_n);
+        RecommendResponse served;
+        RecommendOne(*snapshot, {user, top_n}, config, &scratch, &served);
+        ASSERT_TRUE(served.ok) << where;
+        EXPECT_TRUE(BitwiseEqual(served.items, oracle)) << where;
+        TopN ivf;
+        snapshot->index()->SearchTopN(snapshot->Interests(user), items, rule,
+                                      top_n, full_probe, &ivf_scratch, &ivf);
+        EXPECT_TRUE(BitwiseEqual(ivf, served.items)) << where;
+        for (size_t i = 1; i < oracle.size(); ++i) {
+          if (oracle[i].second == oracle[i - 1].second) {
+            ++tied_lists;
+            break;
+          }
+        }
+      }
+    }
+  }
+  // The corpus did put exact ties inside the served lists.
+  EXPECT_GT(tied_lists, 0);
+}
+
+// The offline evaluator (snapshot and live-model overloads) and the
+// prequential evaluator read each target's rank off the served
+// top-(N+1). Their metrics must equal a reference loop over the
+// full-corpus pessimistic rank min(TargetRank, N + 1). Targets sit at
+// every position around the cut-off of each user's oracle order, and the
+// check also runs at cut-offs N where exact ties straddle the N-th
+// place: a target ranked N-th by item id whose twin follows it at N + 1
+// must count as a miss.
+TEST(SeamOracleTest, EvaluatorsRankLikeTheFullCorpusOracle) {
+  const nn::Tensor items = MakeSeamItems(/*seed=*/311);
+  util::Rng rng(312);
+  core::InterestStore store;
+  std::vector<data::Interaction> log;
+  data::UserId next_user = 0;
+  for (int64_t k = 1; k <= 12; ++k) {
+    for (int profile = 0; profile < 2; ++profile) {
+      const nn::Tensor interests = nn::Tensor::Randn({k, kSeamDim}, rng);
+      for (const eval::ScoreRule rule :
+           {eval::ScoreRule::kAttentive, eval::ScoreRule::kMaxInterest}) {
+        const TopN order = eval::TopNFromScores(
+            eval::ScoreAllItems(interests, items, rule), 501);
+        std::vector<data::ItemId> targets;
+        for (int position = 0; position < kSeamTopN + 4; ++position) {
+          targets.push_back(order[static_cast<size_t>(position)].first);
+        }
+        targets.push_back(order.back().first);
+        for (const data::ItemId target : targets) {
+          const data::UserId user = next_user++;
+          store.Initialize(user, k, kSeamDim, 0, rng);
+          store.SetInterests(user, interests);
+          // Pretrain one item; span 1 ends on the target (its test).
+          const auto other = [target](int64_t step) {
+            return static_cast<data::ItemId>((target + step) % kSeamItems);
+          };
+          log.push_back({user, other(1), 0});
+          log.push_back({user, other(2), 90});
+          log.push_back({user, target, 100});
+        }
+      }
+    }
+  }
+  const data::Dataset dataset(next_user, kSeamItems, log, 1, 0.5, 1);
+  const ServingSnapshot snapshot(items, store.ExportPacked(), 1);
+  const std::vector<data::UserId>& users = dataset.active_users(1);
+  ASSERT_EQ(static_cast<data::UserId>(users.size()), next_user);
+
+  for (const eval::ScoreRule rule :
+       {eval::ScoreRule::kAttentive, eval::ScoreRule::kMaxInterest}) {
+    // Each target's full-corpus pessimistic rank, and the smallest and
+    // largest cut-offs N at which a target is N-th by item id while an
+    // exact twin behind it pushes its pessimistic rank past N.
+    std::vector<int64_t> full_ranks;
+    int tie_min = 0;
+    int tie_max = 0;
+    for (const data::UserId user : users) {
+      const data::ItemId target = dataset.user_span(user, 1).test;
+      const std::vector<float> scores =
+          eval::ScoreAllItems(store.Interests(user), items, rule);
+      const float mine = scores[static_cast<size_t>(target)];
+      int64_t ahead = 0;  // items before the target under RanksBefore
+      for (size_t i = 0; i < scores.size(); ++i) {
+        ahead += eval::RanksBefore(static_cast<data::ItemId>(i), scores[i],
+                                   target, mine);
+      }
+      full_ranks.push_back(eval::TargetRankFromScores(scores, target));
+      const int n = static_cast<int>(ahead) + 1;
+      if (full_ranks.back() > n && n <= kSeamTopN + 4) {
+        tie_min = tie_min == 0 ? n : std::min(tie_min, n);
+        tie_max = std::max(tie_max, n);
+      }
+    }
+    ASSERT_GT(tie_min, 0) << "no exact tie straddles any cut-off";
+
+    for (const int top_n : {kSeamTopN, tie_min, tie_max}) {
+      const std::string where = std::string(eval::ScoreRuleName(rule)) +
+                                " top_n=" + std::to_string(top_n);
+      eval::MetricsAccumulator reference(top_n);
+      eval::SlidingWindowAccumulator reference_window(top_n, next_user);
+      for (const int64_t full_rank : full_ranks) {
+        const int64_t rank = std::min<int64_t>(full_rank, top_n + 1);
+        reference.AddRank(rank);
+        reference_window.AddRank(rank);
+      }
+      const eval::TopNMetrics want = reference.Finalize();
+
+      eval::EvalConfig config;
+      config.top_n = top_n;
+      config.rule = rule;
+      const eval::TopNMetrics from_snapshot =
+          eval::EvaluateSpan(snapshot, dataset, 1, config).metrics;
+      const eval::TopNMetrics from_live =
+          eval::EvaluateSpan(items, store, dataset, 1, config).metrics;
+      for (const eval::TopNMetrics& got : {from_snapshot, from_live}) {
+        EXPECT_EQ(got.users, want.users) << where;
+        EXPECT_EQ(
+            std::memcmp(&got.hit_ratio, &want.hit_ratio, sizeof(double)), 0)
+            << where << " HR " << got.hit_ratio << " vs " << want.hit_ratio;
+        EXPECT_EQ(std::memcmp(&got.ndcg, &want.ndcg, sizeof(double)), 0)
+            << where << " NDCG " << got.ndcg << " vs " << want.ndcg;
+      }
+
+      stream::PrequentialConfig stream_config;
+      stream_config.top_n = top_n;
+      stream_config.rule = rule;
+      stream_config.window = next_user;
+      stream::PrequentialEvaluator prequential(stream_config);
+      uint64_t sequence = 0;
+      for (const data::UserId user : users) {
+        stream::StreamEvent event;
+        event.user = user;
+        event.item = dataset.user_span(user, 1).test;
+        event.sequence = ++sequence;
+        event.timestamp = static_cast<int64_t>(sequence);
+        ASSERT_TRUE(prequential.ScoreEvent(snapshot, event, 0)) << where;
+      }
+      const eval::WindowMetrics want_window = reference_window.Current();
+      const eval::WindowMetrics got_window = prequential.Window();
+      EXPECT_EQ(got_window.count, want_window.count) << where;
+      EXPECT_EQ(std::memcmp(&got_window.hit_ratio, &want_window.hit_ratio,
+                            sizeof(double)),
+                0)
+          << where;
+      EXPECT_EQ(std::memcmp(&got_window.ndcg, &want_window.ndcg,
+                            sizeof(double)),
+                0)
+          << where;
+    }
+  }
 }
 
 // End-to-end: the trainer publishes after pretraining and after each

@@ -489,6 +489,21 @@ int CmdTrainSpan(const util::Flags& flags) {
   return 0;
 }
 
+// Publishes the loaded model as the snapshot a server would read, with
+// an IVF index when `retrieval` asks for one, and returns it.
+std::shared_ptr<const serve::ServingSnapshot> PublishedSnapshot(
+    const models::MsrModel& model, const core::InterestStore& store,
+    int trained_through_span, serve::RetrievalMode retrieval) {
+  serve::SnapshotRegistry registry;
+  registry.Publish(retrieval == serve::RetrievalMode::kIVF
+                       ? serve::BuildSnapshot(model, store,
+                                              trained_through_span,
+                                              serve::IvfBuildConfig{})
+                       : serve::BuildSnapshot(model, store,
+                                              trained_through_span));
+  return registry.Current();
+}
+
 int CmdEvaluate(const util::Flags& flags) {
   std::unique_ptr<data::Dataset> dataset;
   if (!LoadDataset(flags, &dataset)) return 1;
@@ -520,17 +535,10 @@ int CmdEvaluate(const util::Flags& flags) {
   // Score over a published snapshot — the exact state the serving path
   // reads, bitwise identical to the live-model path. Under --retrieval=ivf
   // the snapshot carries an index and ranks run serving-accurate.
-  serve::SnapshotRegistry registry;
-  if (config.retrieval == serve::RetrievalMode::kIVF) {
-    registry.Publish(serve::BuildSnapshot(
-        model, store, metadata.trained_through_span,
-        serve::IvfBuildConfig{}));
-  } else {
-    registry.Publish(serve::BuildSnapshot(
-        model, store, metadata.trained_through_span));
-  }
-  const eval::EvalResult result =
-      EvaluateSpan(*registry.Current(), *dataset, test_span, config);
+  const eval::EvalResult result = EvaluateSpan(
+      *PublishedSnapshot(model, store, metadata.trained_through_span,
+                         config.retrieval),
+      *dataset, test_span, config);
   std::printf("span %d: HR@%d %.4f  NDCG@%d %.4f  (%lld users, %.1f ms "
               "total)\n",
               test_span, config.top_n, result.metrics.hit_ratio,
@@ -632,17 +640,9 @@ int RecommendBatch(const util::Flags& flags, const models::MsrModel& model,
     return 2;
   }
 
-  serve::SnapshotRegistry registry;
-  if (config.retrieval == serve::RetrievalMode::kIVF) {
-    registry.Publish(serve::BuildSnapshot(model, store,
-                                          trained_through_span,
-                                          serve::IvfBuildConfig{}));
-  } else {
-    registry.Publish(serve::BuildSnapshot(model, store,
-                                          trained_through_span));
-  }
   const std::shared_ptr<const serve::ServingSnapshot> snapshot =
-      registry.Current();
+      PublishedSnapshot(model, store, trained_through_span,
+                        config.retrieval);
   const std::vector<serve::RecommendResponse> responses =
       Recommend(*snapshot, requests, config);
 
@@ -915,31 +915,25 @@ int CmdRecommend(const util::Flags& flags) {
                  "error: --user=<id> must name a user with interests\n");
     return 2;
   }
-  serve::RetrievalMode retrieval;
-  int nprobe = 0;
-  if (!RetrievalFromFlags(flags, &retrieval, &nprobe)) return 2;
-  const int top_n = static_cast<int>(flags.GetInt("top_n", 10));
-  std::vector<std::pair<data::ItemId, float>> top;
-  if (retrieval == serve::RetrievalMode::kIVF) {
-    // Same answer path production would take: snapshot + index + the
-    // serve::Recommend shortlist/re-rank machinery.
-    serve::SnapshotRegistry registry;
-    registry.Publish(serve::BuildSnapshot(
-        model, store, metadata.trained_through_span,
-        serve::IvfBuildConfig{}));
-    serve::ServeConfig config;
-    config.default_top_n = top_n;
-    config.retrieval = retrieval;
-    config.nprobe = nprobe;
-    const std::vector<serve::RecommendResponse> responses = Recommend(
-        *registry.Current(), {serve::RecommendRequest{user, top_n}},
-        config);
-    top = responses.front().items;
-  } else {
-    top = eval::TopNItems(
-        store.Interests(user), model.embeddings().parameter().value(),
-        top_n, eval::ScoreRule::kAttentive);
+  serve::ServeConfig config;
+  config.default_top_n = static_cast<int>(flags.GetInt("top_n", 10));
+  if (!ScoreRuleFromFlags(flags, &config.rule) ||
+      !RetrievalFromFlags(flags, &config.retrieval, &config.nprobe)) {
+    return 2;
   }
+  // Same answer path production would take: a published snapshot and
+  // serve::Recommend, exact or through the snapshot's index.
+  const serve::RecommendResponse response =
+      Recommend(*PublishedSnapshot(model, store,
+                                   metadata.trained_through_span,
+                                   config.retrieval),
+                {serve::RecommendRequest{user, 0}}, config)
+          .front();
+  if (!response.ok) {
+    std::fprintf(stderr, "error: %s\n", response.error.c_str());
+    return 2;
+  }
+  const std::vector<std::pair<data::ItemId, float>>& top = response.items;
   std::printf("user %d (K=%lld interests):\n", user,
               static_cast<long long>(store.NumInterests(user)));
   for (size_t i = 0; i < top.size(); ++i) {
