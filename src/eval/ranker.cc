@@ -116,15 +116,20 @@ const std::vector<std::pair<data::ItemId, float>>& TopNAccumulator::Finish() {
   return heap_;
 }
 
-// Bounds are computed for a chunk of rows at a time with SIMD lanes
-// across rows, then tested against the threshold a group at a time, so a
-// group with no survivor costs one vector compare. Survivors are offered
-// in item order. The bounds' bits do not matter, only that each is an
-// upper bound, so the vectorized and scalar clones may differ freely.
+namespace {
+
+// The one bound loop behind both OfferTopNFromLogits overloads. Bounds
+// are computed for a chunk of rows at a time with SIMD lanes across rows,
+// then tested against the threshold a group at a time, so a group with no
+// survivor costs one vector compare. Survivors are offered in row order;
+// row i is item items[i] when `items` is non-null, else first_item + i.
+// The bounds' bits do not matter, only that each is an upper bound, so
+// the vectorized and scalar clones may differ freely.
 IMSR_SIMD_CLONES
-int64_t OfferTopNFromLogits(const float* logits, int64_t rows, int64_t k,
-                            int64_t stride, data::ItemId first_item,
-                            ScoreRule rule, TopNAccumulator* top) {
+int64_t OfferRows(const float* logits, int64_t rows, int64_t k,
+                  int64_t stride, data::ItemId first_item,
+                  const data::ItemId* items, ScoreRule rule,
+                  TopNAccumulator* top) {
   IMSR_CHECK(top != nullptr);
   const bool attentive = rule == ScoreRule::kAttentive;
   const float relative = RelativeSlack(k);
@@ -167,12 +172,30 @@ int64_t OfferTopNFromLogits(const float* logits, int64_t rows, int64_t k,
         // worst kept score and win on item id.
         if (bound[i] < top->threshold()) continue;
         ++reduced;
-        top->Offer(first_item + static_cast<data::ItemId>(c0 + i),
-                   ScoreFromLogits(chunk + i * stride, k, rule));
+        const data::ItemId item =
+            items != nullptr
+                ? items[c0 + i]
+                : first_item + static_cast<data::ItemId>(c0 + i);
+        top->Offer(item, ScoreFromLogits(chunk + i * stride, k, rule));
       }
     }
   }
   return reduced;
+}
+
+}  // namespace
+
+int64_t OfferTopNFromLogits(const float* logits, int64_t rows, int64_t k,
+                            int64_t stride, data::ItemId first_item,
+                            ScoreRule rule, TopNAccumulator* top) {
+  return OfferRows(logits, rows, k, stride, first_item, nullptr, rule, top);
+}
+
+int64_t OfferTopNFromLogits(const float* logits, int64_t rows, int64_t k,
+                            int64_t stride, const data::ItemId* items,
+                            ScoreRule rule, TopNAccumulator* top) {
+  IMSR_CHECK(items != nullptr);
+  return OfferRows(logits, rows, k, stride, 0, items, rule, top);
 }
 
 const char* ScoreRuleName(ScoreRule rule) {

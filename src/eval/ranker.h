@@ -97,6 +97,11 @@ class TopNAccumulator {
 int64_t OfferTopNFromLogits(const float* logits, int64_t rows, int64_t k,
                             int64_t stride, data::ItemId first_item,
                             ScoreRule rule, TopNAccumulator* top);
+// Same bound loop, with row i offered as item items[i] (the IVF scan,
+// whose rows are an inverted list's members).
+int64_t OfferTopNFromLogits(const float* logits, int64_t rows, int64_t k,
+                            int64_t stride, const data::ItemId* items,
+                            ScoreRule rule, TopNAccumulator* top);
 
 // Reusable buffers for repeated full-corpus scoring (one per thread).
 struct RankScratch {

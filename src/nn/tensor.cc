@@ -491,8 +491,12 @@ IMSR_HOT_END
 // r_begin — stores are range-relative, so a caller can hand each row
 // range its own tile (the blocked serve scoring loop) or offsets into
 // one full matrix (the parallel split).
+//
+// Entry aligned to a cache line: the inner loops then sit at the same
+// offsets mod 64 whatever code is linked before this function, so a
+// change elsewhere in the binary cannot move the exact sweep's speed.
 IMSR_HOT_BEGIN
-IMSR_SIMD_CLONES
+IMSR_SIMD_CLONES __attribute__((aligned(64)))
 void MatMulTransBPanelRows(const float* __restrict__ pat,
                            const float* __restrict__ pb,
                            float* __restrict__ po, int64_t r_begin,

@@ -19,25 +19,24 @@ namespace {
 // depend on thread count and the built index is bitwise deterministic.
 constexpr int64_t kAssignBlock = 4096;
 
-// Integer dot of two int8 code rows. Integer addition is exactly
-// associative, so the vectorized reduction is bitwise identical to the
-// scalar chain.
-IMSR_HOT_BEGIN
-IMSR_SIMD_CLONES
-int32_t DotI8(const int8_t* __restrict__ a, const int8_t* __restrict__ b,
-              int64_t n) {
-  int32_t acc = 0;
-  IMSR_SIMD_PRAGMA(reduction(+ : acc))
-  for (int64_t i = 0; i < n; ++i) {
-    acc += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return acc;
-}
-IMSR_HOT_END
+// Query rows scored per pass over a code block: the K x 16 int32 tile
+// for kScanCols queries stays in registers while the block streams by.
+constexpr int64_t kScanCols = 4;
+
+// Dimensions of a code block widened to int32 at a time (a 4 KiB stack
+// strip); wider embeddings take several strips per block.
+constexpr int64_t kScanStripDims = 64;
+
+// Code blocks per DotCodeBlocks call of the search scan. A long list is
+// scanned in chunks of this many blocks, so the dots/logits scratch stays
+// cache-resident and never grows with the corpus.
+constexpr int64_t kScanChunkBlocks = 32;
 
 // Symmetric per-row int8 quantization: scale = maxabs / 127 (1.0 guards
-// an all-zero row), code = round(x / scale) clamped to [-127, 127].
-float QuantizeRow(const float* row, int64_t n, int8_t* codes) {
+// an all-zero row), code = round(x / scale) clamped to [-127, 127],
+// written to codes[i * stride].
+float QuantizeRow(const float* row, int64_t n, int8_t* codes,
+                  int64_t stride = 1) {
   float maxabs = 0.0f;
   for (int64_t i = 0; i < n; ++i) {
     maxabs = std::max(maxabs, std::fabs(row[i]));
@@ -45,7 +44,7 @@ float QuantizeRow(const float* row, int64_t n, int8_t* codes) {
   const float scale = maxabs > 0.0f ? maxabs / 127.0f : 1.0f;
   for (int64_t i = 0; i < n; ++i) {
     const long q = std::lroundf(row[i] / scale);
-    codes[i] = static_cast<int8_t>(std::clamp<long>(q, -127, 127));
+    codes[i * stride] = static_cast<int8_t>(std::clamp<long>(q, -127, 127));
   }
   return scale;
 }
@@ -101,6 +100,52 @@ std::vector<float> RowSquaredNorms(const nn::Tensor& t) {
 }
 
 }  // namespace
+
+// Each block is first widened to int32 (a strip of dimensions at a
+// time), so the multiply-add loop runs on full-width int32 lanes across
+// the block's 16 rows and one widening serves every query. Integer
+// addition is exact, so any lane split or clone gives the scalar loop's
+// bits.
+IMSR_HOT_BEGIN
+IMSR_SIMD_CLONES
+void DotCodeBlocks(const int8_t* __restrict__ blocks, int64_t num_blocks,
+                   int64_t dim, const int8_t* __restrict__ queries, int64_t k,
+                   int32_t* __restrict__ dots) {
+  constexpr int64_t kRows = kCodeBlockRows;
+  int32_t wide[kScanStripDims * kRows];
+  for (int64_t b = 0; b < num_blocks; ++b) {
+    int32_t* out = dots + b * kRows * k;
+    for (int64_t t0 = 0; t0 < dim; t0 += kScanStripDims) {
+      const int64_t tn = std::min(kScanStripDims, dim - t0);
+      const int8_t* strip = blocks + (b * dim + t0) * kRows;
+      IMSR_SIMD_PRAGMA()
+      for (int64_t i = 0; i < tn * kRows; ++i) wide[i] = strip[i];
+      for (int64_t j0 = 0; j0 < k; j0 += kScanCols) {
+        const int64_t jn = std::min(kScanCols, k - j0);
+        int32_t acc[kScanCols][kRows];
+        for (int64_t jj = 0; jj < jn; ++jj) {
+          for (int64_t r = 0; r < kRows; ++r) {
+            acc[jj][r] = t0 == 0 ? 0 : out[r * k + j0 + jj];
+          }
+        }
+        for (int64_t t = 0; t < tn; ++t) {
+          const int32_t* codes = wide + t * kRows;
+          for (int64_t jj = 0; jj < jn; ++jj) {
+            const int32_t q = queries[(j0 + jj) * dim + t0 + t];
+            IMSR_SIMD_PRAGMA()
+            for (int64_t r = 0; r < kRows; ++r) acc[jj][r] += codes[r] * q;
+          }
+        }
+        for (int64_t jj = 0; jj < jn; ++jj) {
+          for (int64_t r = 0; r < kRows; ++r) {
+            out[r * k + j0 + jj] = acc[jj][r];
+          }
+        }
+      }
+    }
+  }
+}
+IMSR_HOT_END
 
 const char* RetrievalModeName(RetrievalMode mode) {
   switch (mode) {
@@ -233,17 +278,24 @@ IvfIndex::IvfIndex(const nn::Tensor& embeddings,
         static_cast<data::ItemId>(i);
   }
 
-  // int8 codes in list order (scan locality): codes_[p] quantizes the
-  // embedding row of list_items_[p].
-  codes_.resize(static_cast<size_t>(num_items_ * dim_));
+  // int8 codes in list order (scan locality), quantized straight into
+  // 16-row d-major blocks: list position p's code for dimension t sits
+  // at (p / 16) * 16 * d + t * 16 + p % 16. Padding rows of the last
+  // block stay zero.
+  const int64_t num_blocks =
+      (num_items_ + kCodeBlockRows - 1) / kCodeBlockRows;
+  codes_.assign(static_cast<size_t>(num_blocks * kCodeBlockRows * dim_), 0);
   scales_.resize(static_cast<size_t>(num_items_));
   util::ParallelChunks(
-      num_items_, config.threads, [&](int64_t begin, int64_t end) {
-        for (int64_t p = begin; p < end; ++p) {
+      num_blocks, config.threads, [&](int64_t begin, int64_t end) {
+        for (int64_t p = begin * kCodeBlockRows;
+             p < std::min(num_items_, end * kCodeBlockRows); ++p) {
           const data::ItemId item = list_items_[static_cast<size_t>(p)];
-          scales_[static_cast<size_t>(p)] =
-              QuantizeRow(embeddings.data() + int64_t{item} * dim_, dim_,
-                          codes_.data() + p * dim_);
+          int8_t* block =
+              codes_.data() + (p / kCodeBlockRows) * kCodeBlockRows * dim_;
+          scales_[static_cast<size_t>(p)] = QuantizeRow(
+              embeddings.data() + int64_t{item} * dim_, dim_,
+              block + p % kCodeBlockRows, kCodeBlockRows);
         }
       });
 
@@ -293,32 +345,20 @@ void IvfIndex::SearchTopN(
       nprobe > 0 ? std::min<int64_t>(nprobe, num_centroids)
                  : default_nprobe_;
 
-  // Epoch-stamped visited set: one O(num_items) clear per 2^32 searches
-  // instead of one per search.
-  if (static_cast<int64_t>(scratch->visited.size()) != num_items_) {
-    scratch->visited.assign(static_cast<size_t>(num_items_), 0);
-    scratch->epoch = 0;
-  }
-  if (++scratch->epoch == 0) {
-    std::fill(scratch->visited.begin(), scratch->visited.end(), 0u);
-    scratch->epoch = 1;
-  }
-  const uint32_t epoch = scratch->epoch;
-
   scratch->query_codes.resize(
       static_cast<size_t>(num_interests * dim_));
   scratch->query_scales.resize(static_cast<size_t>(num_interests));
-  scratch->approx_row.resize(static_cast<size_t>(num_interests));
   for (int64_t j = 0; j < num_interests; ++j) {
     scratch->query_scales[static_cast<size_t>(j)] =
         QuantizeRow(interests.data + j * dim_, dim_,
                     scratch->query_codes.data() + j * dim_);
   }
 
-  scratch->candidates.clear();
-  scratch->approx_scores.clear();
+  // Probe: the nearest lists per interest, ties to the lower list id.
   scratch->centroid_scores.resize(static_cast<size_t>(num_centroids));
   scratch->probe_order.resize(static_cast<size_t>(num_centroids));
+  scratch->probed_lists.resize(
+      static_cast<size_t>(num_interests * probes_per_interest));
   IvfSearchStats local;
   const float* centroid_data = centroids_.data();
   for (int64_t j = 0; j < num_interests; ++j) {
@@ -339,98 +379,105 @@ void IvfIndex::SearchTopN(
           }
           return a < b;
         });
+    // Rank-major: the t-th nearest list of interest j at t * K + j.
     for (int64_t t = 0; t < probes_per_interest; ++t) {
-      const int32_t list = scratch->probe_order[static_cast<size_t>(t)];
-      ++local.probes;
-      const int64_t begin = list_begin_[static_cast<size_t>(list)];
-      const int64_t end = list_begin_[static_cast<size_t>(list) + 1];
-      for (int64_t p = begin; p < end; ++p) {
-        const data::ItemId item = list_items_[static_cast<size_t>(p)];
-        uint32_t& stamp = scratch->visited[static_cast<size_t>(item)];
-        if (stamp == epoch) continue;
-        stamp = epoch;
-        const int8_t* code = codes_.data() + p * dim_;
+      scratch->probed_lists[static_cast<size_t>(t * num_interests + j)] =
+          scratch->probe_order[static_cast<size_t>(t)];
+    }
+    local.probes += probes_per_interest;
+  }
+  // Lists are disjoint, so scanning each distinct probed list once visits
+  // every candidate item exactly once. Scan order cannot change the
+  // shortlist, only how much the bound prunes: every interest's nearest
+  // list comes first, so the threshold rises early.
+  std::vector<int32_t>& lists = scratch->probed_lists;
+  std::vector<uint8_t>& seen = scratch->list_seen;
+  seen.resize(static_cast<size_t>(num_centroids), 0);
+  size_t distinct = 0;
+  for (size_t i = 0; i < lists.size(); ++i) {
+    const size_t list = static_cast<size_t>(lists[i]);
+    if (seen[list] != 0) continue;
+    seen[list] = 1;
+    lists[distinct++] = lists[i];
+  }
+  lists.resize(distinct);
+  for (const int32_t list : lists) seen[static_cast<size_t>(list)] = 0;
+
+  // Scan: each list's code blocks against all K query codes, dequantized
+  // to approximate logits and offered to the shortlist under the bound.
+  // The kept set is the best `capacity` candidates under RanksBefore —
+  // the same set for any scan order.
+  const int64_t capacity = std::max<int64_t>(
+      static_cast<int64_t>(top_n) * rerank_factor_, min_rerank_);
+  eval::TopNAccumulator& shortlist = scratch->shortlist;
+  shortlist.Reset(capacity);
+  const int64_t chunk_rows = kScanChunkBlocks * kCodeBlockRows;
+  scratch->dots.resize(static_cast<size_t>(chunk_rows * num_interests));
+  scratch->approx_logits.resize(
+      static_cast<size_t>(chunk_rows * num_interests));
+  const float* query_scales = scratch->query_scales.data();
+  int32_t* dots = scratch->dots.data();
+  float* approx = scratch->approx_logits.data();
+  IMSR_OBS_ONLY(int64_t reduced = 0;)
+  for (const int32_t list : lists) {
+    const int64_t begin = list_begin_[static_cast<size_t>(list)];
+    const int64_t end = list_begin_[static_cast<size_t>(list) + 1];
+    local.shortlist += end - begin;
+    for (int64_t r0 = begin; r0 < end;) {
+      const int64_t b0 = r0 / kCodeBlockRows;
+      const int64_t b1 = std::min(b0 + kScanChunkBlocks,
+                                  (end + kCodeBlockRows - 1) / kCodeBlockRows);
+      const int64_t r1 = std::min(end, b1 * kCodeBlockRows);
+      DotCodeBlocks(codes_.data() + b0 * kCodeBlockRows * dim_, b1 - b0,
+                    dim_, scratch->query_codes.data(), num_interests, dots);
+      const int32_t* first = dots + (r0 - b0 * kCodeBlockRows) * num_interests;
+      for (int64_t p = r0; p < r1; ++p) {
         const float scale = scales_[static_cast<size_t>(p)];
-        for (int64_t jj = 0; jj < num_interests; ++jj) {
-          scratch->approx_row[static_cast<size_t>(jj)] =
-              scale * scratch->query_scales[static_cast<size_t>(jj)] *
-              static_cast<float>(DotI8(
-                  code, scratch->query_codes.data() + jj * dim_, dim_));
+        const int64_t row = (p - r0) * num_interests;
+        for (int64_t j = 0; j < num_interests; ++j) {
+          approx[row + j] =
+              scale * query_scales[j] * static_cast<float>(first[row + j]);
         }
-        scratch->candidates.push_back(item);
-        scratch->approx_scores.push_back(eval::ScoreFromLogits(
-            scratch->approx_row.data(), num_interests, rule));
       }
+      [[maybe_unused]] const int64_t chunk_reduced = eval::OfferTopNFromLogits(
+          approx, r1 - r0, num_interests, num_interests,
+          list_items_.data() + r0, rule, &shortlist);
+      IMSR_OBS_ONLY(reduced += chunk_reduced;)
+      r0 = r1;
     }
   }
-  local.shortlist = static_cast<int64_t>(scratch->candidates.size());
+  IMSR_OBS_ONLY({
+    IMSR_COUNTER_ADD("serve/ivf_scan_rows_reduced", reduced);
+    IMSR_COUNTER_ADD("serve/ivf_scan_rows_skipped", local.shortlist - reduced);
+  })
 
+  // Exact float re-rank of the shortlist, best approximate first: the
+  // gathered panel kernel + the shared per-row reduction reproduce the
+  // exact sweep's bits for every shortlisted item.
   top->clear();
-  if (!scratch->candidates.empty()) {
-    const int64_t rerank = std::min<int64_t>(
-        local.shortlist,
-        std::max<int64_t>(static_cast<int64_t>(top_n) * rerank_factor_,
-                          min_rerank_));
-    scratch->selected.resize(scratch->candidates.size());
-    std::iota(scratch->selected.begin(), scratch->selected.end(), 0);
-    const std::vector<float>& approx = scratch->approx_scores;
-    const std::vector<int64_t>& ids = scratch->candidates;
-    std::partial_sort(scratch->selected.begin(),
-                      scratch->selected.begin() + rerank,
-                      scratch->selected.end(), [&](int32_t a, int32_t b) {
-                        if (approx[static_cast<size_t>(a)] !=
-                            approx[static_cast<size_t>(b)]) {
-                          return approx[static_cast<size_t>(a)] >
-                                 approx[static_cast<size_t>(b)];
-                        }
-                        return ids[static_cast<size_t>(a)] <
-                               ids[static_cast<size_t>(b)];
-                      });
+  const std::vector<std::pair<data::ItemId, float>>& kept =
+      shortlist.Finish();
+  const int64_t rerank = static_cast<int64_t>(kept.size());
+  if (rerank > 0) {
     scratch->rerank_rows.resize(static_cast<size_t>(rerank));
     for (int64_t r = 0; r < rerank; ++r) {
       scratch->rerank_rows[static_cast<size_t>(r)] =
-          ids[static_cast<size_t>(
-              scratch->selected[static_cast<size_t>(r)])];
+          kept[static_cast<size_t>(r)].first;
     }
-    // Exact float re-rank: the gathered panel kernel + the shared
-    // per-row reduction reproduce the exact sweep's bits for every
-    // shortlisted item.
     nn::MatMulTransBGatherInto(embeddings, interests,
                                scratch->rerank_rows.data(), rerank,
                                &scratch->gathered, &scratch->logits);
-    scratch->exact_scores.resize(static_cast<size_t>(rerank));
+    eval::TopNAccumulator& best = scratch->top;
+    best.Reset(std::min<int64_t>(top_n, rerank));
     for (int64_t r = 0; r < rerank; ++r) {
-      scratch->exact_scores[static_cast<size_t>(r)] =
-          eval::ScoreFromLogits(scratch->logits.data() + r * num_interests,
-                                num_interests, rule);
+      best.Offer(kept[static_cast<size_t>(r)].first,
+                 eval::ScoreFromLogits(
+                     scratch->logits.data() + r * num_interests,
+                     num_interests, rule));
     }
-    const int64_t keep = std::min<int64_t>(top_n, rerank);
-    const std::vector<float>& exact = scratch->exact_scores;
-    const std::vector<int64_t>& rows = scratch->rerank_rows;
-    for (int64_t r = 0; r < rerank; ++r) {
-      scratch->selected[static_cast<size_t>(r)] = static_cast<int32_t>(r);
-    }
-    std::partial_sort(scratch->selected.begin(),
-                      scratch->selected.begin() + keep,
-                      scratch->selected.begin() + rerank,
-                      [&](int32_t a, int32_t b) {
-                        if (exact[static_cast<size_t>(a)] !=
-                            exact[static_cast<size_t>(b)]) {
-                          return exact[static_cast<size_t>(a)] >
-                                 exact[static_cast<size_t>(b)];
-                        }
-                        return rows[static_cast<size_t>(a)] <
-                               rows[static_cast<size_t>(b)];
-                      });
-    top->reserve(static_cast<size_t>(keep));
-    for (int64_t r = 0; r < keep; ++r) {
-      const int32_t sel = scratch->selected[static_cast<size_t>(r)];
-      top->emplace_back(
-          static_cast<data::ItemId>(rows[static_cast<size_t>(sel)]),
-          exact[static_cast<size_t>(sel)]);
-    }
-    local.reranked = rerank;
+    *top = best.Finish();
   }
+  local.reranked = rerank;
 
   IMSR_HISTOGRAM_RECORD("serve/ivf_probes",
                         static_cast<double>(local.probes));
@@ -453,9 +500,12 @@ float IvfIndex::ApproxDot(data::ItemId item, const float* query) const {
   IMSR_CHECK_GE(position, 0);
   std::vector<int8_t> query_codes(static_cast<size_t>(dim_));
   const float query_scale = QuantizeRow(query, dim_, query_codes.data());
+  int32_t dots[kCodeBlockRows];
+  const int64_t block = position / kCodeBlockRows;
+  DotCodeBlocks(codes_.data() + block * kCodeBlockRows * dim_, 1, dim_,
+                query_codes.data(), 1, dots);
   return scales_[static_cast<size_t>(position)] * query_scale *
-         static_cast<float>(DotI8(codes_.data() + position * dim_,
-                                  query_codes.data(), dim_));
+         static_cast<float>(dots[position % kCodeBlockRows]);
 }
 
 }  // namespace imsr::serve

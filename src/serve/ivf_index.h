@@ -10,20 +10,30 @@
 //    available sketch of where queries will land), inverted lists in two
 //    flat arrays (CSV-style begin offsets + item ids, ascending per
 //    list), plus an int8 symmetric-quantized copy of every item row
-//    (per-row scale) stored in list order for scan locality.
+//    (per-row scale) stored in list order, blocked 16 rows at a time
+//    with the dimension axis outermost (kCodeBlockRows), so a list's
+//    codes are one contiguous run of blocks.
 //  * Search: probe the `nprobe` nearest lists per interest (inner
-//    product against the centroids), score every unique member of the
-//    probed lists with integer int8 dots (exactly associative, hence
-//    bitwise deterministic even vectorized), then re-rank the
-//    best-looking shortlist with the EXACT float kernels — rows
-//    gathered into the panel layout through nn::MatMulTransBGatherInto
-//    + eval::ScoreFromLogits, the kernels of the exact serve sweep and
-//    the brute-force oracle, so every returned score is bit-identical
-//    to what exact scoring would assign.
+//    product against the centroids), then scan each distinct probed
+//    list once — lists are disjoint, so list-level dedup is item-level
+//    dedup. DotCodeBlocks scores a list's blocks against all K query
+//    codes with SIMD lanes across rows and exact int32 sums; the
+//    dequantized logits go through eval::OfferTopNFromLogits into a
+//    shortlist accumulator, whose rounding-safe bound skips the
+//    softmax for rows that cannot enter. The shortlist is re-ranked
+//    with the EXACT float kernels — rows gathered into the panel
+//    layout through nn::MatMulTransBGatherInto + eval::ScoreFromLogits,
+//    the kernels of the exact serve sweep and the brute-force oracle,
+//    so every returned score is bit-identical to what exact scoring
+//    would assign.
 //
-// Retrieval stays approximate only in WHICH items reach the shortlist;
-// tests/ann_test.cc gates recall against the brute-force oracle and the
-// quantization error against an analytic bound. Everything here is
+// Retrieval stays approximate only in WHICH items reach the shortlist,
+// and that set is a pure function of the approximate scores: every
+// selection ranks by the strict eval::RanksBefore order, so neither the
+// scan order nor the bound changes a bit of the answer.
+// tests/ann_test.cc gates recall against the brute-force oracle, the
+// quantization error against an analytic bound, and the whole search
+// against a per-item scalar reference scan. Everything here is
 // deterministic for any thread count: k-means assignment is per-item
 // independent, centroid updates accumulate serially in item order, and a
 // search is fully serial per query.
@@ -103,6 +113,19 @@ struct IvfSearchTotals {
   }
 };
 
+// Rows per block of the index's int8 code layout (IvfIndex::codes()).
+constexpr int64_t kCodeBlockRows = 16;
+
+// The IVF scan kernel. Scores `num_blocks` consecutive code blocks (each
+// kCodeBlockRows rows, dimension-major: row r's code for dimension t at
+// t * kCodeBlockRows + r) against `k` query code rows of `dim` int8
+// each: dots[(b * kCodeBlockRows + r) * k + j] is the int32 dot of block
+// b's row r with query row j. SIMD lanes run across rows and every sum
+// is exact in int32 (|dot| <= 127^2 * dim), so the result equals a
+// scalar loop bit for bit.
+void DotCodeBlocks(const int8_t* blocks, int64_t num_blocks, int64_t dim,
+                   const int8_t* queries, int64_t k, int32_t* dots);
+
 class IvfIndex {
  public:
   // Builds the index over `embeddings` (num_items x d). `seeds` supplies
@@ -133,24 +156,26 @@ class IvfIndex {
   // Approximate resident size of the index.
   int64_t bytes() const;
 
-  // Per-worker search state (centroid scores, probe order, epoch-stamped
-  // visited set, shortlist buffers, re-rank tensors). Reused across
-  // searches; never shared across threads concurrently.
+  // Per-worker search state (centroid scores, probe order, probed lists,
+  // one scan chunk's dots and logits, the shortlist and final top-N
+  // accumulators, re-rank tensors). Reused across searches; never shared
+  // across threads concurrently. Nothing here is sized by the corpus:
+  // the scan buffers hold one chunk, the rest scale with C, K and top_n.
   struct Scratch {
     std::vector<float> centroid_scores;
     std::vector<int32_t> probe_order;
-    std::vector<uint32_t> visited;  // per-item epoch stamps
-    uint32_t epoch = 0;
-    std::vector<int8_t> query_codes;   // K x d quantized interests
-    std::vector<float> query_scales;   // K
-    std::vector<float> approx_row;     // K approx logits per candidate
-    std::vector<int64_t> candidates;   // unique probed item ids
-    std::vector<float> approx_scores;  // parallel to candidates
-    std::vector<int32_t> selected;     // shortlist selection order
-    std::vector<int64_t> rerank_rows;  // shortlist ids in re-rank order
-    nn::Tensor gathered;               // re-rank row gather scratch
-    nn::Tensor logits;                 // re-rank (R x K) exact logits
-    std::vector<float> exact_scores;
+    std::vector<int32_t> probed_lists;  // distinct probed lists, scan order
+    std::vector<uint8_t> list_seen;     // per-list dedup flags, zero between
+                                        // searches
+    std::vector<int8_t> query_codes;    // K x d quantized interests
+    std::vector<float> query_scales;    // K
+    std::vector<int32_t> dots;          // scan chunk rows x K int8 dots
+    std::vector<float> approx_logits;   // scan chunk rows x K, dequantized
+    eval::TopNAccumulator shortlist;    // best approximate scorers
+    std::vector<int64_t> rerank_rows;   // shortlist ids in re-rank order
+    nn::Tensor gathered;                // re-rank row gather scratch
+    nn::Tensor logits;                  // re-rank (R x K) exact logits
+    eval::TopNAccumulator top;          // best exact scores
   };
 
   // Top-N (item, exact score) pairs for one user's (K x d) interests,
@@ -170,12 +195,16 @@ class IvfIndex {
   // scan for the item's position — test-only.
   float ApproxDot(data::ItemId item, const float* query) const;
 
-  // Read-only layout introspection for tests and benches.
+  // Read-only layout introspection for tests and benches. codes() holds
+  // list position p's code for dimension t at
+  //   (p / kCodeBlockRows) * kCodeBlockRows * dim()
+  //       + t * kCodeBlockRows + p % kCodeBlockRows,
+  // zero-padded to whole blocks; scales() is per list position.
   const nn::Tensor& centroids() const { return centroids_; }
   const std::vector<int64_t>& list_begin() const { return list_begin_; }
   const std::vector<data::ItemId>& list_items() const { return list_items_; }
-  const std::vector<int8_t>& codes() const { return codes_; }      // list order
-  const std::vector<float>& scales() const { return scales_; }     // list order
+  const std::vector<int8_t>& codes() const { return codes_; }
+  const std::vector<float>& scales() const { return scales_; }
 
  private:
   int64_t num_items_ = 0;
@@ -188,7 +217,7 @@ class IvfIndex {
   nn::Tensor centroids_;                 // (C x d)
   std::vector<int64_t> list_begin_;      // C + 1 offsets into list_items_
   std::vector<data::ItemId> list_items_; // ascending ids within each list
-  std::vector<int8_t> codes_;            // num_items x d, list order
+  std::vector<int8_t> codes_;            // 16-row d-major blocks, list order
   std::vector<float> scales_;            // per-row scale, list order
 };
 

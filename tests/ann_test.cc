@@ -5,6 +5,10 @@
 //  * recall@N of IVF vs full-corpus scoring at the default nprobe, across
 //    snapshot sizes, build thread counts and score rules;
 //  * full-probe + full-re-rank IVF is bitwise identical to brute force;
+//  * partial-probe IVF (answer and stats) is bitwise identical to a
+//    per-item scalar reference scan, over ragged and empty lists and
+//    equal approximate scores straddling the shortlist cut;
+//  * the blocked int8 scan kernel equals a scalar int32 loop;
 //  * exact mode on an indexed snapshot is bitwise identical to the
 //    index-free serving path (the index can only ever ADD a mode);
 //  * int8 quantized scores stay inside the analytic error bound;
@@ -18,6 +22,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <set>
 #include <utility>
 #include <vector>
@@ -26,6 +31,7 @@
 #include "eval/evaluator.h"
 #include "eval/ranker.h"
 #include "nn/tensor.h"
+#include "obs/obs.h"
 #include "serve/ivf_index.h"
 #include "serve/recommend.h"
 #include "serve/registry.h"
@@ -516,6 +522,20 @@ TEST(IvfEdgeTest, BuildIsBitwiseDeterministicAcrossThreadCounts) {
                                sizeof(float)));
   EXPECT_EQ(a.list_begin(), b.list_begin());
   EXPECT_EQ(a.list_items(), b.list_items());
+  // Codes sit in whole 16-row blocks; the padding rows past the last
+  // item are zero, so both builds agree on every byte.
+  const int64_t num_blocks =
+      (a.num_items() + kCodeBlockRows - 1) / kCodeBlockRows;
+  ASSERT_EQ(a.codes().size(),
+            static_cast<size_t>(num_blocks * kCodeBlockRows * kDim));
+  for (int64_t p = a.num_items(); p < num_blocks * kCodeBlockRows; ++p) {
+    for (int64_t t = 0; t < kDim; ++t) {
+      EXPECT_EQ(a.codes()[static_cast<size_t>(
+                    (p / kCodeBlockRows) * kCodeBlockRows * kDim +
+                    t * kCodeBlockRows + p % kCodeBlockRows)],
+                0);
+    }
+  }
   EXPECT_EQ(a.codes(), b.codes());
   EXPECT_EQ(0, std::memcmp(a.scales().data(), b.scales().data(),
                            a.scales().size() * sizeof(float)));
@@ -533,6 +553,400 @@ TEST(IvfIndexTest, RetrievalModeNamesRoundTrip) {
   EXPECT_NE(error.find("annoy"), std::string::npos);
   EXPECT_STREQ(RetrievalModeName(RetrievalMode::kExact), "exact");
   EXPECT_STREQ(RetrievalModeName(RetrievalMode::kIVF), "ivf");
+}
+
+// --- Blocked scan vs a per-item scalar reference --------------------------
+
+// Code of list position p, dimension t, in IvfIndex::codes()'s blocked
+// layout.
+int8_t BlockedCode(const std::vector<int8_t>& codes, int64_t dim,
+                   int64_t p, int64_t t) {
+  return codes[static_cast<size_t>(
+      (p / kCodeBlockRows) * kCodeBlockRows * dim + t * kCodeBlockRows +
+      p % kCodeBlockRows)];
+}
+
+// Random int8 code in [-127, 127].
+int8_t RandomCode(util::Rng& rng) {
+  return static_cast<int8_t>(static_cast<int>(rng.NextBelow(255)) - 127);
+}
+
+// The blocked kernel's int32 sums are exact, so they must equal a scalar
+// loop bit for bit: across widths that are and are not multiples of the
+// lane count (130 spans several of the kernel's int32 strips), row counts
+// that end mid-block, K that is and is not a multiple of the kernel's
+// query tile, and codes pinned at +-127 (the largest products).
+TEST(IvfScanKernelTest, BlockedDotsMatchScalarInt32Reference) {
+  util::Rng rng(7);
+  for (const int64_t dim : {1, 5, 16, 32, 33, 64, 130}) {
+    for (const int64_t rows : {1, 15, 16, 17, 1000}) {
+      for (const int64_t k : {1, 3, 4, 5, 12}) {
+        const int64_t num_blocks =
+            (rows + kCodeBlockRows - 1) / kCodeBlockRows;
+        std::vector<int8_t> row_codes(static_cast<size_t>(rows * dim));
+        std::vector<int8_t> blocks(
+            static_cast<size_t>(num_blocks * kCodeBlockRows * dim), 0);
+        for (int64_t r = 0; r < rows; ++r) {
+          for (int64_t t = 0; t < dim; ++t) {
+            // Every third row is all +127, every third all -127.
+            const int8_t code = r % 3 == 0   ? int8_t{127}
+                                : r % 3 == 1 ? int8_t{-127}
+                                             : RandomCode(rng);
+            row_codes[static_cast<size_t>(r * dim + t)] = code;
+            blocks[static_cast<size_t>(
+                (r / kCodeBlockRows) * kCodeBlockRows * dim +
+                t * kCodeBlockRows + r % kCodeBlockRows)] = code;
+          }
+        }
+        std::vector<int8_t> queries(static_cast<size_t>(k * dim));
+        for (int64_t j = 0; j < k; ++j) {
+          for (int64_t t = 0; t < dim; ++t) {
+            queries[static_cast<size_t>(j * dim + t)] =
+                j % 2 == 0 ? int8_t{127} : RandomCode(rng);
+          }
+        }
+        std::vector<int32_t> dots(
+            static_cast<size_t>(num_blocks * kCodeBlockRows * k), -1);
+        DotCodeBlocks(blocks.data(), num_blocks, dim, queries.data(), k,
+                      dots.data());
+        int64_t mismatches = 0;
+        for (int64_t r = 0; r < num_blocks * kCodeBlockRows; ++r) {
+          for (int64_t j = 0; j < k; ++j) {
+            int32_t want = 0;
+            for (int64_t t = 0; r < rows && t < dim; ++t) {
+              want += static_cast<int32_t>(
+                          row_codes[static_cast<size_t>(r * dim + t)]) *
+                      static_cast<int32_t>(
+                          queries[static_cast<size_t>(j * dim + t)]);
+            }
+            mismatches += dots[static_cast<size_t>(r * k + j)] != want;
+          }
+        }
+        EXPECT_EQ(mismatches, 0)
+            << "dim=" << dim << " rows=" << rows << " k=" << k;
+      }
+    }
+  }
+}
+
+// IvfIndex's query quantization, restated: scale = maxabs / 127 (1 for
+// a zero row), code = round(x / scale) clamped to [-127, 127].
+float QuantizeForTest(const float* row, int64_t n, int8_t* codes) {
+  float maxabs = 0.0f;
+  for (int64_t i = 0; i < n; ++i) maxabs = std::max(maxabs, std::fabs(row[i]));
+  const float scale = maxabs > 0.0f ? maxabs / 127.0f : 1.0f;
+  for (int64_t i = 0; i < n; ++i) {
+    codes[i] = static_cast<int8_t>(
+        std::clamp<long>(std::lroundf(row[i] / scale), -127, 127));
+  }
+  return scale;
+}
+
+// The per-item search SearchTopN's list-level scan replaced: probes as
+// the index does, then a visited set per item, a scalar int8 dot per
+// candidate and interest, a partial_sort of every candidate for the
+// shortlist, and the brute-force score of each shortlisted item for the
+// re-rank. No bound, no blocks, no accumulator.
+std::vector<std::pair<data::ItemId, float>> ReferenceSearch(
+    const IvfIndex& index, nn::ConstMatrixView interests,
+    const nn::Tensor& embeddings, eval::ScoreRule rule, int top_n,
+    int nprobe, IvfSearchStats* stats) {
+  const int64_t dim = index.dim();
+  const int64_t k = interests.rows;
+  const int64_t num_centroids = index.num_centroids();
+  const int64_t probes = nprobe > 0
+                             ? std::min<int64_t>(nprobe, num_centroids)
+                             : index.default_nprobe();
+  std::vector<int8_t> query_codes(static_cast<size_t>(k * dim));
+  std::vector<float> query_scales(static_cast<size_t>(k));
+  for (int64_t j = 0; j < k; ++j) {
+    query_scales[static_cast<size_t>(j)] = QuantizeForTest(
+        interests.data + j * dim, dim, query_codes.data() + j * dim);
+  }
+  *stats = IvfSearchStats{};
+  std::vector<bool> visited(static_cast<size_t>(index.num_items()), false);
+  std::vector<data::ItemId> candidates;
+  std::vector<float> approx;
+  std::vector<float> row(static_cast<size_t>(k));
+  std::vector<float> centroid_scores(static_cast<size_t>(num_centroids));
+  std::vector<int32_t> order(static_cast<size_t>(num_centroids));
+  for (int64_t j = 0; j < k; ++j) {
+    for (int64_t c = 0; c < num_centroids; ++c) {
+      centroid_scores[static_cast<size_t>(c)] =
+          nn::DotSpan(interests.data + j * dim,
+                      index.centroids().data() + c * dim, dim);
+    }
+    std::iota(order.begin(), order.end(), 0);
+    std::partial_sort(order.begin(), order.begin() + probes, order.end(),
+                      [&](int32_t a, int32_t b) {
+                        return eval::RanksBefore(
+                            a, centroid_scores[static_cast<size_t>(a)], b,
+                            centroid_scores[static_cast<size_t>(b)]);
+                      });
+    for (int64_t t = 0; t < probes; ++t) {
+      const size_t list = static_cast<size_t>(order[static_cast<size_t>(t)]);
+      ++stats->probes;
+      for (int64_t p = index.list_begin()[list];
+           p < index.list_begin()[list + 1]; ++p) {
+        const data::ItemId item = index.list_items()[static_cast<size_t>(p)];
+        if (visited[static_cast<size_t>(item)]) continue;
+        visited[static_cast<size_t>(item)] = true;
+        for (int64_t jj = 0; jj < k; ++jj) {
+          int32_t dot = 0;
+          for (int64_t tt = 0; tt < dim; ++tt) {
+            dot += static_cast<int32_t>(
+                       BlockedCode(index.codes(), dim, p, tt)) *
+                   static_cast<int32_t>(
+                       query_codes[static_cast<size_t>(jj * dim + tt)]);
+          }
+          row[static_cast<size_t>(jj)] =
+              index.scales()[static_cast<size_t>(p)] *
+              query_scales[static_cast<size_t>(jj)] *
+              static_cast<float>(dot);
+        }
+        candidates.push_back(item);
+        approx.push_back(eval::ScoreFromLogits(row.data(), k, rule));
+      }
+    }
+  }
+  stats->shortlist = static_cast<int64_t>(candidates.size());
+  const int64_t rerank = std::min<int64_t>(
+      stats->shortlist,
+      std::max<int64_t>(static_cast<int64_t>(top_n) * index.rerank_factor(),
+                        index.min_rerank()));
+  std::vector<size_t> selected(candidates.size());
+  std::iota(selected.begin(), selected.end(), size_t{0});
+  std::partial_sort(selected.begin(), selected.begin() + rerank,
+                    selected.end(), [&](size_t a, size_t b) {
+                      return eval::RanksBefore(candidates[a], approx[a],
+                                               candidates[b], approx[b]);
+                    });
+  eval::RankScratch exact;
+  ScoreAllItemsInto(interests, embeddings, rule, &exact);
+  std::vector<std::pair<data::ItemId, float>> top;
+  for (int64_t r = 0; r < rerank; ++r) {
+    const data::ItemId item = candidates[selected[static_cast<size_t>(r)]];
+    top.emplace_back(item, exact.scores[static_cast<size_t>(item)]);
+  }
+  const int64_t keep = std::min<int64_t>(top_n, rerank);
+  std::partial_sort(top.begin(), top.begin() + keep, top.end(),
+                    [](const auto& a, const auto& b) {
+                      return eval::RanksBefore(a.first, a.second, b.first,
+                                               b.second);
+                    });
+  top.resize(static_cast<size_t>(keep));
+  stats->reranked = rerank;
+  return top;
+}
+
+// Memcmps SearchTopN (answer and stats) against ReferenceSearch for every
+// user x rule x top_n {1, 20, 100} x nprobe {1, 2, default} at the
+// default re-rank depth.
+void ExpectSearchMatchesReference(
+    const IvfIndex& index, const nn::Tensor& embeddings,
+    const std::vector<std::vector<float>>& users, const char* corpus) {
+  IvfIndex::Scratch scratch;
+  std::vector<std::pair<data::ItemId, float>> top;
+  for (const eval::ScoreRule rule :
+       {eval::ScoreRule::kAttentive, eval::ScoreRule::kMaxInterest}) {
+    for (const int top_n : {1, 20, 100}) {
+      for (const int nprobe : {1, 2, 0}) {
+        for (size_t u = 0; u < users.size(); ++u) {
+          const nn::ConstMatrixView interests{
+              users[u].data(),
+              static_cast<int64_t>(users[u].size()) / index.dim(),
+              index.dim()};
+          IvfSearchStats stats;
+          index.SearchTopN(interests, embeddings, rule, top_n, nprobe,
+                           &scratch, &top, &stats);
+          IvfSearchStats want_stats;
+          const auto want = ReferenceSearch(index, interests, embeddings,
+                                            rule, top_n, nprobe,
+                                            &want_stats);
+          const std::string where =
+              std::string(corpus) + " rule=" + ScoreRuleName(rule) +
+              " top_n=" + std::to_string(top_n) +
+              " nprobe=" + std::to_string(nprobe) +
+              " user=" + std::to_string(u) +
+              " k=" + std::to_string(interests.rows);
+          EXPECT_EQ(0, std::memcmp(&stats, &want_stats, sizeof(stats)))
+              << where << ": probes " << stats.probes << "/"
+              << want_stats.probes << " shortlist " << stats.shortlist
+              << "/" << want_stats.shortlist << " reranked "
+              << stats.reranked << "/" << want_stats.reranked;
+          ASSERT_EQ(top.size(), want.size()) << where;
+          EXPECT_TRUE(want.empty() ||
+                      std::memcmp(top.data(), want.data(),
+                                  want.size() * sizeof(want[0])) == 0)
+              << where;
+        }
+      }
+    }
+  }
+}
+
+// Ragged lists: every list length is whatever k-means gives (most are
+// not multiples of 16), far-off seed rows leave lists empty — and, being
+// long vectors, the probe picks them first — and every row appears three
+// times, so equal approximate scores straddle the shortlist cut and only
+// item ids settle it.
+TEST(IvfOracleTest, PartialProbeMatchesPerItemReferenceBitwise) {
+  constexpr int64_t kDim = 12;
+  constexpr int64_t kDistinct = 233;
+  const ClusteredCorpus base =
+      MakeClusteredCorpus(kDistinct, kDim, /*num_clusters=*/18, /*seed=*/131);
+  nn::Tensor embeddings = nn::Tensor::Uninitialized({3 * kDistinct, kDim});
+  for (int64_t copy = 0; copy < 3; ++copy) {
+    std::copy_n(base.embeddings.data(), base.embeddings.numel(),
+                embeddings.data() + copy * kDistinct * kDim);
+  }
+  util::Rng rng(137);
+  std::vector<std::vector<float>> users;
+  for (int64_t k = 1; k <= 12; ++k) {
+    users.push_back(MakeInterests(base, k, rng));
+    users.push_back(MakeInterests(base, k, rng));
+  }
+  std::vector<std::vector<float>> seed_users = users;
+  for (int64_t c = 0; c < 4; ++c) {
+    std::vector<float> far(base.centers.data() + c * kDim,
+                           base.centers.data() + (c + 1) * kDim);
+    for (float& x : far) x *= 40.0f;
+    seed_users.push_back(far);
+  }
+  IvfBuildConfig config;
+  config.num_centroids = 40;
+  const IvfIndex index(embeddings, PackInterests(seed_users, kDim), config);
+
+  int empty = 0;
+  int ragged = 0;
+  for (int64_t c = 0; c < index.num_centroids(); ++c) {
+    const int64_t size = index.list_begin()[static_cast<size_t>(c + 1)] -
+                         index.list_begin()[static_cast<size_t>(c)];
+    empty += size == 0;
+    ragged += size % kCodeBlockRows != 0;
+  }
+  ASSERT_GT(empty, 0);
+  ASSERT_GT(ragged, 0);
+  ExpectSearchMatchesReference(index, embeddings, users, "ragged");
+}
+
+// A tie group that spans lists: 192 items share one payload and differ
+// only in a "selector" coordinate every query leaves at zero, so they get
+// equal approximate (and exact) scores while k-means spreads them over
+// several lists, their ids interleaved. Users whose K interest rows are
+// identical give every group item K equal logits, whose attentive score
+// can round above the max logit: there the strict bound with its
+// rounding slack is what lets a later, lower-id group member displace
+// the shortlist's worst entry.
+TEST(IvfOracleTest, TieGroupAcrossListsMatchesPerItemReferenceBitwise) {
+  constexpr int64_t kDim = 10;
+  constexpr int64_t kSelectors = 3;
+  constexpr int64_t kGroup = 192;
+  constexpr int64_t kNumItems = 600;
+  util::Rng rng(151);
+  std::vector<float> payload(static_cast<size_t>(kDim), 0.0f);
+  for (int64_t t = kSelectors; t < kDim; ++t) {
+    payload[static_cast<size_t>(t)] =
+        0.5f * static_cast<float>(rng.NextGaussian());
+  }
+  const ClusteredCorpus background =
+      MakeClusteredCorpus(kNumItems - kGroup, kDim, /*num_clusters=*/8,
+                          /*seed=*/157);
+  nn::Tensor embeddings = nn::Tensor::Uninitialized({kNumItems, kDim});
+  for (int64_t i = 0; i < kGroup; ++i) {
+    float* row = embeddings.data() + i * kDim;
+    std::copy(payload.begin(), payload.end(), row);
+    // Six directions, id-interleaved; |selector| = 2 is every row's max,
+    // so the whole group shares one quantization scale.
+    row[(i % 6) / 2] = i % 2 == 0 ? 2.0f : -2.0f;
+  }
+  std::copy_n(background.embeddings.data(), background.embeddings.numel(),
+              embeddings.data() + kGroup * kDim);
+  // Background rows are shrunk so the group outscores them and the
+  // shortlist cut falls inside the group.
+  for (int64_t i = kGroup * kDim; i < kNumItems * kDim; ++i) {
+    embeddings.data()[i] *= 0.2f;
+  }
+  std::vector<std::vector<float>> users;
+  for (int64_t k = 1; k <= 12; ++k) {
+    for (int variant = 0; variant < 3; ++variant) {
+      std::vector<float> rows(static_cast<size_t>(k * kDim), 0.0f);
+      const float stretch = 1.0f + 0.0173f * static_cast<float>(
+                                                 3 * k + variant);
+      for (int64_t j = 0; j < k; ++j) {
+        for (int64_t t = kSelectors; t < kDim; ++t) {
+          rows[static_cast<size_t>(j * kDim + t)] =
+              stretch * payload[static_cast<size_t>(t)];
+        }
+      }
+      if (variant == 2 && k > 1) {  // one row off toward the background
+        for (int64_t t = kSelectors; t < kDim; ++t) {
+          rows[static_cast<size_t>(t)] = background.centers.data()[t];
+        }
+      }
+      users.push_back(rows);
+    }
+  }
+  IvfBuildConfig config;
+  config.num_centroids = 14;
+  const IvfIndex index(embeddings, core::PackedInterests{}, config);
+
+  std::set<int64_t> group_lists;
+  for (int64_t c = 0; c < index.num_centroids(); ++c) {
+    for (int64_t p = index.list_begin()[static_cast<size_t>(c)];
+         p < index.list_begin()[static_cast<size_t>(c + 1)]; ++p) {
+      if (index.list_items()[static_cast<size_t>(p)] < kGroup) {
+        group_lists.insert(c);
+      }
+    }
+  }
+  ASSERT_GE(group_lists.size(), 2u);
+  ExpectSearchMatchesReference(index, embeddings, users, "tie-group");
+}
+
+// serve/ivf_scan_rows_{reduced,skipped} split the shortlist: every
+// scanned row is either reduced (its bound reached the shortlist's
+// threshold) or skipped. Both are obs-only.
+TEST(IvfObsTest, ScanRowCountersSplitTheShortlist) {
+  constexpr int64_t kDim = 16;
+  const ClusteredCorpus corpus =
+      MakeClusteredCorpus(4096, kDim, /*num_clusters=*/24, /*seed=*/163);
+  util::Rng rng(167);
+  const std::vector<float> interests = MakeInterests(corpus, 3, rng);
+  const IvfIndex index(corpus.embeddings, core::PackedInterests{},
+                       IvfBuildConfig{});
+  IvfIndex::Scratch scratch;
+  std::vector<std::pair<data::ItemId, float>> top;
+  IvfSearchStats stats;
+  const auto search = [&] {
+    index.SearchTopN({interests.data(), 3, kDim}, corpus.embeddings,
+                     eval::ScoreRule::kAttentive, 5,
+                     static_cast<int>(index.num_centroids()), &scratch,
+                     &top, &stats);
+  };
+#if !defined(IMSR_OBS_DISABLED)
+  auto counter = [](const char* name) {
+    return obs::Registry().GetCounter(name).value();
+  };
+  const int64_t reduced = counter("serve/ivf_scan_rows_reduced");
+  const int64_t skipped = counter("serve/ivf_scan_rows_skipped");
+  search();
+  const int64_t search_reduced =
+      counter("serve/ivf_scan_rows_reduced") - reduced;
+  const int64_t search_skipped =
+      counter("serve/ivf_scan_rows_skipped") - skipped;
+  EXPECT_EQ(stats.shortlist, 4096);
+  EXPECT_EQ(search_reduced + search_skipped, stats.shortlist);
+  EXPECT_GE(search_reduced, stats.reranked);
+  EXPECT_GT(search_skipped, stats.shortlist / 2);
+#else
+  search();
+  for (const obs::CounterSnapshot& c : obs::Registry().Snapshot().counters) {
+    EXPECT_NE(c.name, "serve/ivf_scan_rows_reduced");
+    EXPECT_NE(c.name, "serve/ivf_scan_rows_skipped");
+  }
+#endif
+  EXPECT_EQ(top.size(), 5u);
 }
 
 }  // namespace

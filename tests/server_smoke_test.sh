@@ -9,8 +9,13 @@
 #   2. --batch_max=1 --cache_mb=0 — the unbatched pop-score-respond
 #      loop, same zero-failure bar, and the stats line must report a
 #      fully idle cache (no lookups happen when the budget is zero).
+#   3. --retrieval=ivf --cache_mb=0 — every request runs the IVF probe,
+#      scan and re-rank against snapshots (and fresh indexes) publishing
+#      mid-flight, same zero-failure bar.
 #
-# Both cells assert SIGTERM produces a graceful drain and exit code 0.
+# Every cell asserts SIGTERM produces a graceful drain and exit code 0.
+# Finally, out-of-range numeric flags must be rejected with a usage error
+# (exit 2) before the server builds anything.
 set -e
 
 SERVE="$1"
@@ -110,5 +115,30 @@ run_cell plain --batch_max=1 --cache_mb=0
 
 grep -q "cache: 0 hits, 0 misses" "$SERVER_LOG" || \
   fail "plain: --cache_mb=0 still touched the cache"
+
+# --- Cell 3: IVF retrieval, cache off (every request searches the index) ----
+run_cell ivf --retrieval=ivf --batch_max=32 --cache_mb=0
+
+grep -q "(ivf retrieval)" "$SERVER_LOG" || \
+  fail "ivf: server did not boot in ivf retrieval mode"
+grep -q "cache: 0 hits, 0 misses" "$SERVER_LOG" || \
+  fail "ivf: --cache_mb=0 still touched the cache"
+
+# --- Flag validation: usage error, exit 2, nothing built ---------------------
+for FLAG in --shards=0 --queue_cap=0 --batch_max=0 --cache_mb=-1 --top_n=0 \
+            --nprobe=0; do
+  NAME="${FLAG%%=*}"
+  NAME="${NAME#--}"
+  REJECT_LOG="$WORKDIR/reject_$NAME.log"
+  RC=0
+  "$SERVE" --items=2000 --users=10000 --socket="$WORKDIR/reject.sock" \
+    "$FLAG" >"$REJECT_LOG" 2>&1 || RC=$?
+  [ "$RC" -eq 2 ] || fail "$FLAG: expected exit 2, got $RC"
+  grep -q "error: --$NAME must be >= " "$REJECT_LOG" || \
+    fail "$FLAG: usage error missing: $(cat "$REJECT_LOG")"
+  grep -q "synthetic corpus" "$REJECT_LOG" && \
+    fail "$FLAG: rejected only after building the corpus"
+done
+echo "flag validation: 6 bad values rejected with exit 2"
 
 echo "server_smoke_test: ok"

@@ -175,6 +175,22 @@ int main(int argc, char** argv) {
     std::printf("%s", flags.HelpText().c_str());
     return 0;
   }
+  // Numeric flags are checked before any set-up, so a bad value fails in
+  // milliseconds instead of after a corpus build (or, for a negative
+  // --cache_mb, silently wrapping to a huge budget). --nprobe is checked
+  // only when given: omitted, it means the index default.
+  const auto below = [&flags](const char* name, int64_t min) {
+    if (flags.GetInt(name) >= min) return false;
+    std::fprintf(stderr,
+                 "error: --%s must be >= %lld\nrun 'imsr_serve --help'\n",
+                 name, static_cast<long long>(min));
+    return true;
+  };
+  if (below("shards", 1) || below("queue_cap", 1) || below("batch_max", 1) ||
+      below("cache_mb", 0) || below("top_n", 1) ||
+      (flags.Has("nprobe") && below("nprobe", 1))) {
+    return 2;
+  }
   util::ApplyThreadFlag(flags.flags());
   obs::ObsSession obs_session(obs::ObsOptionsFromFlags(flags.flags()));
 
