@@ -29,16 +29,15 @@ constexpr int64_t kRecommendSubBatch = 32;
 
 // The one exact-scoring body every serve path reduces to: a streaming
 // top-N per user inside the blocked sweep over the k-major table.
-// `interests` may be one user's snapshot view or several users' rows
-// packed into one operand; user u owns columns [col_offset[u],
-// col_offset[u] + user_k[u]) of each block's logits tile, and top[u] must
-// have been Reset to the user's capacity. Each block's tile is filled by
+// `interests` holds the users' rows packed into one operand; user u owns
+// columns [col_offset[u], col_offset[u] + user_k[u]) of each block's
+// logits tile, and top[u] must have been Reset to the user's capacity. Each block's tile is filled by
 // the width-invariant kernel and drained into every user's accumulator
 // while still cache-hot; OfferTopNFromLogits reduces only the rows whose
 // upper bound can still reach the user's current N-th best. The kernel's
 // bits do not depend on the operand width and the kept set does not
 // depend on which rows were skipped, which is why RecommendBatch can fuse
-// and prune and still memcmp-match RecommendOne and the brute force.
+// and prune and still memcmp-match a batch of one and the brute force.
 void ExactTopNInto(const ServingSnapshot& snapshot,
                    nn::ConstMatrixView interests, const int64_t* col_offset,
                    const int64_t* user_k, size_t num_users,
@@ -74,44 +73,7 @@ void ExactTopNInto(const ServingSnapshot& snapshot,
 void RecommendOne(const ServingSnapshot& snapshot,
                   const RecommendRequest& request, const ServeConfig& config,
                   RecommendScratch* scratch, RecommendResponse* response) {
-  response->user = request.user;
-  response->ok = false;
-  response->items.clear();
-  // Counted per request, like RecommendBatch's fallback count.
-  IMSR_OBS_ONLY({
-    if (config.retrieval == RetrievalMode::kIVF &&
-        snapshot.index() == nullptr) {
-      IMSR_COUNTER_ADD("serve/ivf_fallback_exact", 1);
-    }
-  })
-  const int top_n =
-      request.top_n > 0 ? request.top_n : config.default_top_n;
-  if (top_n <= 0) {
-    response->error = "top_n must be positive";
-    return;
-  }
-  if (!snapshot.HasUser(request.user)) {
-    response->error =
-        "no interests for user " + std::to_string(request.user);
-    return;
-  }
-  const IvfIndex* index =
-      config.retrieval == RetrievalMode::kIVF ? snapshot.index() : nullptr;
-  if (index != nullptr) {
-    index->SearchTopN(snapshot.Interests(request.user),
-                      snapshot.item_embeddings(), config.rule, top_n,
-                      config.nprobe, &scratch->ivf, &response->items);
-  } else {
-    const nn::ConstMatrixView interests = snapshot.Interests(request.user);
-    const int64_t col_offset = 0;
-    if (scratch->batch_top.empty()) scratch->batch_top.resize(1);
-    eval::TopNAccumulator& top = scratch->batch_top[0];
-    top.Reset(std::min<int64_t>(top_n, snapshot.num_items()));
-    ExactTopNInto(snapshot, interests, &col_offset, &interests.rows, 1,
-                  config.rule, &scratch->batch_logits, &top);
-    response->items = top.Finish();
-  }
-  response->ok = true;
+  RecommendBatch(snapshot, &request, 1, config, scratch, response);
 }
 
 void RecommendBatch(const ServingSnapshot& snapshot,
@@ -130,9 +92,8 @@ void RecommendBatch(const ServingSnapshot& snapshot,
                        static_cast<int64_t>(count));
     }
   })
-  // Validation mirrors RecommendOne exactly — same checks, same order,
-  // same error strings — so a batched error response is bitwise identical
-  // to the single-request one. resolved[i] > 0 marks a scoreable request.
+  // Per-request validation; failures land in the response (ok=false +
+  // error). resolved[i] > 0 marks a scoreable request.
   std::vector<int>& resolved = scratch->batch_top_n;
   resolved.assign(count, -1);
   for (size_t i = 0; i < count; ++i) {

@@ -61,7 +61,7 @@ struct RecommendScratch {
   // Exact-path working state: the unique users' interest rows packed
   // into one fused operand, the logits tile the blocked item sweep
   // reuses, each unique user's top-N accumulator and the bookkeeping
-  // vectors. RecommendOne uses the tile and the first accumulator.
+  // vectors.
   nn::Tensor batch_interests;
   nn::Tensor batch_logits;  // (block_rows x total_interests) tile
   std::vector<eval::TopNAccumulator> batch_top;  // per unique user
@@ -74,9 +74,8 @@ struct RecommendScratch {
 };
 
 // Answers one request against `snapshot` into `response`, reusing
-// `scratch`. Shares its exact-scoring body with RecommendBatch, so the
-// two return bitwise-identical responses; both equal the brute force
-// (eval::ScoreAllItemsInto, then TopNFromScores) bit for bit. The
+// `scratch`: RecommendBatch with a batch of one, so it equals the brute
+// force (eval::ScoreAllItemsInto, then TopNFromScores) bit for bit. The
 // offline and prequential evaluators rank through this call. Per-request
 // failures (unknown user, bad top_n) land in the response (ok=false +
 // error), never abort.
@@ -154,7 +153,7 @@ using ResponseCache =
                    ResponseCacheKeyHash>;
 
 // Key for `request` against `snapshot` under `config`, with top_n
-// resolved the same way RecommendOne resolves it.
+// resolved the same way RecommendBatch resolves it.
 ResponseCacheKey MakeResponseCacheKey(const ServingSnapshot& snapshot,
                                       const RecommendRequest& request,
                                       const ServeConfig& config);

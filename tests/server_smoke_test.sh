@@ -12,15 +12,19 @@
 #   3. --retrieval=ivf --cache_mb=0 — every request runs the IVF probe,
 #      scan and re-rank against snapshots (and fresh indexes) publishing
 #      mid-flight, same zero-failure bar.
+#   4. the loadgen's open loop (--rate): Poisson sends at a fixed rate,
+#      never gated on responses, against the cached server; same bar.
 #
 # Every cell asserts SIGTERM produces a graceful drain and exit code 0.
 # Finally, out-of-range numeric flags must be rejected with a usage error
-# (exit 2) before the server builds anything.
+# (exit 2) before the server builds anything, or before the loadgen
+# connects.
 set -e
 
 SERVE="$1"
 LOADGEN="$2"
 WORKDIR="$(mktemp -d)"
+LOADGEN_FLAGS=""
 
 fail() {
   echo "server_smoke_test: $1" >&2
@@ -36,8 +40,9 @@ cleanup() {
 trap cleanup EXIT
 
 # run_cell <name> <extra imsr_serve flags...>
-# Boots the server, runs the load, SIGTERMs, and leaves the server log in
-# $SERVER_LOG and the loadgen JSON in $RESULT for per-cell asserts.
+# Boots the server, runs the load (plus $LOADGEN_FLAGS), SIGTERMs, and
+# leaves the server log in $SERVER_LOG and the loadgen JSON in $RESULT for
+# per-cell asserts.
 run_cell() {
   CELL="$1"
   shift
@@ -66,7 +71,8 @@ run_cell() {
   # failures are not.
   "$LOADGEN" --socket="$SOCK" --connections=4 --depth=8 --requests=8000 \
     --users=10000 --zipf=0.9 --burst_every=40 --burst_size=8 --seed=7 \
-    --json_out="$RESULT" || fail "$CELL: loadgen reported failures"
+    $LOADGEN_FLAGS --json_out="$RESULT" || \
+    fail "$CELL: loadgen reported failures"
   test -s "$RESULT" || fail "$CELL: loadgen wrote no JSON"
 
   python3 - "$RESULT" "$CELL" <<'EOF'
@@ -124,6 +130,13 @@ grep -q "(ivf retrieval)" "$SERVER_LOG" || \
 grep -q "cache: 0 hits, 0 misses" "$SERVER_LOG" || \
   fail "ivf: --cache_mb=0 still touched the cache"
 
+# --- Cell 4: open loop (8000 req/s, so about a second of Poisson sends) -----
+LOADGEN_FLAGS="--rate=8000"
+run_cell open --batch_max=32 --cache_mb=16
+LOADGEN_FLAGS=""
+
+grep -q '"mode": "open"' "$RESULT" || fail "open: loadgen did not run open loop"
+
 # --- Flag validation: usage error, exit 2, nothing built ---------------------
 for FLAG in --shards=0 --queue_cap=0 --batch_max=0 --cache_mb=-1 --top_n=0 \
             --nprobe=0; do
@@ -140,5 +153,24 @@ for FLAG in --shards=0 --queue_cap=0 --batch_max=0 --cache_mb=-1 --top_n=0 \
     fail "$FLAG: rejected only after building the corpus"
 done
 echo "flag validation: 6 bad values rejected with exit 2"
+
+# The loadgen checks its numeric flags before it builds the Zipf table or
+# connects: the socket does not exist, so a value that slipped through
+# would exit 1 (connect failed) or hang (timeout exits 124), not 2.
+for FLAGS in "--users=-1 --zipf=0.5" --users=0 --users=2147483649 \
+             --top_n=0 --requests=-1 --connections=0 --depth=0 --zipf=-0.5 \
+             --zipf=1 --rate=-1 --burst_every=-1 --burst_size=-1; do
+  NAME="${FLAGS%%=*}"
+  NAME="${NAME#--}"
+  REJECT_LOG="$WORKDIR/reject_loadgen_$NAME.log"
+  RC=0
+  # shellcheck disable=SC2086 # FLAGS may hold two flags
+  timeout 10 "$LOADGEN" --socket="$WORKDIR/absent.sock" $FLAGS \
+    >"$REJECT_LOG" 2>&1 || RC=$?
+  [ "$RC" -eq 2 ] || fail "loadgen $FLAGS: expected exit 2, got $RC"
+  grep -q "error: --$NAME must be " "$REJECT_LOG" || \
+    fail "loadgen $FLAGS: usage error missing: $(cat "$REJECT_LOG")"
+done
+echo "loadgen flag validation: 12 bad values rejected with exit 2"
 
 echo "server_smoke_test: ok"

@@ -2,18 +2,22 @@
 // round-trips and decode hardening (truncation, bit flips, bad tags),
 // FrameAssembler reassembly from arbitrarily-chunked streams, shard
 // routing determinism, ShardSet admission control and drain guarantees,
-// publish-while-serving bitwise consistency, and a socket end-to-end
-// pass against a live Server.
+// publish-while-serving bitwise consistency, and socket end-to-end
+// passes against a live Server through the shared client
+// (serve/client.h): both load drivers, response validation and the Zipf
+// user picker.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,6 +26,7 @@
 
 #include "core/interest_store.h"
 #include "models/msr_model.h"
+#include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/recommend.h"
 #include "serve/registry.h"
@@ -847,132 +852,330 @@ TEST(ShardSetTest, CacheEvictsUnderTinyByteBudget) {
   EXPECT_GT(stats.cache_bytes, 0u);
 }
 
-// --- Server end-to-end ------------------------------------------------------
+// --- Server end-to-end, through the shared client ---------------------------
 
-// Minimal blocking client for the end-to-end test.
-class TestClient {
+// A Server answering on its own I/O thread until the fixture goes out of
+// scope. An empty `unix_path` listens on an ephemeral TCP port.
+class LiveServer {
  public:
-  explicit TestClient(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    connected_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
+  LiveServer(const SnapshotRegistry* registry, const std::string& unix_path,
+             int queue_cap = 256)
+      : server_(registry, MakeConfig(unix_path, queue_cap)) {
+    std::string error;
+    const bool started = server_.Start(&error);
+    EXPECT_TRUE(started) << error;
+    if (started) io_ = std::thread([this] { server_.Run(); });
   }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
+  ~LiveServer() { Stop(); }
+  LiveServer(const LiveServer&) = delete;
+  LiveServer& operator=(const LiveServer&) = delete;
 
-  bool connected() const { return connected_; }
-
-  bool SendBytes(const std::vector<uint8_t>& bytes) {
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + sent,
-                               bytes.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      sent += static_cast<size_t>(n);
-    }
-    return true;
+  void Stop() {
+    if (!io_.joinable()) return;
+    server_.Shutdown();
+    io_.join();
   }
-
-  // Blocks until one full response frame arrives.
-  bool ReadResponse(ResponseFrame* out, std::string* error) {
-    std::vector<uint8_t> payload;
-    for (;;) {
-      const FrameAssembler::Result result = assembler_.Next(&payload, error);
-      if (result == FrameAssembler::Result::kError) return false;
-      if (result == FrameAssembler::Result::kFrame) {
-        return TryDecodeResponse(payload, out, error);
-      }
-      uint8_t buffer[4096];
-      const ssize_t n = ::recv(fd_, buffer, sizeof(buffer), 0);
-      if (n <= 0) {
-        *error = "connection closed";
-        return false;
-      }
-      assembler_.Append(buffer, static_cast<size_t>(n));
-    }
+  Endpoint endpoint() const {
+    Endpoint endpoint;
+    endpoint.unix_path = server_.unix_path();
+    endpoint.port = server_.port();
+    return endpoint;
   }
-
-  // True when the server closed this connection (EOF).
-  bool AwaitClose() {
-    uint8_t byte;
-    return ::recv(fd_, &byte, 1, 0) == 0;
-  }
+  const Server& server() const { return server_; }
 
  private:
-  int fd_ = -1;
-  bool connected_ = false;
-  FrameAssembler assembler_;
+  static ServerConfig MakeConfig(const std::string& unix_path,
+                                 int queue_cap) {
+    ServerConfig config;
+    config.unix_path = unix_path;
+    config.tcp_port = 0;  // ephemeral
+    config.shards.num_shards = 2;
+    config.shards.queue_cap = static_cast<size_t>(queue_cap);
+    return config;
+  }
+
+  Server server_;
+  std::thread io_;
 };
 
 TEST(ServerTest, SocketEndToEnd) {
   SnapshotRegistry registry;
   registry.Publish(MakeSnapshot(60, 20, 8, 17, 1));
-  ServerConfig config;
-  config.tcp_port = 0;  // ephemeral
-  config.shards.num_shards = 2;
-  Server server(&registry, config);
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-  ASSERT_GT(server.port(), 0);
-  std::thread io([&server] { server.Run(); });
+  LiveServer live(&registry, "");
+  ASSERT_GT(live.endpoint().port, 0);
+  const auto collect = [](std::map<uint64_t, ResponseFrame>* out) {
+    return [out](int, const ResponseFrame& response, double) {
+      (*out)[response.request_id] = response;
+    };
+  };
 
   {
-    TestClient client(server.port());
-    ASSERT_TRUE(client.connected());
-    // Two good requests and one for an unknown user, coalesced into a
-    // single write to exercise stream reassembly server-side.
-    std::vector<uint8_t> bytes = EncodeRequest(MakeRequest(1, 3, 4));
-    const std::vector<uint8_t> second = EncodeRequest(MakeRequest(2, 9999, 4));
-    const std::vector<uint8_t> third = EncodeRequest(MakeRequest(3, 7, 6));
-    bytes.insert(bytes.end(), second.begin(), second.end());
-    bytes.insert(bytes.end(), third.begin(), third.end());
-    ASSERT_TRUE(client.SendBytes(bytes));
-
+    // Two good requests and one for an unknown user, queued before the
+    // first Poll so they leave in a single write (stream reassembly
+    // server-side).
+    Client client(live.endpoint(), 1);
+    ASSERT_FALSE(client.broken()) << client.stats().first_failure;
+    const Client::Clock::time_point now = Client::Clock::now();
+    EXPECT_EQ(client.Send(0, 3, 4, now), 1u);
+    EXPECT_EQ(client.Send(0, 9999, 4, now), 2u);
+    EXPECT_EQ(client.Send(0, 7, 6, now), 3u);
     std::map<uint64_t, ResponseFrame> responses;
-    for (int i = 0; i < 3; ++i) {
-      ResponseFrame response;
-      ASSERT_TRUE(client.ReadResponse(&response, &error)) << error;
-      responses[response.request_id] = response;
-    }
+    client.Drain(collect(&responses));
+    EXPECT_EQ(client.stats().failures, 0u) << client.stats().first_failure;
     ASSERT_EQ(responses.size(), 3u);
     EXPECT_EQ(responses[1].status, ResponseStatus::kOk);
     EXPECT_EQ(responses[1].items.size(), 4u);
     EXPECT_EQ(responses[2].status, ResponseStatus::kError);
     EXPECT_EQ(responses[3].status, ResponseStatus::kOk);
     EXPECT_EQ(responses[3].items.size(), 6u);
+    EXPECT_EQ(client.stats().ok, 2u);
+    EXPECT_EQ(client.stats().errors, 1u);
   }
 
   {
     // A connection that sends garbage is dropped (framing error), while
     // the server keeps serving everyone else.
-    TestClient garbage(server.port());
-    ASSERT_TRUE(garbage.connected());
-    std::vector<uint8_t> junk(64, 0xff);
-    ASSERT_TRUE(garbage.SendBytes(junk));
-    EXPECT_TRUE(garbage.AwaitClose());
+    std::string error;
+    const int garbage = ConnectSocket(live.endpoint(), &error);
+    ASSERT_GE(garbage, 0) << error;
+    const std::vector<uint8_t> junk(64, 0xff);
+    EXPECT_EQ(::send(garbage, junk.data(), junk.size(), MSG_NOSIGNAL), 64);
+    uint8_t byte = 0;
+    EXPECT_EQ(::recv(garbage, &byte, 1, 0), 0);  // EOF: the server hung up
+    ::close(garbage);
 
-    TestClient client(server.port());
-    ASSERT_TRUE(client.connected());
-    ASSERT_TRUE(client.SendBytes(EncodeRequest(MakeRequest(4, 5, 3))));
-    ResponseFrame response;
-    ASSERT_TRUE(client.ReadResponse(&response, &error)) << error;
-    EXPECT_EQ(response.status, ResponseStatus::kOk);
+    Client client(live.endpoint(), 1);
+    client.Send(0, 5, 3, Client::Clock::now());
+    std::map<uint64_t, ResponseFrame> responses;
+    client.Drain(collect(&responses));
+    EXPECT_EQ(client.stats().ok, 1u) << client.stats().first_failure;
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_EQ(responses[1].status, ResponseStatus::kOk);
   }
 
-  server.Shutdown();
-  io.join();
-  const ServerStats stats = server.stats();
+  live.Stop();
+  const ServerStats stats = live.server().stats();
   EXPECT_EQ(stats.accepted, 3u);
   EXPECT_EQ(stats.frames, 4u);
   EXPECT_GE(stats.protocol_errors, 1u);
-  const ShardSetStats shard_stats = server.shard_stats();
+  const ShardSetStats shard_stats = live.server().shard_stats();
   EXPECT_EQ(shard_stats.answered, 4u);
   EXPECT_EQ(shard_stats.rejected, 0u);
+}
+
+// Both drivers run to completion over TCP and a unix socket: every
+// request sent, every response valid and counted once, and the callback
+// sees each one. The queues hold every request a connection can have
+// outstanding, so nothing is shed and all answers are ok.
+TEST(ClientTest, ClosedAndOpenLoopsAnswerEveryRequest) {
+  SnapshotRegistry registry;
+  registry.Publish(MakeSnapshot(80, 40, 8, 23, 1));
+  const std::string unix_path =
+      testing::TempDir() + "imsr_client_test_" + std::to_string(::getpid()) +
+      ".sock";
+  for (const std::string& path : {std::string(), unix_path}) {
+    LiveServer live(&registry, path, /*queue_cap=*/1024);
+    for (const bool open_loop : {false, true}) {
+      SCOPED_TRACE((path.empty() ? "tcp " : "unix ") +
+                   std::string(open_loop ? "open loop" : "closed loop"));
+      LoadSpec spec;
+      spec.endpoint = live.endpoint();
+      spec.connections = 3;
+      spec.requests = 601;  // not a multiple of the connection count
+      spec.users = 40;
+      spec.zipf = 0.9;
+      spec.top_n = 5;
+      spec.depth = 4;
+      spec.burst_every = 16;
+      spec.burst_size = 6;
+      spec.rate = open_loop ? 6000.0 : 0.0;
+      uint64_t seen = 0;
+      const ClientStats stats = RunLoad(
+          spec, [&seen](int, const ResponseFrame& response, double latency) {
+            ++seen;
+            EXPECT_EQ(response.items.size(), 5u);
+            EXPECT_GE(latency, 0.0);
+          });
+      EXPECT_EQ(stats.failures, 0u) << stats.first_failure;
+      EXPECT_EQ(stats.sent, spec.requests);
+      EXPECT_EQ(stats.ok, spec.requests);
+      EXPECT_EQ(seen, spec.requests);
+    }
+  }
+}
+
+// A 60-item snapshot cannot fill a top-100 answer: the server's ok
+// response carries 60 items, which the client must count as a failure,
+// never as ok, and keep away from the callback.
+TEST(ClientTest, ShortOkResponseIsAValidationFailure) {
+  SnapshotRegistry registry;
+  registry.Publish(MakeSnapshot(60, 20, 8, 17, 1));
+  LiveServer live(&registry, "");
+  Client client(live.endpoint(), 1);
+  client.Send(0, 3, 100, Client::Clock::now());
+  uint64_t seen = 0;
+  client.Drain([&seen](int, const ResponseFrame&, double) { ++seen; });
+  EXPECT_FALSE(client.broken());
+  EXPECT_EQ(client.outstanding(), 0u);
+  EXPECT_EQ(client.stats().ok, 0u);
+  EXPECT_EQ(client.stats().failures, 1u);
+  EXPECT_NE(client.stats().first_failure.find("60 items, want 100"),
+            std::string::npos)
+      << client.stats().first_failure;
+  EXPECT_EQ(seen, 0u);
+}
+
+// A hand-written server on a unix socket for one client connection: it
+// holds requests until `hold` have arrived, then answers every held and
+// later request with `answer(request)` until the client hangs up.
+class ScriptedPeer {
+ public:
+  using Answer = std::function<ResponseFrame(const RequestFrame&)>;
+
+  ScriptedPeer(size_t hold, Answer answer)
+      : hold_(hold), answer_(std::move(answer)) {
+    endpoint_.unix_path = testing::TempDir() + "imsr_client_peer_" +
+                          std::to_string(::getpid()) + ".sock";
+    ::unlink(endpoint_.unix_path.c_str());
+    listener_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, endpoint_.unix_path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    EXPECT_EQ(::bind(listener_, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    EXPECT_EQ(::listen(listener_, 1), 0);
+    thread_ = std::thread([this] { Run(); });
+  }
+  ~ScriptedPeer() {
+    ::shutdown(listener_, SHUT_RDWR);  // unblocks an accept never served
+    thread_.join();
+    ::close(listener_);
+    ::unlink(endpoint_.unix_path.c_str());
+  }
+  ScriptedPeer(const ScriptedPeer&) = delete;
+  ScriptedPeer& operator=(const ScriptedPeer&) = delete;
+
+  const Endpoint& endpoint() const { return endpoint_; }
+
+ private:
+  void Run() {
+    const int fd = ::accept(listener_, nullptr, nullptr);
+    if (fd < 0) return;
+    FrameAssembler in;
+    std::vector<RequestFrame> held;
+    std::vector<uint8_t> payload;
+    std::string error;
+    uint8_t buffer[4096];
+    ssize_t n = 0;
+    while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
+      in.Append(buffer, static_cast<size_t>(n));
+      while (in.Next(&payload, &error) == FrameAssembler::Result::kFrame) {
+        RequestFrame request;
+        EXPECT_TRUE(TryDecodeRequest(payload, &request, &error)) << error;
+        held.push_back(request);
+      }
+      if (answered_ + held.size() < hold_) continue;
+      for (const RequestFrame& request : held) {
+        const std::vector<uint8_t> bytes = EncodeResponse(answer_(request));
+        EXPECT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(bytes.size()));
+      }
+      answered_ += held.size();
+      held.clear();
+    }
+    ::close(fd);
+  }
+
+  Endpoint endpoint_;
+  int listener_ = -1;
+  size_t hold_;
+  Answer answer_;
+  size_t answered_ = 0;
+  std::thread thread_;
+};
+
+// An ok answer whose items are (1, 2.0), (2, second).
+ResponseFrame TopTwoAnswer(const RequestFrame& request, float second) {
+  ResponseFrame response;
+  response.request_id = request.request_id;
+  response.status = ResponseStatus::kOk;
+  response.items = {{1, 2.0f}, {2, second}};
+  return response;
+}
+
+// Three top-2 answers: sorted, NaN second score, ascending. Only the
+// first is valid; NaN must fail the order check like an inversion.
+TEST(ClientTest, OkAnswerOutOfOrderOrNanIsAFailure) {
+  ScriptedPeer peer(1, [](const RequestFrame& request) {
+    const float second[] = {1.0f, std::numeric_limits<float>::quiet_NaN(),
+                            3.0f};
+    return TopTwoAnswer(request, second[request.user]);
+  });
+  Client client(peer.endpoint(), 1);
+  for (data::UserId user = 0; user < 3; ++user) {
+    client.Send(0, user, 2, Client::Clock::now());
+  }
+  uint64_t seen = 0;
+  client.Drain([&seen](int, const ResponseFrame&, double) { ++seen; });
+  EXPECT_FALSE(client.broken()) << client.stats().first_failure;
+  EXPECT_EQ(client.stats().ok, 1u);
+  EXPECT_EQ(client.stats().failures, 2u);
+  EXPECT_EQ(seen, 1u);
+  EXPECT_NE(client.stats().first_failure.find("not in descending order"),
+            std::string::npos)
+      << client.stats().first_failure;
+}
+
+// The open loop sends on its schedule alone: a peer that answers nothing
+// until all 24 requests are in still gets every one of them, and the
+// first request's latency, measured from its due time, spans the wait.
+TEST(ClientTest, OpenLoopSendsWithoutWaitingForAnswers) {
+  ScriptedPeer peer(24, [](const RequestFrame& request) {
+    return TopTwoAnswer(request, 1.0f);
+  });
+  LoadSpec spec;
+  spec.endpoint = peer.endpoint();
+  spec.connections = 1;
+  spec.requests = 24;
+  spec.users = 5;
+  spec.top_n = 2;
+  spec.depth = 1;
+  spec.rate = 2000.0;
+  double first_ms = -1.0;
+  double last_ms = -1.0;
+  const ClientStats stats = RunLoad(
+      spec, [&](int, const ResponseFrame& response, double latency_ms) {
+        if (response.request_id == 1) first_ms = latency_ms;
+        if (response.request_id == 24) last_ms = latency_ms;
+      });
+  EXPECT_EQ(stats.failures, 0u) << stats.first_failure;
+  EXPECT_EQ(stats.ok, 24u);
+  EXPECT_GT(first_ms, last_ms);
+}
+
+TEST(ClientTest, ZipfPickerBoundedRepeatableAndSkewed) {
+  for (const uint64_t n : {1, 2, 3, 1000}) {
+    for (const double theta : {0.0, 0.5, 0.9, 0.99}) {
+      const ZipfPicker picker(n, theta);
+      util::Rng rng(5);
+      for (int i = 0; i < 2000; ++i) ASSERT_LT(picker.Next(&rng), n);
+    }
+  }
+  const ZipfPicker picker(1000, 0.9);
+  util::Rng first(42);
+  util::Rng second(42);
+  std::vector<uint64_t> counts(1000, 0);
+  for (int i = 0; i < 100000; ++i) {
+    const uint64_t rank = picker.Next(&first);
+    ASSERT_EQ(rank, picker.Next(&second)) << "draw " << i;
+    ++counts[rank];
+  }
+  EXPECT_EQ(std::max_element(counts.begin(), counts.end()) - counts.begin(),
+            0);
+  EXPECT_GT(counts[0], counts[1]);
+  EXPECT_GT(counts[1], counts[10]);
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 // imsr_loadgen — load harness for imsr_serve: replays a heavy-traffic
 // request mix over C concurrent connections and reports throughput and
-// latency quantiles from obs histograms.
+// latency quantiles from obs histograms. The traffic itself comes from
+// serve::RunLoad (serve/client.h), the one wire client: all C
+// connections run on one thread over non-blocking sockets.
 //
 // Traffic shape:
 //   * user ids drawn Zipf(--zipf) over [0, --users) — hot-user skew, the
 //     YCSB-style generator, so a few users dominate exactly like
-//     production fan-in (0 = uniform);
+//     production fan-in (0 = uniform); each connection draws from its
+//     own RNG stream seeded from (--seed, connection), so a seed replays
+//     every connection's user sequence;
 //   * closed loop (default) with --depth outstanding requests per
 //     connection, or open loop with --rate=N: Poisson arrivals at N
 //     aggregate req/s, sends never gated on responses, latency measured
@@ -18,7 +22,7 @@
 //
 // Every response is validated: the request_id must match an in-flight
 // request, ok responses must carry exactly top_n items with scores in
-// descending order. Any violation (or a framing/CRC error) is a
+// non-increasing order. Any violation (or a framing/CRC error) is a
 // *failure* and makes the exit status non-zero — the CI load-smoke
 // asserts zero failures across a mid-flight snapshot publish.
 //
@@ -26,76 +30,22 @@
 // ("loadgen/latency_ms", dense geometric buckets) and the p50/p99/p99.9
 // estimates come from obs::HistogramQuantile over its snapshot — the
 // same estimator the server's own metrics exports use.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <algorithm>
 #include <chrono>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <mutex>
 #include <sstream>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/session.h"
-#include "serve/protocol.h"
+#include "serve/client.h"
 #include "util/flags.h"
-#include "util/rng.h"
 
 namespace {
 
 using namespace imsr;  // NOLINT(build/namespaces)
-using Clock = std::chrono::steady_clock;
-
-// YCSB-style bounded Zipfian generator: rank r is drawn with probability
-// proportional to 1/r^theta over [0, n). theta in (0, 1); hot items are
-// the low ids.
-class ZipfGenerator {
- public:
-  ZipfGenerator(uint64_t n, double theta) : n_(n), theta_(theta) {
-    zeta_n_ = Zeta(n, theta);
-    const double zeta2 = Zeta(2, theta);
-    alpha_ = 1.0 / (1.0 - theta);
-    eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
-           (1.0 - zeta2 / zeta_n_);
-  }
-
-  uint64_t Next(util::Rng* rng) const {
-    const double u = rng->NextDouble();
-    const double uz = u * zeta_n_;
-    if (uz < 1.0) return 0;
-    if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
-    return static_cast<uint64_t>(
-        static_cast<double>(n_) *
-        std::pow(eta_ * u - eta_ + 1.0, alpha_));
-  }
-
- private:
-  static double Zeta(uint64_t n, double theta) {
-    double sum = 0.0;
-    for (uint64_t i = 1; i <= n; ++i) {
-      sum += 1.0 / std::pow(static_cast<double>(i), theta);
-    }
-    return sum;
-  }
-
-  uint64_t n_;
-  double theta_;
-  double zeta_n_ = 0.0;
-  double alpha_ = 0.0;
-  double eta_ = 0.0;
-};
 
 // Dense geometric latency buckets: 10us .. 10s at ~10% resolution, so
 // interpolated quantiles are accurate to a few percent.
@@ -107,388 +57,11 @@ std::vector<double> DenseLatencyBoundsMs() {
   return bounds;
 }
 
-struct WorkerStats {
-  uint64_t sent = 0;
-  uint64_t ok = 0;
-  uint64_t errors = 0;      // kError responses (e.g. unknown user)
-  uint64_t overloaded = 0;  // admission-control rejections
-  uint64_t failures = 0;    // protocol violations / bad responses
-  std::string first_failure;
-};
-
-struct LoadConfig {
-  std::string unix_path;
-  std::string host = "127.0.0.1";
-  int port = 0;
-  uint64_t quota = 0;  // requests this connection must send
-  int depth = 8;
-  uint64_t users = 0;
-  double zipf = 0.0;
-  int top_n = 10;
-  uint64_t burst_every = 0;
-  uint64_t burst_size = 0;
-  uint64_t seed = 1;
-  // Open-loop mode: this connection's Poisson arrival rate in req/s
-  // (the aggregate --rate split across connections). 0 = closed loop.
-  double rate = 0.0;
-};
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-// Per-connection RNG seed: splitmix64 over (seed, worker) decorrelates
-// the streams completely — a linear offset would hand neighbouring
-// workers overlapping Zipf/user/gap sequences — while staying a pure
-// function of --seed, so a bench cell replays its exact traffic.
-uint64_t WorkerSeed(uint64_t seed, int worker_id) {
-  return SplitMix64(seed ^
-                    SplitMix64(static_cast<uint64_t>(worker_id) + 1));
-}
-
-// Counts one validated response into `stats` (shared by the closed- and
-// open-loop workers, so the two modes enforce the identical response
-// contract).
-void CountResponse(const serve::ResponseFrame& response, int top_n,
-                   WorkerStats* stats) {
-  const auto fail = [&](const std::string& why) {
-    stats->failures++;
-    if (stats->first_failure.empty()) stats->first_failure = why;
-  };
-  switch (response.status) {
-    case serve::ResponseStatus::kOk: {
-      bool sorted = true;
-      for (size_t i = 1; i < response.items.size(); ++i) {
-        if (response.items[i].second > response.items[i - 1].second) {
-          sorted = false;
-        }
-      }
-      if (response.items.size() != static_cast<size_t>(top_n)) {
-        fail("ok response with " + std::to_string(response.items.size()) +
-             " items, want " + std::to_string(top_n));
-      } else if (!sorted) {
-        fail("ok response with unsorted scores");
-      } else {
-        ++stats->ok;
-      }
-      break;
-    }
-    case serve::ResponseStatus::kError:
-      ++stats->errors;
-      break;
-    case serve::ResponseStatus::kOverloaded:
-    case serve::ResponseStatus::kShuttingDown:
-      ++stats->overloaded;
-      break;
-  }
-}
-
-int ConnectServer(const LoadConfig& config, std::string* error) {
-  int fd = -1;
-  if (!config.unix_path.empty()) {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-      *error = std::strerror(errno);
-      return -1;
-    }
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, config.unix_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      *error = "connect " + config.unix_path + ": " + std::strerror(errno);
-      ::close(fd);
-      return -1;
-    }
-  } else {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      *error = std::strerror(errno);
-      return -1;
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(config.port));
-    ::inet_pton(AF_INET, config.host.c_str(), &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      *error = "connect port " + std::to_string(config.port) + ": " +
-               std::strerror(errno);
-      ::close(fd);
-      return -1;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-  return fd;
-}
-
-bool SendAll(int fd, const std::vector<uint8_t>& bytes) {
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-// One closed-loop connection. Returns when its quota is sent and every
-// outstanding request got a response (or on a fatal failure).
-void RunWorker(const LoadConfig& config, int worker_id,
-               const ZipfGenerator* zipf, obs::Histogram* latency,
-               WorkerStats* stats) {
-  std::string error;
-  const int fd = ConnectServer(config, &error);
-  if (fd < 0) {
-    stats->failures++;
-    stats->first_failure = error;
-    return;
-  }
-  util::Rng rng(WorkerSeed(config.seed, worker_id));
-  std::unordered_map<uint64_t, Clock::time_point> in_flight;
-  uint64_t next_sequence = 0;
-  const uint64_t id_base = static_cast<uint64_t>(worker_id) << 40;
-
-  const auto fail = [&](const std::string& why) {
-    stats->failures++;
-    if (stats->first_failure.empty()) stats->first_failure = why;
-  };
-  const auto send_one = [&]() -> bool {
-    serve::RequestFrame request;
-    request.request_id = id_base | next_sequence;
-    request.user = static_cast<data::UserId>(
-        zipf != nullptr ? zipf->Next(&rng)
-                        : rng.NextBelow(config.users));
-    request.top_n = config.top_n;
-    const Clock::time_point now = Clock::now();
-    if (!SendAll(fd, EncodeRequest(request))) {
-      fail("send failed: " + std::string(std::strerror(errno)));
-      return false;
-    }
-    in_flight.emplace(request.request_id, now);
-    ++next_sequence;
-    ++stats->sent;
-    return true;
-  };
-
-  serve::FrameAssembler assembler;
-  uint64_t received = 0;
-  bool fatal = false;
-  while (!fatal &&
-         (stats->sent < config.quota || !in_flight.empty())) {
-    // Top up the window (bursts overshoot it deliberately).
-    while (stats->sent < config.quota &&
-           in_flight.size() < static_cast<size_t>(config.depth)) {
-      if (!send_one()) {
-        fatal = true;
-        break;
-      }
-    }
-    if (fatal || in_flight.empty()) break;
-    uint8_t buffer[64 * 1024];
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n == 0) {
-      fail("server closed connection with " +
-           std::to_string(in_flight.size()) + " in flight");
-      break;
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      fail("recv failed: " + std::string(std::strerror(errno)));
-      break;
-    }
-    assembler.Append(buffer, static_cast<size_t>(n));
-    std::vector<uint8_t> payload;
-    for (;;) {
-      const serve::FrameAssembler::Result result =
-          assembler.Next(&payload, &error);
-      if (result == serve::FrameAssembler::Result::kNeedMore) break;
-      if (result == serve::FrameAssembler::Result::kError) {
-        fail("framing error: " + error);
-        fatal = true;
-        break;
-      }
-      serve::ResponseFrame response;
-      if (!serve::TryDecodeResponse(payload, &response, &error)) {
-        fail("decode error: " + error);
-        fatal = true;
-        break;
-      }
-      const auto it = in_flight.find(response.request_id);
-      if (it == in_flight.end()) {
-        fail("response for unknown request_id " +
-             std::to_string(response.request_id));
-        fatal = true;
-        break;
-      }
-      const double millis =
-          std::chrono::duration<double, std::milli>(Clock::now() -
-                                                    it->second)
-              .count();
-      in_flight.erase(it);
-      latency->Record(millis);
-      ++received;
-      CountResponse(response, config.top_n, stats);
-      // Burst injection: deliberately overshoot the depth window.
-      if (config.burst_every > 0 && received % config.burst_every == 0) {
-        for (uint64_t b = 0;
-             b < config.burst_size && stats->sent < config.quota; ++b) {
-          if (!send_one()) {
-            fatal = true;
-            break;
-          }
-        }
-      }
-      if (fatal) break;
-    }
-  }
-  ::close(fd);
-}
-
-// One open-loop connection: Poisson arrivals at config.rate req/s.
-// Sends are driven purely by the arrival schedule — never gated on
-// responses — and each latency sample is measured from the request's
-// *scheduled* arrival time, so queueing delay behind a slow send or a
-// saturated server counts against the tail instead of being silently
-// absorbed (the coordinated-omission fix). Returns when the quota is
-// sent and everything outstanding got a response.
-void RunOpenWorker(const LoadConfig& config, int worker_id,
-                   const ZipfGenerator* zipf, obs::Histogram* latency,
-                   WorkerStats* stats) {
-  std::string error;
-  const int fd = ConnectServer(config, &error);
-  if (fd < 0) {
-    stats->failures++;
-    stats->first_failure = error;
-    return;
-  }
-  util::Rng rng(WorkerSeed(config.seed, worker_id));
-  std::unordered_map<uint64_t, Clock::time_point> in_flight;
-  uint64_t next_sequence = 0;
-  const uint64_t id_base = static_cast<uint64_t>(worker_id) << 40;
-  const auto fail = [&](const std::string& why) {
-    stats->failures++;
-    if (stats->first_failure.empty()) stats->first_failure = why;
-  };
-  // Exponential inter-arrival gap for a Poisson process at config.rate.
-  const auto next_gap = [&]() {
-    const double u = rng.NextDouble();
-    const double gap_s =
-        -std::log(1.0 - u) / std::max(config.rate, 1e-9);
-    return std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double>(gap_s));
-  };
-  const auto send_scheduled = [&](Clock::time_point scheduled) -> bool {
-    serve::RequestFrame request;
-    request.request_id = id_base | next_sequence;
-    request.user = static_cast<data::UserId>(
-        zipf != nullptr ? zipf->Next(&rng) : rng.NextBelow(config.users));
-    request.top_n = config.top_n;
-    if (!SendAll(fd, EncodeRequest(request))) {
-      fail("send failed: " + std::string(std::strerror(errno)));
-      return false;
-    }
-    in_flight.emplace(request.request_id, scheduled);
-    ++next_sequence;
-    ++stats->sent;
-    return true;
-  };
-
-  serve::FrameAssembler assembler;
-  bool fatal = false;
-  Clock::time_point next_send = Clock::now();
-  while (!fatal && (stats->sent < config.quota || !in_flight.empty())) {
-    // Fire everything whose scheduled arrival has passed (catch-up
-    // sends go back-to-back — the schedule, not the server, is the
-    // clock).
-    Clock::time_point now = Clock::now();
-    while (stats->sent < config.quota && now >= next_send) {
-      if (!send_scheduled(next_send)) {
-        fatal = true;
-        break;
-      }
-      next_send += next_gap();
-    }
-    if (fatal) break;
-    if (in_flight.empty() && stats->sent >= config.quota) break;
-    // Wait for responses until the next scheduled send (capped so the
-    // loop stays responsive around sparse schedules).
-    int timeout_ms = 100;
-    if (stats->sent < config.quota) {
-      const auto until = std::chrono::duration_cast<std::chrono::milliseconds>(
-          next_send - Clock::now());
-      timeout_ms = static_cast<int>(
-          std::min<int64_t>(100, std::max<int64_t>(0, until.count())));
-    }
-    pollfd pfd = {fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, timeout_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      fail("poll failed: " + std::string(std::strerror(errno)));
-      break;
-    }
-    if (ready == 0) continue;
-    uint8_t buffer[64 * 1024];
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n == 0) {
-      fail("server closed connection with " +
-           std::to_string(in_flight.size()) + " in flight");
-      break;
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      fail("recv failed: " + std::string(std::strerror(errno)));
-      break;
-    }
-    assembler.Append(buffer, static_cast<size_t>(n));
-    std::vector<uint8_t> payload;
-    for (;;) {
-      const serve::FrameAssembler::Result result =
-          assembler.Next(&payload, &error);
-      if (result == serve::FrameAssembler::Result::kNeedMore) break;
-      if (result == serve::FrameAssembler::Result::kError) {
-        fail("framing error: " + error);
-        fatal = true;
-        break;
-      }
-      serve::ResponseFrame response;
-      if (!serve::TryDecodeResponse(payload, &response, &error)) {
-        fail("decode error: " + error);
-        fatal = true;
-        break;
-      }
-      const auto it = in_flight.find(response.request_id);
-      if (it == in_flight.end()) {
-        fail("response for unknown request_id " +
-             std::to_string(response.request_id));
-        fatal = true;
-        break;
-      }
-      const double millis = std::chrono::duration<double, std::milli>(
-                                Clock::now() - it->second)
-                                .count();
-      in_flight.erase(it);
-      latency->Record(millis);
-      CountResponse(response, config.top_n, stats);
-    }
-  }
-  ::close(fd);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   util::FlagSet flags("imsr_loadgen",
-                      "closed-loop load harness for imsr_serve");
+                      "closed- and open-loop load harness for imsr_serve");
   flags.AddString("socket", "", "server unix-domain socket path");
   flags.AddString("host", "127.0.0.1", "server host (tcp)");
   flags.AddInt("port", 0, "server tcp port (when --socket is empty)");
@@ -501,7 +74,7 @@ int main(int argc, char** argv) {
   flags.AddInt("requests", 10000, "total requests across all connections");
   flags.AddInt("users", 100000, "user id space [0, N)");
   flags.AddDouble("zipf", 0.99,
-                  "Zipf skew theta in (0,1); 0 = uniform user draw");
+                  "Zipf skew theta in [0,1); 0 = uniform user draw");
   flags.AddInt("top_n", 10, "items requested per query");
   flags.AddInt("burst_every", 0,
                "every K responses fire a burst (0 = no bursts)");
@@ -524,83 +97,71 @@ int main(int argc, char** argv) {
     std::printf("%s", flags.HelpText().c_str());
     return 0;
   }
-  obs::ObsSession obs_session(obs::ObsOptionsFromFlags(flags.flags()));
-
-  LoadConfig config;
-  config.unix_path = flags.GetString("socket");
-  config.host = flags.GetString("host");
-  config.port = static_cast<int>(flags.GetInt("port"));
-  config.depth = static_cast<int>(flags.GetInt("depth"));
-  config.users = static_cast<uint64_t>(flags.GetInt("users"));
-  config.zipf = flags.GetDouble("zipf");
-  config.top_n = static_cast<int>(flags.GetInt("top_n"));
-  config.burst_every = static_cast<uint64_t>(flags.GetInt("burst_every"));
-  config.burst_size = static_cast<uint64_t>(flags.GetInt("burst_size"));
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  const double rate = flags.GetDouble("rate");
-  const int connections = static_cast<int>(flags.GetInt("connections"));
-  const uint64_t total_requests =
-      static_cast<uint64_t>(flags.GetInt("requests"));
-  if (config.unix_path.empty() && config.port == 0) {
-    std::fprintf(stderr, "error: need --socket or --port\n");
-    return 2;
-  }
-  if (connections < 1 || config.depth < 1 || config.users == 0) {
+  // Numeric flags are checked before anything starts: a negative count
+  // would wrap to a huge unsigned quota (or a Zipf table that never
+  // finishes building), and --top_n=0 would make every answer fail.
+  const auto below = [&flags](const char* name, int64_t min) {
+    if (flags.GetInt(name) >= min) return false;
     std::fprintf(stderr,
-                 "error: --connections, --depth and --users must be "
-                 "positive\n");
+                 "error: --%s must be >= %lld\nrun 'imsr_loadgen --help'\n",
+                 name, static_cast<long long>(min));
+    return true;
+  };
+  if (below("users", 1) || below("top_n", 1) || below("requests", 1) ||
+      below("connections", 1) || below("depth", 1) ||
+      below("burst_every", 0) || below("burst_size", 0)) {
     return 2;
   }
-  if (config.zipf >= 1.0) {
+  // User ids travel as int32: a larger space would wrap to negative ids,
+  // which the server rejects as malformed frames.
+  const int64_t max_users = int64_t{INT32_MAX} + 1;
+  if (flags.GetInt("users") > max_users) {
+    std::fprintf(stderr, "error: --users must be <= %lld\n",
+                 static_cast<long long>(max_users));
+    return 2;
+  }
+  serve::LoadSpec spec;
+  spec.endpoint.unix_path = flags.GetString("socket");
+  spec.endpoint.host = flags.GetString("host");
+  spec.endpoint.port = static_cast<int>(flags.GetInt("port"));
+  spec.connections = static_cast<int>(flags.GetInt("connections"));
+  spec.requests = static_cast<uint64_t>(flags.GetInt("requests"));
+  spec.users = static_cast<uint64_t>(flags.GetInt("users"));
+  spec.zipf = flags.GetDouble("zipf");
+  spec.top_n = static_cast<int>(flags.GetInt("top_n"));
+  spec.seed = static_cast<uint64_t>(flags.GetInt("seed"));
+  spec.depth = static_cast<int>(flags.GetInt("depth"));
+  spec.burst_every = static_cast<uint64_t>(flags.GetInt("burst_every"));
+  spec.burst_size = static_cast<uint64_t>(flags.GetInt("burst_size"));
+  spec.rate = flags.GetDouble("rate");
+  if (!(spec.zipf >= 0.0 && spec.zipf < 1.0)) {
     std::fprintf(stderr, "error: --zipf must be in [0, 1)\n");
     return 2;
   }
-  if (rate < 0.0) {
+  if (!(spec.rate >= 0.0)) {
     std::fprintf(stderr, "error: --rate must be >= 0\n");
     return 2;
   }
-  const bool open_loop = rate > 0.0;
-  if (open_loop) config.rate = rate / connections;
-
-  std::unique_ptr<ZipfGenerator> zipf;
-  if (config.zipf > 0.0) {
-    zipf = std::make_unique<ZipfGenerator>(config.users, config.zipf);
+  if (spec.endpoint.unix_path.empty() && spec.endpoint.port == 0) {
+    std::fprintf(stderr, "error: need --socket or --port\n");
+    return 2;
   }
+  obs::ObsSession obs_session(obs::ObsOptionsFromFlags(flags.flags()));
+
   // Direct registry use (not the macros) so latency recording works in
   // every build, including -DIMSR_OBS=OFF.
   obs::Histogram* latency = &obs::Registry().GetHistogram(
       "loadgen/latency_ms", DenseLatencyBoundsMs());
+  const auto start = std::chrono::steady_clock::now();
+  const serve::ClientStats total = serve::RunLoad(
+      spec, [latency](int, const serve::ResponseFrame&, double latency_ms) {
+        latency->Record(latency_ms);
+      });
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  const bool open_loop = spec.rate > 0.0;
 
-  std::vector<WorkerStats> stats(static_cast<size_t>(connections));
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(connections));
-  const Clock::time_point start = Clock::now();
-  for (int i = 0; i < connections; ++i) {
-    LoadConfig worker_config = config;
-    worker_config.quota = total_requests / connections +
-                          (static_cast<uint64_t>(i) <
-                                   total_requests % connections
-                               ? 1
-                               : 0);
-    workers.emplace_back(open_loop ? RunOpenWorker : RunWorker,
-                         worker_config, i, zipf.get(), latency,
-                         &stats[static_cast<size_t>(i)]);
-  }
-  for (std::thread& worker : workers) worker.join();
-  const double elapsed =
-      std::chrono::duration<double>(Clock::now() - start).count();
-
-  WorkerStats total;
-  for (const WorkerStats& w : stats) {
-    total.sent += w.sent;
-    total.ok += w.ok;
-    total.errors += w.errors;
-    total.overloaded += w.overloaded;
-    total.failures += w.failures;
-    if (total.first_failure.empty() && !w.first_failure.empty()) {
-      total.first_failure = w.first_failure;
-    }
-  }
   // Quantiles from the obs histogram snapshot — the exporter's own
   // estimator (HistogramQuantile), not a second implementation.
   obs::HistogramSnapshot latency_snapshot;
@@ -624,7 +185,7 @@ int main(int argc, char** argv) {
       "sent %llu requests over %d connections in %.2fs: %.0f req/s\n"
       "responses: %llu ok, %llu error, %llu overloaded, %llu FAILED\n"
       "latency ms: mean %.3f  p50 %.3f  p99 %.3f  p99.9 %.3f  max %.3f\n",
-      static_cast<unsigned long long>(total.sent), connections, elapsed,
+      static_cast<unsigned long long>(total.sent), spec.connections, elapsed,
       qps, static_cast<unsigned long long>(total.ok),
       static_cast<unsigned long long>(total.errors),
       static_cast<unsigned long long>(total.overloaded),
@@ -642,14 +203,14 @@ int main(int argc, char** argv) {
     json << "{\n";
     json << "  \"mode\": \"" << (open_loop ? "open" : "closed")
          << "\",\n";
-    std::snprintf(buffer, sizeof(buffer), "%.1f", rate);
+    std::snprintf(buffer, sizeof(buffer), "%.1f", spec.rate);
     json << "  \"rate\": " << buffer << ",\n";
-    json << "  \"connections\": " << connections << ",\n";
-    json << "  \"depth\": " << config.depth << ",\n";
-    json << "  \"users\": " << config.users << ",\n";
-    std::snprintf(buffer, sizeof(buffer), "%.3f", config.zipf);
+    json << "  \"connections\": " << spec.connections << ",\n";
+    json << "  \"depth\": " << spec.depth << ",\n";
+    json << "  \"users\": " << spec.users << ",\n";
+    std::snprintf(buffer, sizeof(buffer), "%.3f", spec.zipf);
     json << "  \"zipf\": " << buffer << ",\n";
-    json << "  \"top_n\": " << config.top_n << ",\n";
+    json << "  \"top_n\": " << spec.top_n << ",\n";
     json << "  \"sent\": " << total.sent << ",\n";
     json << "  \"ok\": " << total.ok << ",\n";
     json << "  \"errors\": " << total.errors << ",\n";

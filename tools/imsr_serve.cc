@@ -10,8 +10,8 @@
 //       so micro-span publishes (with IVF index builds under
 //       --retrieval=ivf) land while requests are in flight.
 //   --items=N --users=N
-//       synthetic boot: a clustered corpus at exactly that scale (the
-//       IVF-friendly regime bench_serve measures), no files needed —
+//       synthetic boot: a clustered corpus at exactly that scale (an
+//       IVF-friendly regime), no files needed —
 //       the shape the load harness drives. --publish_ms=T republishes a
 //       freshly built snapshot every T milliseconds from a background
 //       thread, exercising the publish-while-serving path.
@@ -52,9 +52,9 @@ namespace {
 
 using namespace imsr;  // NOLINT(build/namespaces)
 
-// Clustered corpus + matching interests (same regime bench_serve
-// measures): item rows land near sqrt(num_items) centers and every user
-// gets 2..4 interests near centers, like a trained store.
+// Clustered corpus + matching interests (the regime IVF is built for):
+// item rows land near sqrt(num_items) centers and every user gets 2..4
+// interests near centers, like a trained store.
 void MakeClusteredState(int64_t num_items, int64_t num_users, int64_t dim,
                         uint64_t seed, models::MsrModel* model,
                         core::InterestStore* store) {
