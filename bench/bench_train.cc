@@ -90,6 +90,26 @@ void BM_TrainEpochStep(benchmark::State& state) {
 BENCHMARK(BM_TrainEpochStep)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
+void BM_TrainEpochStepWithTeacher(benchmark::State& state) {
+  // BM_TrainEpochStep with the EIR retention term (Eq. 10) on every
+  // sample: the teacher is a snapshot taken after the warm-up epoch, as
+  // TrainSpan snapshots the previous span's model, so it covers every
+  // user and differs from the student being trained.
+  TrainFixture fixture(state.range(0));
+  fixture.trainer->TrainEpoch(fixture.samples, nullptr);
+  const core::TeacherSnapshot teacher =
+      fixture.trainer->SnapshotTeacher(*fixture.synthetic.dataset, 0);
+  fixture.trainer->TrainEpoch(fixture.samples, &teacher);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        fixture.trainer->TrainEpoch(fixture.samples, &teacher));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(fixture.samples.size()));
+}
+BENCHMARK(BM_TrainEpochStepWithTeacher)->Arg(32)->Arg(64)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_ValidationLoss(benchmark::State& state) {
   // Eval-only forward over the span's validation items — the no-grad
   // guard's target (no tape should be built here).

@@ -8,7 +8,7 @@
 namespace imsr::core {
 namespace {
 
-constexpr char kMagicV1[] = "imsr-checkpoint-v1";
+constexpr char kMagicPrefix[] = "imsr-checkpoint-";
 constexpr char kMagicV2[] = "imsr-checkpoint-v2";
 constexpr char kSectionMeta[] = "meta";
 constexpr char kSectionModel[] = "model";
@@ -154,28 +154,6 @@ bool LoadV2Payload(util::BinaryReader* payload, models::MsrModel* staging,
   return true;
 }
 
-// Legacy v1 layout: span | note | model | store, no framing or checksum.
-bool LoadV1Body(util::BinaryReader* reader, models::MsrModel* staging,
-                InterestStore* staging_store, CheckpointMetadata* metadata,
-                std::string* error) {
-  if (!reader->TryReadInt64(&metadata->trained_through_span) ||
-      !reader->TryReadString(&metadata->note)) {
-    SetError(error, "corrupt v1 header: " + reader->error());
-    return false;
-  }
-  std::string section_error;
-  if (!staging->Load(reader, &section_error)) {
-    SetError(error, "corrupt v1 model state: " + section_error);
-    return false;
-  }
-  if (!staging_store->Load(reader, &section_error,
-                           staging->config().embedding_dim)) {
-    SetError(error, "corrupt v1 store state: " + section_error);
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 bool SaveCheckpoint(const std::string& path, const models::MsrModel& model,
@@ -217,9 +195,13 @@ bool LoadCheckpoint(const std::string& path, models::MsrModel* model,
     return false;
   }
   std::string magic;
-  if (!reader.TryReadString(&magic) ||
-      (magic != kMagicV1 && magic != kMagicV2)) {
+  if (!reader.TryReadString(&magic) || magic.rfind(kMagicPrefix, 0) != 0) {
     SetError(error, "not an IMSR checkpoint: " + path);
+    return false;
+  }
+  if (magic != kMagicV2) {
+    SetError(error, "unsupported checkpoint version '" + magic + "' in " +
+                        path + " (this build reads " + kMagicV2 + ")");
     return false;
   }
 
@@ -227,52 +209,43 @@ bool LoadCheckpoint(const std::string& path, models::MsrModel* model,
   // only touched after the whole file has validated.
   models::MsrModel staging(model->config(), model->num_items(), /*seed=*/1);
   InterestStore staging_store;
-  CheckpointMetadata loaded;
-
-  if (magic == kMagicV1) {
-    if (!LoadV1Body(&reader, &staging, &staging_store, &loaded, error)) {
-      return false;
-    }
-  } else {
-    int64_t payload_size = 0;
-    if (!reader.TryReadInt64(&payload_size)) {
-      SetError(error, "truncated checkpoint header: " + reader.error());
-      return false;
-    }
-    if (payload_size < 0 || static_cast<uint64_t>(payload_size) +
-                                    sizeof(int64_t) >
-                                reader.remaining()) {
-      SetError(error, "truncated checkpoint: payload of " +
-                          std::to_string(payload_size) + " bytes, " +
-                          std::to_string(reader.remaining()) + " remain");
-      return false;
-    }
-    const uint32_t actual_crc =
-        util::Crc32(reader.current(), static_cast<size_t>(payload_size));
-    util::BinaryReader payload(std::vector<uint8_t>(
-        reader.current(), reader.current() + payload_size));
-    reader.TrySkip(static_cast<size_t>(payload_size));
-    int64_t stored_crc = 0;
-    if (!reader.TryReadInt64(&stored_crc)) {
-      SetError(error, "truncated checkpoint: missing checksum");
-      return false;
-    }
-    // Full 64-bit compare: the field is the CRC zero-extended, so a flip
-    // in its upper bytes is corruption too.
-    if (stored_crc != static_cast<int64_t>(actual_crc)) {
-      SetError(error, "checksum mismatch: checkpoint is corrupt");
-      return false;
-    }
-    CheckpointMeta meta;
-    if (!LoadV2Payload(&payload, &staging, &staging_store, &meta, error)) {
-      return false;
-    }
-    loaded = meta.metadata;
+  int64_t payload_size = 0;
+  if (!reader.TryReadInt64(&payload_size)) {
+    SetError(error, "truncated checkpoint header: " + reader.error());
+    return false;
+  }
+  if (payload_size < 0 || static_cast<uint64_t>(payload_size) +
+                                  sizeof(int64_t) >
+                              reader.remaining()) {
+    SetError(error, "truncated checkpoint: payload of " +
+                        std::to_string(payload_size) + " bytes, " +
+                        std::to_string(reader.remaining()) + " remain");
+    return false;
+  }
+  const uint32_t actual_crc =
+      util::Crc32(reader.current(), static_cast<size_t>(payload_size));
+  util::BinaryReader payload(std::vector<uint8_t>(
+      reader.current(), reader.current() + payload_size));
+  reader.TrySkip(static_cast<size_t>(payload_size));
+  int64_t stored_crc = 0;
+  if (!reader.TryReadInt64(&stored_crc)) {
+    SetError(error, "truncated checkpoint: missing checksum");
+    return false;
+  }
+  // Full 64-bit compare: the field is the CRC zero-extended, so a flip
+  // in its upper bytes is corruption too.
+  if (stored_crc != static_cast<int64_t>(actual_crc)) {
+    SetError(error, "checksum mismatch: checkpoint is corrupt");
+    return false;
+  }
+  CheckpointMeta meta;
+  if (!LoadV2Payload(&payload, &staging, &staging_store, &meta, error)) {
+    return false;
   }
 
   model->CopyStateFrom(staging);
   *store = std::move(staging_store);
-  if (metadata != nullptr) *metadata = loaded;
+  if (metadata != nullptr) *metadata = meta.metadata;
   return true;
 }
 

@@ -13,7 +13,8 @@
 // Saves are atomic-durable (write to path+".tmp", fsync, rename), and
 // loads are all-or-nothing: any truncation, bit-flip (CRC mismatch) or
 // shape mismatch returns false with a descriptive error and leaves the
-// destination model/store untouched. v1 checkpoints remain loadable.
+// destination model/store untouched. Any other checkpoint version (the
+// unframed v1 layout included) is rejected as unsupported.
 #ifndef IMSR_CORE_CHECKPOINT_H_
 #define IMSR_CORE_CHECKPOINT_H_
 

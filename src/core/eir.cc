@@ -1,8 +1,12 @@
 #include "core/eir.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "nn/arena.h"
 #include "nn/ops.h"
+#include "nn/simd.h"
 #include "util/check.h"
 
 namespace imsr::core {
@@ -62,6 +66,173 @@ nn::Var ColumnwiseSoftmaxKd(const nn::Var& student_logits,
     total = total.defined() ? nn::ops::Add(total, term) : term;
   }
   return total;
+}
+
+// Backward of the fused EIR node. Per sample, in the per-sample chain's
+// kernels: dS = g (sigmoid(S / tau) - P) / tau (KdSigmoidCrossEntropy),
+// dH_existing = dS C (MatMul's dA: MatMulTransB against the transposed
+// candidate block) merged into the interest rows as RowSlice does, and
+// dC = dS^T H_existing (MatMul's dB in MatMulTransA's rank-1 order,
+// already transposed) merged into the block's rows of the candidate
+// gather. `meta` holds (block index, teacher rows) per sample; `sigmoids`
+// and `probs` the flattened student sigmoids and teacher probabilities,
+// `cands_t` the transposed (d x m) candidate blocks.
+IMSR_SIMD_CLONES
+void SigmoidKdBatchBackward(nn::VarNode& node, const nn::Tensor& sigmoids,
+                            const nn::Tensor& probs,
+                            const nn::Tensor& cands_t,
+                            const nn::ArenaArray<int64_t>& meta, float tau,
+                            float coefficient, int64_t block) {
+  nn::VarNode* loss = node.parents[0];
+  nn::VarNode* cands = node.parents[1];
+  // Add: the running loss takes the node's gradient unchanged.
+  if (loss->requires_grad) loss->AccumulateGrad(node.grad);
+  // Scale: the retention terms see it times the coefficient.
+  const float g = node.grad.at(0) * coefficient;
+  const int64_t m = block;
+  const int64_t d = cands->value.size(1);
+  const float* psig = sigmoids.data();
+  const float* pp = probs.data();
+  nn::Tensor g_logits;
+  nn::Tensor g_interests;
+  nn::Tensor g_cands;
+  for (size_t n = 0; n < meta.size() / 2; ++n) {
+    nn::VarNode* interests = node.parents[2 + n];
+    const int64_t b = meta[2 * n];
+    const int64_t k = meta[2 * n + 1];
+    g_logits.ResizeUninitialized({k, m});
+    float* pg = g_logits.data();
+    for (int64_t i = 0; i < k * m; ++i) {
+      pg[i] = g * (psig[i] - pp[i]) / tau;
+    }
+    psig += k * m;
+    pp += k * m;
+    if (interests->requires_grad) {
+      nn::MatMulTransBInto(
+          g_logits,
+          nn::ConstMatrixView{cands_t.data() + static_cast<int64_t>(n) *
+                                                   d * m,
+                              d, m},
+          &g_interests);
+      interests->AccumulateGradRows(g_interests, 0);
+    }
+    if (cands->requires_grad) {
+      const float* ph = interests->value.data();
+      g_cands.ResizeUninitialized({m, d});
+      g_cands.Fill(0.0f);
+      for (int64_t j = 0; j < m; ++j) {
+        float* __restrict__ o = g_cands.data() + j * d;
+        for (int64_t t = 0; t < k; ++t) {
+          const float gt = pg[t * m + j];
+          const float* __restrict__ hrow = ph + t * d;
+          IMSR_SIMD_PRAGMA()
+          for (int64_t c = 0; c < d; ++c) o[c] += hrow[c] * gt;
+        }
+      }
+      cands->AccumulateGradRows(g_cands, b * m);
+    }
+  }
+}
+
+// EIR over a batch as one node (see AddRetentionLoss).
+nn::Var SigmoidKdBatch(const EirConfig& config, const nn::Var& loss,
+                       const std::vector<RetainedSample>& samples,
+                       const nn::Var& candidates,
+                       const nn::Tensor& teacher_candidates, int64_t block,
+                       std::vector<float>* retention_values) {
+  const nn::Tensor& cands = candidates.value();
+  const int64_t m = block;
+  const int64_t d = cands.size(1);
+  const float tau = config.tau;
+  int64_t total_logits = 0;
+  std::vector<int64_t> meta;
+  meta.reserve(2 * samples.size());
+  for (const RetainedSample& sample : samples) {
+    const int64_t k = sample.teacher_interests->size(0);
+    IMSR_CHECK_GT(k, 0);
+    IMSR_CHECK_GE(sample.interests.value().size(0), k)
+        << "student must keep every existing interest row";
+    IMSR_CHECK_LE((sample.block_index + 1) * m, cands.size(0));
+    meta.push_back(sample.block_index);
+    meta.push_back(k);
+    total_logits += k * m;
+  }
+  const auto count = static_cast<int64_t>(samples.size());
+  nn::Tensor sigmoids = nn::Tensor::Uninitialized({total_logits});
+  nn::Tensor probs = nn::Tensor::Uninitialized({total_logits});
+  nn::Tensor cands_t = nn::Tensor::Uninitialized({count * d, m});
+  nn::Tensor block_t;
+  nn::Tensor teacher_logits;
+  nn::Tensor student_logits;
+  float* psig = sigmoids.data();
+  float* pp = probs.data();
+  float total = loss.value().item();
+  for (int64_t n = 0; n < count; ++n) {
+    const RetainedSample& sample = samples[static_cast<size_t>(n)];
+    const int64_t k = sample.teacher_interests->size(0);
+    const int64_t row = sample.block_index * m;
+    // Teacher probabilities: TeacherLogits + SigmoidWithTau on the
+    // sample's block of the batch's teacher gather.
+    nn::MatMulTransBInto(
+        *sample.teacher_interests,
+        nn::ConstMatrixView{teacher_candidates.data() + row * d, m, d},
+        &teacher_logits);
+    const float* tl = teacher_logits.data();
+    for (int64_t i = 0; i < k * m; ++i) {
+      pp[i] = 1.0f / (1.0f + std::exp(-tl[i] / tau));
+    }
+    // Student logits H C^T through nn::MatMul against the transposed
+    // block, as the chain's MatMul(RowSlice(H), Transpose(C)) computes
+    // them: each element's sum runs in the same order whatever the row
+    // count, so rows past the teacher's are computed and ignored.
+    block_t.ResizeUninitialized({d, m});
+    const float* pc = cands.data() + row * d;
+    for (int64_t j = 0; j < m; ++j) {
+      for (int64_t c = 0; c < d; ++c) block_t.at(c, j) = pc[j * d + c];
+    }
+    nn::MatMulInto(sample.interests.value(), block_t, &student_logits);
+    std::copy_n(block_t.data(), d * m, cands_t.data() + n * d * m);
+    // KdSigmoidCrossEntropy's forward sum, then the Scale + Add fold.
+    // Its backward's sigmoid(s / tau) = 1 / (1 + exp(-z)) shares exp(-z)
+    // with the softplus (negation commutes exactly with the division).
+    const float* ps = student_logits.data();
+    float retention = 0.0f;
+    for (int64_t i = 0; i < k * m; ++i) {
+      const float z = ps[i] / tau;
+      const float e = std::exp(-z);
+      const float softplus =
+          z > 0.0f ? z + std::log1p(e) : std::log1p(std::exp(z));
+      retention += softplus - pp[i] * z;
+      psig[i] = 1.0f / (1.0f + e);
+    }
+    retention_values->push_back(retention);
+    total = total + retention * config.coefficient;
+    psig += k * m;
+    pp += k * m;
+  }
+
+  thread_local std::vector<nn::Var> parents;
+  parents.clear();
+  parents.reserve(2 + samples.size());
+  parents.push_back(loss);
+  parents.push_back(candidates);
+  for (const RetainedSample& sample : samples) {
+    parents.push_back(sample.interests);
+  }
+  nn::Tensor out({1});
+  out.at(0) = total;
+  nn::Var result = nn::Var::MakeNode(
+      std::move(out), parents,
+      [sigmoids = std::move(sigmoids), probs = std::move(probs),
+       cands_t = std::move(cands_t),
+       meta = nn::ArenaArray<int64_t>(meta.data(), meta.size(),
+                                      nn::CurrentGraphArena()),
+       tau, coefficient = config.coefficient, block](nn::VarNode& node) {
+        SigmoidKdBatchBackward(node, sigmoids, probs, cands_t, meta, tau,
+                               coefficient, block);
+      });
+  parents.clear();
+  return result;
 }
 
 }  // namespace
@@ -161,6 +332,33 @@ nn::Var RetentionLoss(const EirConfig& config,
   }
   IMSR_CHECK(false) << "unreachable retention kind";
   std::abort();
+}
+
+nn::Var AddRetentionLoss(const EirConfig& config, const nn::Var& loss,
+                         const std::vector<RetainedSample>& samples,
+                         const nn::Var& candidates,
+                         const nn::Tensor& teacher_candidates, int64_t block,
+                         std::vector<float>* retention_values) {
+  IMSR_CHECK(retention_values != nullptr);
+  IMSR_CHECK(config.kind != RetentionKind::kNone);
+  IMSR_CHECK(SameShape(teacher_candidates, candidates.value()));
+  if (samples.empty()) return loss;
+  if (config.kind == RetentionKind::kSigmoidKd) {
+    return SigmoidKdBatch(config, loss, samples, candidates,
+                          teacher_candidates, block, retention_values);
+  }
+  nn::Var total = loss;
+  for (const RetainedSample& sample : samples) {
+    const int64_t row = sample.block_index * block;
+    nn::Var retention = RetentionLoss(
+        config, sample.interests, *sample.teacher_interests,
+        nn::ops::RowSlice(candidates, row, row + block),
+        teacher_candidates.RowSlice(row, row + block));
+    retention_values->push_back(retention.value().item());
+    total = nn::ops::Add(
+        total, nn::ops::Scale(retention, config.coefficient));
+  }
+  return total;
 }
 
 }  // namespace imsr::core

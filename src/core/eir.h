@@ -7,6 +7,7 @@
 #define IMSR_CORE_EIR_H_
 
 #include <string>
+#include <vector>
 
 #include "nn/variable.h"
 
@@ -48,6 +49,38 @@ nn::Var RetentionLoss(const EirConfig& config,
                       const nn::Tensor& teacher_interests,
                       const nn::Var& candidates,
                       const nn::Tensor& teacher_candidates);
+
+// One minibatch sample a teacher covers. `interests` (K_t x d Var) are
+// the sample's live interests, with K_t >= teacher_interests->size(0);
+// the sample's candidates are rows [block_index * block, (block_index +
+// 1) * block) of the batch's candidate gather.
+struct RetainedSample {
+  nn::Var interests;
+  const nn::Tensor* teacher_interests;
+  int64_t block_index;
+};
+
+// Eq. 10 for a whole minibatch: returns `loss` plus
+// coefficient * RetentionLoss(sample) for each entry of `samples`, added
+// in order, and appends each unweighted retention value to
+// `retention_values`. `candidates` is the batch's (B*block x d)
+// candidate gather and `teacher_candidates` the same rows of the
+// teacher's embedding table (a constant).
+//
+// EIR (kSigmoidKd) is ONE graph node for the batch: it reads each
+// sample's interest rows and candidate block, takes the teacher
+// probabilities from `teacher_candidates`, and in its backward hands
+// `loss` its gradient, then merges dH and the candidate gradients with
+// the same kernels and merge order as the per-sample chain
+// (RowSlice -> MatMul -> Reshape -> KdSigmoidCrossEntropy -> Scale ->
+// Add). Losses and gradients are bitwise identical to that chain. The
+// ablation kinds build the per-sample chain itself. An empty `samples`
+// returns `loss` unchanged.
+nn::Var AddRetentionLoss(const EirConfig& config, const nn::Var& loss,
+                         const std::vector<RetainedSample>& samples,
+                         const nn::Var& candidates,
+                         const nn::Tensor& teacher_candidates, int64_t block,
+                         std::vector<float>* retention_values);
 
 }  // namespace imsr::core
 

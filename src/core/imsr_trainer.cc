@@ -133,21 +133,17 @@ nn::Var ImsrTrainer::BatchLoss(
                                  &flat);
   }
   // Pass 2: one (B x d) target gather — created before the interest
-  // forward so the fused readout nodes can take it as a parent (the
-  // backward traversal follows graph edges, not creation order, so the
-  // reference path below is unaffected by the hoist) — then the
-  // per-sample representations, one (B*C x d) candidate gather and one
-  // fused loss node (Eq. 6).
-  nn::Var target_embeddings = model_->embeddings().Lookup(targets);
-  // The retention loss needs the interest matrices as graph handles,
-  // which the fused readout never materialises — KD-covered batches take
-  // the reference chain instead.
-  const bool need_interest_vars =
+  // forward so the fused readout nodes can take it as a parent — then
+  // the per-sample representations, one (B*C x d) candidate gather and
+  // one fused loss node (Eq. 6). A teacher batch also takes the
+  // per-sample interest Vars for the retention term.
+  const bool retain =
       teacher != nullptr && config_.eir.kind != RetentionKind::kNone;
-  if (need_interest_vars ||
-      !model_->ForwardReprsBatch(flat_history, history_offsets,
+  nn::Var target_embeddings = model_->embeddings().Lookup(targets);
+  if (!model_->ForwardReprsBatch(flat_history, history_offsets,
                                  interest_inits, batch_users,
-                                 target_embeddings, &reprs)) {
+                                 target_embeddings, &reprs,
+                                 retain ? &interests : nullptr)) {
     model_->ForwardInterestsBatch(flat_history, history_offsets,
                                   interest_inits, batch_users, &interests);
     for (size_t b = 0; b < count; ++b) {
@@ -161,36 +157,36 @@ nn::Var ImsrTrainer::BatchLoss(
   nn::Var loss = models::SampledSoftmaxBatchLoss(
       reprs, candidate_embeddings, static_cast<int64_t>(block));
 
-  // Eq. 10 per covered sample, over a row slice of the shared candidate
-  // gather — retention gradients merge into the slice (then the gather)
-  // in the same order the per-sample path merges them into its gather.
-  if (teacher != nullptr && config_.eir.kind != RetentionKind::kNone) {
+  // Eq. 10 for every sample the teacher covers, against its block of the
+  // candidate gather and the same rows of the teacher's table.
+  if (retain) {
+    std::vector<RetainedSample>& retained = scratch_.retained;
     for (size_t b = 0; b < count; ++b) {
-      const data::TrainingSample& sample = samples[indices[b]];
-      auto it = teacher->interests.find(sample.user);
-      if (it == teacher->interests.end() ||
-          it->second.size(0) > interests[b].value().size(0)) {
-        continue;
+      auto it = teacher->interests.find(batch_users[b]);
+      if (it != teacher->interests.end() &&
+          it->second.size(0) <= interests[b].value().size(0)) {
+        retained.push_back(
+            {interests[b], &it->second, static_cast<int64_t>(b)});
       }
-      std::vector<int64_t>& candidate_indices =
-          scratch_.candidate_indices;
-      candidate_indices.assign(
-          flat.begin() + static_cast<int64_t>(b * block),
-          flat.begin() + static_cast<int64_t>((b + 1) * block));
-      const nn::Tensor teacher_candidates =
-          nn::GatherRows(teacher->embeddings, candidate_indices);
-      nn::Var sample_candidates = nn::ops::RowSlice(
-          candidate_embeddings, static_cast<int64_t>(b * block),
-          static_cast<int64_t>((b + 1) * block));
-      nn::Var retention =
-          RetentionLoss(config_.eir, interests[b], it->second,
-                        sample_candidates, teacher_candidates);
-      IMSR_HISTOGRAM_RECORD_WITH("trainer/kd_loss",
-                                 obs::Histogram::LossBounds(),
-                                 retention.value().item());
-      IMSR_COUNTER_ADD("trainer/kd_samples", 1);
-      loss = nn::ops::Add(
-          loss, nn::ops::Scale(retention, config_.eir.coefficient));
+    }
+    if (!retained.empty()) {
+      std::vector<int64_t>& candidate_indices = scratch_.candidate_indices;
+      candidate_indices.assign(flat.begin(), flat.end());
+      nn::GatherRowsInto(teacher->embeddings, candidate_indices.data(),
+                         static_cast<int64_t>(candidate_indices.size()),
+                         &scratch_.teacher_candidates);
+      std::vector<float>& values = scratch_.retention_values;
+      values.clear();
+      loss = AddRetentionLoss(config_.eir, loss, retained,
+                              candidate_embeddings,
+                              scratch_.teacher_candidates,
+                              static_cast<int64_t>(block), &values);
+      for ([[maybe_unused]] const float value : values) {
+        IMSR_HISTOGRAM_RECORD_WITH("trainer/kd_loss",
+                                   obs::Histogram::LossBounds(), value);
+        IMSR_COUNTER_ADD("trainer/kd_samples", 1);
+      }
+      retained.clear();
     }
   }
   // Drop the graph handles so arena Reset() after the step is the only

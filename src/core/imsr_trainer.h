@@ -182,6 +182,12 @@ class ImsrTrainer {
     std::vector<int64_t> history_offsets;
     std::vector<const nn::Tensor*> interest_inits;
     std::vector<data::UserId> batch_users;
+    // Retention-term buffers: the covered samples (cleared before
+    // BatchLoss returns, like the Var vectors above), the teacher's rows
+    // for the batch's candidates and the per-sample retention values.
+    std::vector<RetainedSample> retained;
+    nn::Tensor teacher_candidates;
+    std::vector<float> retention_values;
   };
 
   models::MsrModel* model_;

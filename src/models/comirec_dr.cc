@@ -57,7 +57,8 @@ void DynamicRoutingExtractor::ForwardReprBatch(
     const nn::Var& flat_item_embeddings, const std::vector<int64_t>& offsets,
     const std::vector<const nn::Tensor*>& interest_inits,
     const std::vector<data::UserId>& /*users*/,
-    const nn::Var& target_embeddings, std::vector<nn::Var>* reprs) {
+    const nn::Var& target_embeddings, std::vector<nn::Var>* reprs,
+    std::vector<nn::Var>* interests) {
   IMSR_CHECK(reprs != nullptr);
   IMSR_CHECK_GE(offsets.size(), 2u);
   const size_t batch = offsets.size() - 1;
@@ -71,9 +72,12 @@ void DynamicRoutingExtractor::ForwardReprBatch(
         e_hat_all.value().RowSlice(offsets[b], offsets[b + 1]);
     nn::Tensor coupling =
         B2IRouting(e_hat, *interest_inits[b], routing_config_, &rng_);
+    nn::Var sample_interests;
     reprs->push_back(RoutedAttentiveReadout(
         e_hat_all, offsets[b], e_hat, std::move(coupling),
-        target_embeddings, static_cast<int64_t>(b)));
+        target_embeddings, static_cast<int64_t>(b),
+        interests != nullptr ? &sample_interests : nullptr));
+    if (interests != nullptr) interests->push_back(sample_interests);
   }
 }
 

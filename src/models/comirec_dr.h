@@ -34,8 +34,7 @@ class DynamicRoutingExtractor : public MultiInterestExtractor {
                     std::vector<nn::Var>* out) override;
 
   // Always true. The unfused reference chain (ForwardBatch + readout)
-  // stays for teacher/EIR batches and as the bitwise oracle of the fused
-  // node (models_test).
+  // stays as the bitwise oracle of the fused path (trainer_test).
   bool SupportsFusedRepr() const override { return true; }
 
   // Shared-transform MatMul once for the batch, then per sample: frozen
@@ -49,7 +48,8 @@ class DynamicRoutingExtractor : public MultiInterestExtractor {
                         const std::vector<const nn::Tensor*>& interest_inits,
                         const std::vector<data::UserId>& users,
                         const nn::Var& target_embeddings,
-                        std::vector<nn::Var>* reprs) override;
+                        std::vector<nn::Var>* reprs,
+                        std::vector<nn::Var>* interests) override;
 
   nn::Tensor ForwardNoGrad(const nn::Tensor& item_embeddings,
                            const nn::Tensor& interest_init,

@@ -28,7 +28,8 @@ void MultiInterestExtractor::ForwardReprBatch(
     const std::vector<int64_t>& /*offsets*/,
     const std::vector<const nn::Tensor*>& /*interest_inits*/,
     const std::vector<data::UserId>& /*users*/,
-    const nn::Var& /*target_embeddings*/, std::vector<nn::Var>* /*reprs*/) {
+    const nn::Var& /*target_embeddings*/, std::vector<nn::Var>* /*reprs*/,
+    std::vector<nn::Var>* /*interests*/) {
   IMSR_CHECK(false) << "ForwardReprBatch called on an extractor without a "
                        "fused path; check SupportsFusedRepr() first";
 }

@@ -55,9 +55,8 @@ class MultiInterestExtractor {
       const std::vector<const nn::Tensor*>& interest_inits,
       const std::vector<data::UserId>& users, std::vector<nn::Var>* out);
 
-  // True when the extractor implements ForwardReprBatch. Callers that
-  // only need the per-sample user representations (not the interest
-  // matrices themselves) check this to take the fused readout path.
+  // True when the extractor implements ForwardReprBatch; the batched
+  // trainer checks this to take the fused readout path.
   virtual bool SupportsFusedRepr() const { return false; }
 
   // Fused batched forward straight to the per-sample user representation
@@ -68,14 +67,18 @@ class MultiInterestExtractor {
   // `flat_item_embeddings`; its target embedding is row b of
   // `target_embeddings`. Appends one (d) Var per sample to `reprs`, with
   // values and gradients bitwise identical to ForwardBatch +
-  // AttentiveAggregate. Only callable when SupportsFusedRepr(); the
-  // default aborts.
+  // AttentiveAggregate. When `interests` is non-null it also receives
+  // one (K x d) interest Var per sample, for consumers of the interest
+  // matrix itself (the EIR retention term); their gradients fold into
+  // the fused node with the reference chain's merge order. Only
+  // callable when SupportsFusedRepr(); the default aborts.
   virtual void ForwardReprBatch(
       const nn::Var& flat_item_embeddings,
       const std::vector<int64_t>& offsets,
       const std::vector<const nn::Tensor*>& interest_inits,
       const std::vector<data::UserId>& users,
-      const nn::Var& target_embeddings, std::vector<nn::Var>* reprs);
+      const nn::Var& target_embeddings, std::vector<nn::Var>* reprs,
+      std::vector<nn::Var>* interests);
 
   // No-grad forward used by interests expansion / NID / PIT / evaluation.
   virtual nn::Tensor ForwardNoGrad(const nn::Tensor& item_embeddings,

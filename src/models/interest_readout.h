@@ -29,16 +29,25 @@ namespace imsr::models {
 // reduction kernels, same outer-product/saxpy orders, same
 // gradient-merge order into each parent), so losses and parameter
 // updates are bitwise identical to the reference path — trainer_test
-// asserts this at batch_size = 1 and readout tests assert it per node.
+// asserts this for whole epochs and models_test per node.
 //
 // `e_hat_slice` must hold a copy of the value rows [begin, begin +
 // slice.rows) of `e_hat_all`; the caller already materialised that copy
 // to run B2I routing, so the forward reuses it instead of re-slicing.
+//
+// When `interests` is non-null it receives H itself as a Var whose only
+// parent is the returned node, for consumers that read the interest
+// matrix (EIR's retention term, Eq. 10). Whatever gradient those
+// consumers accumulate into it is handed to the readout node, which
+// starts its dH from it — the first term of H's gradient in the
+// reference chain, where the retention slice sits downstream of the
+// sampled-softmax loss and so runs before the aggregation's backward.
 nn::Var RoutedAttentiveReadout(const nn::Var& e_hat_all, int64_t begin,
                                const nn::Tensor& e_hat_slice,
                                nn::Tensor coupling,
                                const nn::Var& target_embeddings,
-                               int64_t target_row);
+                               int64_t target_row,
+                               nn::Var* interests = nullptr);
 
 }  // namespace imsr::models
 

@@ -70,12 +70,13 @@ bool MsrModel::ForwardReprsBatch(
     const std::vector<int64_t>& offsets,
     const std::vector<const nn::Tensor*>& interest_inits,
     const std::vector<data::UserId>& users,
-    const nn::Var& target_embeddings, std::vector<nn::Var>* reprs) {
+    const nn::Var& target_embeddings, std::vector<nn::Var>* reprs,
+    std::vector<nn::Var>* interests) {
   if (!extractor_->SupportsFusedRepr()) return false;
   IMSR_CHECK(!flat_history.empty());
   nn::Var flat_embeddings = embeddings_.Lookup(flat_history);
   extractor_->ForwardReprBatch(flat_embeddings, offsets, interest_inits,
-                               users, target_embeddings, reprs);
+                               users, target_embeddings, reprs, interests);
   return true;
 }
 

@@ -59,7 +59,8 @@ class MsrModel {
       const std::vector<data::UserId>& users, std::vector<nn::Var>* out);
   // Fused fast path: one embedding gather for `flat_history`, then the
   // extractor's ForwardReprBatch straight to the per-sample user
-  // representations (one graph node per sample). Returns false without
+  // representations (one graph node per sample), plus the per-sample
+  // interest Vars when `interests` is non-null. Returns false without
   // building anything when the extractor lacks a fused path — the
   // caller falls back to ForwardInterestsBatch + aggregation.
   bool ForwardReprsBatch(
@@ -67,7 +68,8 @@ class MsrModel {
       const std::vector<int64_t>& offsets,
       const std::vector<const nn::Tensor*>& interest_inits,
       const std::vector<data::UserId>& users,
-      const nn::Var& target_embeddings, std::vector<nn::Var>* reprs);
+      const nn::Var& target_embeddings, std::vector<nn::Var>* reprs,
+      std::vector<nn::Var>* interests);
   // No-grad counterpart.
   nn::Tensor ForwardInterestsNoGrad(
       const std::vector<data::ItemId>& history,

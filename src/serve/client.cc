@@ -29,14 +29,6 @@ constexpr Clock::duration kStallTimeout = std::chrono::seconds(30);
 
 std::string ErrnoText() { return std::strerror(errno); }
 
-double Zeta(uint64_t n, double theta) {
-  double sum = 0.0;
-  for (uint64_t i = 1; i <= n; ++i) {
-    sum += 1.0 / std::pow(static_cast<double>(i), theta);
-  }
-  return sum;
-}
-
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -98,6 +90,33 @@ int ConnectSocket(const Endpoint& endpoint, std::string* error) {
     return -1;
   }
   return fd;
+}
+
+double ZipfPicker::Zeta(uint64_t n, double theta) {
+  const uint64_t exact = std::min(n, kZetaExactTerms);
+  double sum = 0.0;
+  for (uint64_t i = 1; i <= exact; ++i) {
+    sum += 1.0 / std::pow(static_cast<double>(i), theta);
+  }
+  if (n == exact) return sum;
+  // sum_{i=a+1}^{b} f(i) = int_a^b f + (f(b) - f(a)) / 2
+  //   + (f'(b) - f'(a)) / 12 - (f'''(b) - f'''(a)) / 720 + R, with
+  // f(x) = x^-theta; R is of order f^(5)(a) / 30240, far below double
+  // rounding at a = kZetaExactTerms.
+  const double a = static_cast<double>(exact);
+  const double b = static_cast<double>(n);
+  const auto f = [theta](double x) { return std::pow(x, -theta); };
+  const auto f1 = [theta](double x) {
+    return -theta * std::pow(x, -theta - 1.0);
+  };
+  const auto f3 = [theta](double x) {
+    return -theta * (theta + 1.0) * (theta + 2.0) *
+           std::pow(x, -theta - 3.0);
+  };
+  const double integral =
+      (std::pow(b, 1.0 - theta) - std::pow(a, 1.0 - theta)) / (1.0 - theta);
+  return sum + integral + (f(b) - f(a)) / 2.0 + (f1(b) - f1(a)) / 12.0 -
+         (f3(b) - f3(a)) / 720.0;
 }
 
 ZipfPicker::ZipfPicker(uint64_t n, double theta) : n_(n), theta_(theta) {

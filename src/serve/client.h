@@ -47,8 +47,16 @@ int ConnectSocket(const Endpoint& endpoint, std::string* error);
 // closed form can round up to n).
 class ZipfPicker {
  public:
+  // Terms of the generalised harmonic number that Zeta sums one by one.
+  static constexpr uint64_t kZetaExactTerms = uint64_t{1} << 20;
+
   ZipfPicker(uint64_t n, double theta);
   uint64_t Next(util::Rng* rng) const;
+
+  // sum_{i=1}^{n} i^-theta. Up to kZetaExactTerms the terms are summed
+  // exactly in ascending order; past it an Euler-Maclaurin integral tail
+  // is added, so set-up cost is bounded whatever n is.
+  static double Zeta(uint64_t n, double theta);
 
  private:
   uint64_t n_;

@@ -2,8 +2,8 @@
 // corrupt input — truncation at any byte, bit-flips anywhere, mismatched
 // model shapes — may abort the process or mutate the destination state;
 // every failure must surface as LoadCheckpoint() == false with a
-// descriptive error. Also covers v1 compatibility, atomic-save semantics
-// and --keep_checkpoints rotation.
+// descriptive error. Also covers the refusal of the retired v1 layout,
+// atomic-save semantics and --keep_checkpoints rotation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -215,9 +215,10 @@ TEST_F(CheckpointCorruptionTest, GarbageAndEmptyFilesAreRejected) {
       << error;
 }
 
-// Writes the legacy v1 layout byte-for-byte (magic | span | note | model |
-// store — no framing, no checksum) and checks it still loads.
-TEST_F(CheckpointCorruptionTest, V1CheckpointsRemainLoadable) {
+// The unframed v1 layout (magic | span | note | model | store) is no
+// longer read: a file carrying its magic is refused as an unsupported
+// version, named in the error, and the destination stays untouched.
+TEST_F(CheckpointCorruptionTest, V1MagicIsRejectedAsUnsupportedVersion) {
   util::BinaryWriter writer;
   writer.WriteString("imsr-checkpoint-v1");
   writer.WriteInt64(2);
@@ -228,58 +229,15 @@ TEST_F(CheckpointCorruptionTest, V1CheckpointsRemainLoadable) {
 
   models::MsrModel destination(TinyConfig(), kNumItems, 7);
   InterestStore destination_store;
-  CheckpointMetadata metadata;
-  std::string error;
-  ASSERT_TRUE(LoadCheckpoint(path_, &destination, &destination_store,
-                             &metadata, &error))
-      << error;
-  EXPECT_EQ(metadata.trained_through_span, 2);
-  EXPECT_EQ(metadata.note, "legacy");
-  EXPECT_EQ(nn::MaxAbsDiff(source_->embeddings().parameter().value(),
-                           destination.embeddings().parameter().value()),
-            0.0f);
-  EXPECT_EQ(destination_store.num_users(), source_store_->num_users());
-
-  // ...and a v1 -> v2 round trip: re-saving writes v2, which loads back.
-  ASSERT_TRUE(SaveCheckpoint(path_, destination, destination_store,
-                             metadata, &error))
-      << error;
-  util::BinaryReader reader({});
-  ASSERT_TRUE(util::BinaryReader::ReadFromFile(path_, &reader));
-  EXPECT_EQ(reader.ReadString(), "imsr-checkpoint-v2");
-  models::MsrModel again(TinyConfig(), kNumItems, 8);
-  InterestStore again_store;
-  ASSERT_TRUE(
-      LoadCheckpoint(path_, &again, &again_store, &metadata, &error))
-      << error;
-  EXPECT_EQ(metadata.note, "legacy");
-}
-
-TEST_F(CheckpointCorruptionTest, V1TruncationFailsCleanlyToo) {
-  util::BinaryWriter writer;
-  writer.WriteString("imsr-checkpoint-v1");
-  writer.WriteInt64(2);
-  writer.WriteString("legacy");
-  source_->Save(&writer);
-  source_store_->Save(&writer);
-  const std::vector<uint8_t>& v1 = writer.buffer();
-
-  models::MsrModel destination(TinyConfig(), kNumItems, 7);
-  InterestStore destination_store;
   const Fingerprint fingerprint =
       Fingerprint::Of(destination, destination_store);
-  for (size_t length = 0; length < v1.size(); length += 5) {
-    WriteFileBytes(path_,
-                   std::vector<uint8_t>(v1.begin(), v1.begin() + length));
-    std::string error;
-    ASSERT_FALSE(LoadCheckpoint(path_, &destination, &destination_store,
-                                nullptr, &error))
-        << "v1 truncation at byte " << length << " was accepted";
-    ASSERT_FALSE(error.empty());
-    fingerprint.ExpectUnchanged(destination, destination_store,
-                                "v1 truncation at byte " +
-                                    std::to_string(length));
-  }
+  std::string error;
+  EXPECT_FALSE(LoadCheckpoint(path_, &destination, &destination_store,
+                              nullptr, &error));
+  EXPECT_NE(error.find("unsupported checkpoint version"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("imsr-checkpoint-v1"), std::string::npos) << error;
+  fingerprint.ExpectUnchanged(destination, destination_store, "v1 file");
 }
 
 TEST_F(CheckpointCorruptionTest, SaveIsAtomicAndSurvivesStaleTmp) {

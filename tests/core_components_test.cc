@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "core/eir.h"
 #include "core/interest_store.h"
@@ -412,6 +415,110 @@ TEST(EirTest, RetentionKindNamesRoundTrip) {
         RetentionKind::kEuclidean, RetentionKind::kSoftmaxKd1,
         RetentionKind::kSoftmaxKd2, RetentionKind::kSoftmaxKd3}) {
     EXPECT_EQ(RetentionKindFromName(RetentionKindName(kind)), kind);
+  }
+}
+
+// AddRetentionLoss against the per-sample chain it stands for
+// (RowSlice -> RetentionLoss -> Scale -> Add per covered sample), node by
+// node: the loss value, each retention value and the gradients into the
+// running loss, the candidate gather and every sample's interests must
+// match bit for bit — for EIR's single fused node and for the ablation
+// kinds, at several widths and with teachers narrower than the student.
+TEST(EirTest, BatchRetentionMatchesPerSampleChainBitwise) {
+  auto same_bits = [](const nn::Tensor& a, const nn::Tensor& b) {
+    return a.shape() == b.shape() &&
+           (a.numel() == 0 ||
+            std::memcmp(a.data(), b.data(),
+                        static_cast<size_t>(a.numel()) * sizeof(float)) ==
+                0);
+  };
+  constexpr int64_t kBlock = 11;
+  constexpr int64_t kBatch = 5;
+  // (block index, student rows, teacher rows) per covered sample.
+  const std::vector<std::vector<int64_t>> covered = {
+      {0, 4, 4}, {2, 8, 3}, {3, 1, 1}, {4, 6, 5}};
+  util::Rng rng(21);
+  for (int64_t d : {1, 7, 32}) {
+    for (RetentionKind kind :
+         {RetentionKind::kSigmoidKd, RetentionKind::kEuclidean,
+          RetentionKind::kSoftmaxKd1, RetentionKind::kSoftmaxKd2,
+          RetentionKind::kSoftmaxKd3}) {
+      EirConfig config;
+      config.kind = kind;
+      config.tau = 0.7f;
+      config.coefficient = 0.3f;
+      const nn::Tensor base = nn::Tensor::Randn({1}, rng);
+      const nn::Tensor cands =
+          nn::Tensor::Randn({kBatch * kBlock, d}, rng);
+      const nn::Tensor teacher_cands =
+          nn::Tensor::Randn({kBatch * kBlock, d}, rng);
+      std::vector<nn::Tensor> students;
+      std::vector<nn::Tensor> teachers;
+      for (const std::vector<int64_t>& c : covered) {
+        students.push_back(nn::Tensor::Randn({c[1], d}, rng));
+        teachers.push_back(nn::Tensor::Randn({c[2], d}, rng));
+      }
+      struct Result {
+        nn::Tensor value;
+        std::vector<float> retention;
+        std::vector<nn::Tensor> grads;
+      };
+      auto run = [&](bool fused) {
+        nn::Var loss(base, /*requires_grad=*/true);
+        nn::Var candidates(cands, /*requires_grad=*/true);
+        std::vector<nn::Var> interests;
+        std::vector<RetainedSample> samples;
+        for (size_t i = 0; i < covered.size(); ++i) {
+          interests.emplace_back(students[i], /*requires_grad=*/true);
+          samples.push_back({interests.back(), &teachers[i], covered[i][0]});
+        }
+        Result result;
+        nn::Var total = loss;
+        if (fused) {
+          total = AddRetentionLoss(config, loss, samples, candidates,
+                                   teacher_cands, kBlock, &result.retention);
+        } else {
+          for (const RetainedSample& sample : samples) {
+            const int64_t row = sample.block_index * kBlock;
+            nn::Var retention = RetentionLoss(
+                config, sample.interests, *sample.teacher_interests,
+                nn::ops::RowSlice(candidates, row, row + kBlock),
+                teacher_cands.RowSlice(row, row + kBlock));
+            result.retention.push_back(retention.value().item());
+            total = nn::ops::Add(
+                total, nn::ops::Scale(retention, config.coefficient));
+          }
+        }
+        nn::Var mean = nn::ops::Scale(total, 1.0f / kBatch);
+        mean.Backward();
+        result.value = total.value();
+        // DIR leaves the candidates without a gradient.
+        auto grad_of = [](const nn::Var& var) {
+          return var.has_grad() ? var.grad() : nn::Tensor();
+        };
+        result.grads.push_back(grad_of(loss));
+        result.grads.push_back(grad_of(candidates));
+        for (const nn::Var& var : interests) {
+          result.grads.push_back(grad_of(var));
+        }
+        return result;
+      };
+      const Result fused = run(true);
+      const Result reference = run(false);
+      const std::string where =
+          std::string(RetentionKindName(kind)) + " d " + std::to_string(d);
+      EXPECT_TRUE(same_bits(fused.value, reference.value)) << where;
+      ASSERT_EQ(fused.retention.size(), reference.retention.size()) << where;
+      EXPECT_EQ(std::memcmp(fused.retention.data(), reference.retention.data(),
+                            fused.retention.size() * sizeof(float)),
+                0)
+          << where;
+      ASSERT_EQ(fused.grads.size(), reference.grads.size());
+      for (size_t i = 0; i < fused.grads.size(); ++i) {
+        EXPECT_TRUE(same_bits(fused.grads[i], reference.grads[i]))
+            << where << ", gradient " << i;
+      }
+    }
   }
 }
 

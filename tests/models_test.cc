@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <tuple>
 
 #include "models/aggregator.h"
 #include "models/capsule_routing.h"
 #include "models/comirec_dr.h"
 #include "models/comirec_sa.h"
+#include "models/interest_readout.h"
 #include "models/mind.h"
 #include "models/msr_model.h"
 #include "models/sampled_softmax.h"
@@ -294,6 +297,88 @@ TEST(AggregatorTest, ScoreRules) {
   const float attentive = AttentiveScore(interests, item);
   EXPECT_GT(attentive, 1.0f);
   EXPECT_LE(attentive, 2.0f);
+}
+
+// Exact float-for-float equality (memcmp: -0.0 vs +0.0 would fail).
+bool SameBits(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// The fused readout node against the seven-node chain it stands for
+// (RowSlice -> MatMulTransA -> SquashRows -> RowVector -> MatVec ->
+// Softmax -> MatVecTransA), node by node: the value and the gradients
+// into e_hat_all and target_embeddings must match bit for bit. Covers a
+// row slice of a larger e_hat_all and the full-range batch-of-one bypass
+// (no slice node), each with and without a second consumer of H, which
+// the fused node serves through its interests Var; that consumer sits
+// downstream of the readout's loss term, so its gradient is H's first.
+TEST(InterestReadoutTest, FusedNodeMatchesSevenNodeChainBitwise) {
+  util::Rng rng(3);
+  constexpr int64_t kRows = 5;
+  constexpr int64_t kTargetRow = 2;
+  for (int64_t d : {1, 7, 32}) {
+    for (int64_t k = 1; k <= 8; ++k) {
+      for (bool full_range : {false, true}) {
+        for (bool consume_interests : {false, true}) {
+          const int64_t begin = full_range ? 0 : 3;
+          const int64_t total_rows = full_range ? kRows : kRows + 6;
+          const nn::Tensor e_hat = nn::Tensor::Randn({total_rows, d}, rng);
+          const nn::Tensor targets = nn::Tensor::Randn({4, d}, rng);
+          const nn::Tensor coupling =
+              nn::Tensor::RandUniform({kRows, k}, rng, 0.0f, 1.0f);
+          const nn::Tensor w = nn::Tensor::Randn({d}, rng);
+          const nn::Tensor u = nn::Tensor::Randn({k * d}, rng);
+          auto run = [&](bool fused) {
+            nn::Var e_hat_all(e_hat, /*requires_grad=*/true);
+            nn::Var target_embeddings(targets, /*requires_grad=*/true);
+            nn::Var repr;
+            nn::Var interests;
+            if (fused) {
+              repr = RoutedAttentiveReadout(
+                  e_hat_all, begin, e_hat.RowSlice(begin, begin + kRows),
+                  coupling, target_embeddings, kTargetRow,
+                  consume_interests ? &interests : nullptr);
+            } else {
+              nn::Var slice =
+                  full_range
+                      ? e_hat_all
+                      : nn::ops::RowSlice(e_hat_all, begin, begin + kRows);
+              interests = nn::ops::SquashRows(
+                  nn::ops::MatMulTransA(nn::Var(coupling), slice));
+              nn::Var target =
+                  nn::ops::RowVector(target_embeddings, kTargetRow);
+              nn::Var beta =
+                  nn::ops::Softmax(nn::ops::MatVec(interests, target));
+              repr = nn::ops::MatVecTransA(interests, beta);
+            }
+            nn::Var loss = nn::ops::Dot(repr, nn::Var(w));
+            if (consume_interests) {
+              loss = nn::ops::Add(
+                  loss, nn::ops::Dot(nn::ops::Reshape(interests, {k * d}),
+                                     nn::Var(u)));
+            }
+            loss.Backward();
+            return std::make_tuple(repr.value(), e_hat_all.grad(),
+                                   target_embeddings.grad());
+          };
+          const auto fused = run(true);
+          const auto reference = run(false);
+          const std::string where =
+              "d " + std::to_string(d) + " K " + std::to_string(k) +
+              (full_range ? " full" : " slice") +
+              (consume_interests ? " +H consumer" : "");
+          EXPECT_TRUE(SameBits(std::get<0>(fused), std::get<0>(reference)))
+              << "value, " << where;
+          EXPECT_TRUE(SameBits(std::get<1>(fused), std::get<1>(reference)))
+              << "d e_hat_all, " << where;
+          EXPECT_TRUE(SameBits(std::get<2>(fused), std::get<2>(reference)))
+              << "d target_embeddings, " << where;
+        }
+      }
+    }
+  }
 }
 
 TEST(SampledSoftmaxTest, LossDecreasesWithBetterAlignment) {

@@ -14,6 +14,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <functional>
@@ -1176,6 +1178,26 @@ TEST(ClientTest, ZipfPickerBoundedRepeatableAndSkewed) {
             0);
   EXPECT_GT(counts[0], counts[1]);
   EXPECT_GT(counts[1], counts[10]);
+
+  // Past the exact-sum cutoff the Euler-Maclaurin tail stands in for the
+  // remaining terms; against the exact ascending sum it is within 1e-9.
+  const uint64_t past_cutoff = ZipfPicker::kZetaExactTerms + 1000;
+  for (const double theta : {0.5, 0.9, 0.99}) {
+    double exact = 0.0;
+    for (uint64_t i = 1; i <= past_cutoff; ++i) {
+      exact += 1.0 / std::pow(static_cast<double>(i), theta);
+    }
+    EXPECT_LE(std::abs(ZipfPicker::Zeta(past_cutoff, theta) - exact),
+              1e-9 * exact)
+        << "theta " << theta;
+  }
+  // So set-up no longer grows with n: two billion ids construct at once.
+  const auto start = std::chrono::steady_clock::now();
+  const ZipfPicker huge(2'000'000'000, 0.5);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(500));
+  util::Rng rng(9);
+  for (int i = 0; i < 1000; ++i) ASSERT_LT(huge.Next(&rng), 2'000'000'000u);
 }
 
 }  // namespace

@@ -2,16 +2,20 @@
 // (Algorithm 1), the IMSR trainer (Algorithm 2), pretraining convergence
 // and interest refreshing.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numeric>
 
-
 #include "core/imsr_trainer.h"
 #include "core/interests_expansion.h"
 #include "data/synthetic.h"
+#include "models/aggregator.h"
 #include "models/comirec_sa.h"
 #include "models/msr_model.h"
+#include "models/sampled_softmax.h"
+#include "nn/ops.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 
@@ -433,8 +437,10 @@ TEST(TrainerTest, BatchedPathBitwiseIdenticalAtBatchSizeOne) {
 }
 
 // Same property with the retention loss active: the batched path routes
-// each sample's distillation term through a row slice of the shared
+// each sample's distillation term through its block of the shared
 // candidate gather, which must merge gradients in the per-sample order.
+// Every shared parameter (embedding table and extractor transform) is
+// compared after each of two epochs' worth of steps.
 TEST(TrainerTest, BatchedPathBitwiseIdenticalAtBatchSizeOneWithTeacher) {
   const data::SyntheticDataset synthetic = SmallData();
   const data::Dataset& dataset = *synthetic.dataset;
@@ -451,14 +457,219 @@ TEST(TrainerTest, BatchedPathBitwiseIdenticalAtBatchSizeOneWithTeacher) {
     const TeacherSnapshot teacher = trainer.SnapshotTeacher(dataset, 0);
     const std::vector<data::TrainingSample> samples =
         data::BuildSpanSamples(dataset, 0, config.max_history);
-    const double loss = trainer.TrainEpoch(samples, &teacher);
-    return std::make_pair(
-        loss, nn::Tensor(model.embeddings().parameter().value()));
+    std::vector<double> losses;
+    for (int epoch = 0; epoch < 2; ++epoch) {
+      losses.push_back(trainer.TrainEpoch(samples, &teacher));
+    }
+    std::vector<nn::Tensor> parameters;
+    for (const nn::Var& p : model.SharedParameters()) {
+      parameters.push_back(p.value());
+    }
+    return std::make_pair(losses, parameters);
   };
   const auto batched = run(true);
   const auto reference = run(false);
-  EXPECT_EQ(batched.first, reference.first);
-  EXPECT_TRUE(BitwiseEqual(batched.second, reference.second));
+  ASSERT_EQ(batched.first.size(), reference.first.size());
+  for (size_t i = 0; i < batched.first.size(); ++i) {
+    EXPECT_EQ(batched.first[i], reference.first[i]) << "epoch " << i;
+  }
+  ASSERT_EQ(batched.second.size(), 2u);
+  ASSERT_EQ(batched.second.size(), reference.second.size());
+  for (size_t i = 0; i < batched.second.size(); ++i) {
+    EXPECT_TRUE(BitwiseEqual(batched.second[i], reference.second[i]))
+        << "parameter " << i;
+  }
+}
+
+// Test-local copy of the batched trainer as it stood before EIR had a
+// fused form: every teacher batch runs the reference chain
+// (ForwardInterestsBatch + AttentiveAggregate, then per covered sample
+// RowSlice -> RetentionLoss -> Scale -> Add on the summed loss). It
+// drives its own rng, negative sampler and optimizer in ImsrTrainer's
+// exact call order, so an identically seeded ImsrTrainer must match it
+// bit for bit.
+class ReferenceChainTrainer {
+ public:
+  ReferenceChainTrainer(models::MsrModel* model, InterestStore* store,
+                        const TrainConfig& config)
+      : model_(model),
+        store_(store),
+        config_(config),
+        optimizer_(config.learning_rate),
+        rng_(config.seed),
+        sampler_(static_cast<int32_t>(model->num_items())) {
+    for (const nn::Var& parameter : model_->SharedParameters()) {
+      optimizer_.Register(parameter);
+    }
+  }
+
+  void EnsureUserState(const data::Dataset& dataset, int span) {
+    const int64_t dim = model_->config().embedding_dim;
+    for (data::UserId user : dataset.active_users(span)) {
+      if (!store_->Has(user)) {
+        store_->Initialize(user, config_.initial_interests, dim, span, rng_);
+      }
+      model_->extractor().EnsureUserCapacity(
+          user, store_->NumInterests(user), rng_, &optimizer_);
+    }
+  }
+
+  double TrainEpoch(const std::vector<data::TrainingSample>& samples,
+                    const TeacherSnapshot* teacher) {
+    std::vector<size_t> order(samples.size());
+    std::iota(order.begin(), order.end(), 0);
+    rng_.Shuffle(order);
+    double epoch_loss = 0.0;
+    const auto batch = static_cast<size_t>(config_.batch_size);
+    for (size_t begin = 0; begin < order.size(); begin += batch) {
+      const size_t end = std::min(order.size(), begin + batch);
+      nn::Var loss = nn::ops::Scale(
+          BatchLoss(samples, order.data() + begin, end - begin, teacher),
+          1.0f / static_cast<float>(end - begin));
+      loss.Backward();
+      epoch_loss += static_cast<double>(loss.value().item()) *
+                    static_cast<double>(end - begin);
+      optimizer_.Step();
+      optimizer_.ZeroGradAll();
+    }
+    return epoch_loss / static_cast<double>(samples.size());
+  }
+
+ private:
+  nn::Var BatchLoss(const std::vector<data::TrainingSample>& samples,
+                    const size_t* indices, size_t count,
+                    const TeacherSnapshot* teacher) {
+    const auto block = static_cast<size_t>(1 + config_.negatives);
+    std::vector<data::ItemId> flat_history;
+    std::vector<int64_t> offsets = {0};
+    std::vector<const nn::Tensor*> inits;
+    std::vector<data::UserId> users;
+    std::vector<data::ItemId> targets;
+    std::vector<data::ItemId> flat;
+    for (size_t i = 0; i < count; ++i) {
+      const data::TrainingSample& sample = samples[indices[i]];
+      flat_history.insert(flat_history.end(), sample.history.begin(),
+                          sample.history.end());
+      offsets.push_back(static_cast<int64_t>(flat_history.size()));
+      inits.push_back(&store_->Interests(sample.user));
+      users.push_back(sample.user);
+      targets.push_back(sample.target);
+      flat.push_back(sample.target);
+      sampler_.SampleInto(config_.negatives, sample.target, rng_, &flat);
+    }
+    nn::Var target_embeddings = model_->embeddings().Lookup(targets);
+    std::vector<nn::Var> interests;
+    model_->ForwardInterestsBatch(flat_history, offsets, inits, users,
+                                  &interests);
+    std::vector<nn::Var> reprs;
+    for (size_t b = 0; b < count; ++b) {
+      reprs.push_back(models::AttentiveAggregate(
+          interests[b],
+          nn::ops::RowVector(target_embeddings, static_cast<int64_t>(b))));
+    }
+    nn::Var candidates = model_->embeddings().Lookup(flat);
+    nn::Var loss = models::SampledSoftmaxBatchLoss(
+        reprs, candidates, static_cast<int64_t>(block));
+    if (teacher == nullptr) return loss;
+    for (size_t b = 0; b < count; ++b) {
+      auto it = teacher->interests.find(users[b]);
+      if (it == teacher->interests.end() ||
+          it->second.size(0) > interests[b].value().size(0)) {
+        continue;
+      }
+      const auto row = static_cast<int64_t>(b * block);
+      const std::vector<int64_t> rows(flat.begin() + row,
+                                      flat.begin() + row + block);
+      nn::Var retention = RetentionLoss(
+          config_.eir, interests[b], it->second,
+          nn::ops::RowSlice(candidates, row,
+                            row + static_cast<int64_t>(block)),
+          nn::GatherRows(teacher->embeddings, rows));
+      loss = nn::ops::Add(
+          loss, nn::ops::Scale(retention, config_.eir.coefficient));
+    }
+    return loss;
+  }
+
+  models::MsrModel* model_;
+  InterestStore* store_;
+  TrainConfig config_;
+  nn::Adam optimizer_;
+  util::Rng rng_;
+  data::NegativeSampler sampler_;
+};
+
+// The fused EIR path (one retention node per batch on top of the fused
+// readout) against the reference chain at a real batch size: epoch
+// losses, every shared parameter and the refreshed interests must agree
+// bit for bit. The teacher covers users with fewer interests than the
+// student and skips one with more and one it lacks.
+TEST(TrainerTest, TeacherBatchesMatchReferenceChainAtBatchSize64) {
+  const data::SyntheticDataset synthetic = SmallData();
+  const data::Dataset& dataset = *synthetic.dataset;
+  TrainConfig config = SmallTrainConfig();
+  config.batch_size = 64;
+  config.eir.kind = RetentionKind::kSigmoidKd;
+  const models::ModelConfig model_config =
+      SmallModelConfig(models::ExtractorKind::kComiRecDr);
+  models::MsrModel fused_model(model_config, dataset.num_items(), 9);
+  models::MsrModel reference_model(model_config, dataset.num_items(), 9);
+  InterestStore fused_store;
+  InterestStore reference_store;
+  ImsrTrainer trainer(&fused_model, &fused_store, config);
+  ReferenceChainTrainer reference(&reference_model, &reference_store,
+                                  config);
+  trainer.EnsureUserState(dataset, 0);
+  reference.EnsureUserState(dataset, 0);
+  const std::vector<data::TrainingSample> samples =
+      data::BuildSpanSamples(dataset, 0, config.max_history);
+  ASSERT_GT(samples.size(), 2u * 64u);
+
+  // One plain epoch first, so the teacher is not the student's start.
+  std::vector<double> fused_losses = {trainer.TrainEpoch(samples, nullptr)};
+  std::vector<double> reference_losses = {
+      reference.TrainEpoch(samples, nullptr)};
+  TeacherSnapshot teacher = trainer.SnapshotTeacher(dataset, 0);
+  const std::vector<data::UserId>& users = dataset.active_users(0);
+  ASSERT_GE(users.size(), 4u);
+  nn::Tensor& shrunk_one = teacher.interests.at(users[0]);
+  shrunk_one = shrunk_one.RowSlice(0, 1);
+  nn::Tensor& shrunk_two = teacher.interests.at(users[1]);
+  shrunk_two = shrunk_two.RowSlice(0, 2);
+  nn::Tensor& grown = teacher.interests.at(users[2]);
+  grown = nn::ConcatRows({grown, grown.RowSlice(0, 1)});
+  teacher.interests.erase(users[3]);
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    fused_losses.push_back(trainer.TrainEpoch(samples, &teacher));
+    reference_losses.push_back(reference.TrainEpoch(samples, &teacher));
+  }
+  ASSERT_EQ(fused_losses.size(), reference_losses.size());
+  for (size_t i = 0; i < fused_losses.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&fused_losses[i], &reference_losses[i],
+                          sizeof(double)),
+              0)
+        << "epoch " << i << ": " << fused_losses[i] << " vs "
+        << reference_losses[i];
+  }
+  const std::vector<nn::Var> fused_parameters =
+      fused_model.SharedParameters();
+  const std::vector<nn::Var> reference_parameters =
+      reference_model.SharedParameters();
+  ASSERT_EQ(fused_parameters.size(), 2u);
+  ASSERT_EQ(fused_parameters.size(), reference_parameters.size());
+  for (size_t i = 0; i < fused_parameters.size(); ++i) {
+    EXPECT_TRUE(BitwiseEqual(fused_parameters[i].value(),
+                             reference_parameters[i].value()))
+        << "parameter " << i;
+  }
+  trainer.RefreshInterests(dataset, 0);
+  ImsrTrainer(&reference_model, &reference_store, config)
+      .RefreshInterests(dataset, 0);
+  for (data::UserId user : users) {
+    EXPECT_TRUE(BitwiseEqual(fused_store.Interests(user),
+                             reference_store.Interests(user)))
+        << "user " << user;
+  }
 }
 
 // For larger batches the fused node's ascending-sample sum reproduces the
