@@ -15,6 +15,7 @@
 #include "data/synthetic.h"
 #include "util/csv.h"
 #include "util/flags.h"
+#include "util/thread_pool.h"
 
 namespace imsr::bench {
 
@@ -45,7 +46,9 @@ struct BenchSetup {
 // Parses the common bench flags:
 //   --scale=0.25 --repeats=1 --seed=7 --dim=32 --epochs=3
 //   --pretrain_epochs=5 --kd=0.1 --c1=0.04 --c2=0.3 --delta_k=3 --k0=4
+// and sizes the process-wide pool from --threads=N.
 inline BenchSetup ParseBenchFlags(const util::Flags& flags) {
+  util::ApplyThreadFlag(flags);
   BenchSetup setup;
   setup.scale = flags.GetDouble("scale", kDefaultScale);
   setup.repeats = static_cast<int>(flags.GetInt("repeats", 1));

@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
     }
   }
   items.push_back(skirt);
-  trainer.RefreshUserInterests(chosen_user, items);
+  trainer.RefreshUserInterests(chosen_user, items, /*span=*/1);
 
   std::printf("AFTER creating interest %lld and re-extraction (purple):\n",
               static_cast<long long>(k_before));

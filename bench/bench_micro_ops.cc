@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "bench/bench_main.h"
 #include "core/nid.h"
 #include "core/pit.h"
 #include "eval/ranker.h"
@@ -209,4 +210,6 @@ BENCHMARK(BM_AutogradTrainingStep);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return imsr::bench::RunBenchmarks(argc, argv);
+}

@@ -6,6 +6,7 @@
 // confirm instrumentation does not perturb the numeric kernels.
 #include <benchmark/benchmark.h>
 
+#include "bench/bench_main.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
 #include "obs/metrics.h"
@@ -80,4 +81,6 @@ BENCHMARK(BM_MatMulTransB)->Arg(16)->Arg(64)->Arg(256);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return imsr::bench::RunBenchmarks(argc, argv);
+}

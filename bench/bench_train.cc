@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench/bench_main.h"
 #include "core/imsr_trainer.h"
 #include "data/sampler.h"
 #include "data/synthetic.h"
@@ -124,4 +125,6 @@ BENCHMARK(BM_ValidationLoss)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return imsr::bench::RunBenchmarks(argc, argv);
+}

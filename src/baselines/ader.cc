@@ -41,7 +41,7 @@ class AderStrategy : public core::LearningStrategy {
     for (auto& [user, items] : replay) {
       const data::UserSpanData& span_data = dataset.user_span(user, span);
       items.insert(items.end(), span_data.all.begin(), span_data.all.end());
-      trainer_.RefreshUserInterests(user, std::move(items));
+      trainer_.RefreshUserInterests(user, std::move(items), span);
     }
     UpdatePool(dataset, span);
   }

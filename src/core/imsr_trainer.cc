@@ -30,14 +30,18 @@ ImsrTrainer::ImsrTrainer(models::MsrModel* model, InterestStore* store,
   }
 }
 
+void ImsrTrainer::EnsureUser(data::UserId user, int span) {
+  if (!store_->Has(user)) {
+    store_->Initialize(user, config_.initial_interests,
+                       model_->config().embedding_dim, span, rng_);
+  }
+  model_->extractor().EnsureUserCapacity(user, store_->NumInterests(user),
+                                         rng_, &optimizer_);
+}
+
 void ImsrTrainer::EnsureUserState(const data::Dataset& dataset, int span) {
-  const int64_t dim = model_->config().embedding_dim;
   for (data::UserId user : dataset.active_users(span)) {
-    if (!store_->Has(user)) {
-      store_->Initialize(user, config_.initial_interests, dim, span, rng_);
-    }
-    model_->extractor().EnsureUserCapacity(
-        user, store_->NumInterests(user), rng_, &optimizer_);
+    EnsureUser(user, span);
   }
 }
 
@@ -277,6 +281,17 @@ double ImsrTrainer::ValidationLoss(const data::Dataset& dataset,
 
 namespace {
 
+// The users active in `span`, each with their span-`span` items.
+std::vector<SpanUser> ActiveSpanUsers(const data::Dataset& dataset,
+                                      int span) {
+  std::vector<SpanUser> users;
+  users.reserve(dataset.active_users(span).size());
+  for (data::UserId user : dataset.active_users(span)) {
+    users.push_back({user, &dataset.user_span(user, span).all});
+  }
+  return users;
+}
+
 // Tracks the best validation loss; returns true when training should stop.
 class EarlyStopper {
  public:
@@ -333,120 +348,114 @@ void ImsrTrainer::TrainSpan(
     const data::Dataset& dataset, int span,
     const std::vector<data::TrainingSample>* extra_samples) {
   IMSR_CHECK_GE(span, 1);
-  IMSR_TRACE_SPAN("trainer/span");
-  IMSR_GAUGE_SET("trainer/current_span", static_cast<double>(span));
-  // Snapshot the teacher before EnsureUserState so first-seen users (whose
-  // interests are still random) are not anchored to noise.
-  TeacherSnapshot teacher;
-  if (config_.eir.kind != RetentionKind::kNone) {
-    teacher = SnapshotTeacher(dataset, span);
-  }
-  EnsureUserState(dataset, span);
-  const TeacherSnapshot* teacher_ptr =
-      config_.eir.kind != RetentionKind::kNone ? &teacher : nullptr;
-
   std::vector<data::TrainingSample> samples =
       data::BuildSpanSamples(dataset, span, config_.max_history);
   if (extra_samples != nullptr) {
     samples.insert(samples.end(), extra_samples->begin(),
                    extra_samples->end());
   }
+  TrainSpanStep(span, ActiveSpanUsers(dataset, span), samples,
+                config_.epochs, config_.enable_expansion, &dataset);
+  MaybePublishSnapshot(span);
+}
+
+void ImsrTrainer::TrainSpanStep(
+    int span, const std::vector<SpanUser>& users,
+    const std::vector<data::TrainingSample>& samples, int epochs,
+    bool expand, const data::Dataset* validation) {
+  IMSR_TRACE_SPAN("trainer/span");
+  IMSR_GAUGE_SET("trainer/current_span", static_cast<double>(span));
+  // Snapshot the teacher before creating state for first-seen users, so
+  // their interests (still random) are not anchored to noise.
+  const bool retain = config_.eir.kind != RetentionKind::kNone;
+  TeacherSnapshot teacher;
+  if (retain) teacher = SnapshotTeacher(users);
+  for (const SpanUser& entry : users) EnsureUser(entry.user, span);
 
   EarlyStopper stopper(config_.early_stopping,
                        config_.early_stopping_patience);
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    if (config_.enable_expansion &&
-        (epoch == 0 || config_.expansion_every_epoch)) {
-      const ExpansionOutcome outcome = RunInterestsExpansion(
-          model_, store_, dataset, span, config_.expansion, rng_,
-          &optimizer_);
-      expansion_totals_.users_considered += outcome.users_considered;
-      expansion_totals_.users_expanded += outcome.users_expanded;
-      expansion_totals_.interests_added += outcome.interests_added;
-      expansion_totals_.interests_trimmed += outcome.interests_trimmed;
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    if (expand && (epoch == 0 || config_.expansion_every_epoch)) {
+      IMSR_TRACE_SPAN("trainer/expansion");
+      for (const SpanUser& entry : users) {
+        ExpandUserInterests(model_, store_, entry.user, *entry.items, span,
+                            config_.expansion, rng_, &optimizer_,
+                            &expansion_totals_);
+      }
     }
     [[maybe_unused]] const double epoch_loss =
-        TrainEpoch(samples, teacher_ptr);
+        TrainEpoch(samples, retain ? &teacher : nullptr);
     IMSR_GAUGE_SET("trainer/span_loss", epoch_loss);
-    if (config_.early_stopping &&
-        stopper.ShouldStop(ValidationLoss(dataset, span))) {
+    if (config_.early_stopping && validation != nullptr &&
+        stopper.ShouldStop(ValidationLoss(*validation, span))) {
       break;
     }
   }
-  RefreshInterests(dataset, span);
-  MaybePublishSnapshot(span);
+  IMSR_TRACE_SPAN("trainer/refresh_interests");
+  for (const SpanUser& entry : users) {
+    RefreshUserInterests(entry.user, *entry.items, span);
+  }
 }
 
 void ImsrTrainer::RefreshInterests(const data::Dataset& dataset, int span) {
   IMSR_TRACE_SPAN("trainer/refresh_interests");
   for (data::UserId user : dataset.active_users(span)) {
-    const data::UserSpanData& span_data = dataset.user_span(user, span);
-    std::vector<data::ItemId> items = span_data.all;
-    if (static_cast<int>(items.size()) > config_.max_history) {
-      items.erase(items.begin(),
-                  items.end() - config_.max_history);
-    }
-    const nn::Tensor& stored = store_->Interests(user);
-    if (!config_.persist_interests && span > 0) {
-      // Baseline behaviour (§III): interests are whatever the extractor
-      // finds in the *current* span, routed from a fresh random seed —
-      // interests the user did not express this span are forgotten.
-      const nn::Tensor fresh_seed = nn::Tensor::Randn(
-          {stored.size(0), stored.size(1)}, rng_);
-      store_->SetInterests(
-          user, model_->ForwardInterestsNoGrad(items, fresh_seed, user));
-      continue;
-    }
-    nn::Tensor refreshed =
-        model_->ForwardInterestsNoGrad(items, stored, user);
-    // Evidence gating: an interest none of the span's items are assigned
-    // to (cosine argmax) keeps its stored vector — existing interests are
-    // preserved, not overwritten by unrelated interactions (§IV-B's
-    // premise). Interests with assigned items absorb them and drift
-    // modestly. Interests born this span are always taken from the fresh
-    // extraction.
-    if (span > 0 && config_.min_evidence_items > 0) {
-      const std::vector<int> assigned =
-          CountAssignedItems(model_->embeddings().LookupNoGrad(items),
-                             stored);
-      const std::vector<int>& births = store_->BirthSpans(user);
-      for (int64_t k = 0; k < refreshed.size(0); ++k) {
-        const bool born_this_span =
-            births[static_cast<size_t>(k)] == span;
-        if (!born_this_span &&
-            assigned[static_cast<size_t>(k)] <
-                config_.min_evidence_items) {
-          refreshed.SetRow(k, stored.Row(k));
-        }
-      }
-    }
-    store_->SetInterests(user, std::move(refreshed));
+    RefreshUserInterests(user, dataset.user_span(user, span).all, span);
   }
 }
 
 void ImsrTrainer::RefreshUserInterests(data::UserId user,
-                                       std::vector<data::ItemId> items) {
-  IMSR_CHECK(store_->Has(user));
+                                       std::vector<data::ItemId> items,
+                                       int span) {
   IMSR_CHECK(!items.empty());
   if (static_cast<int>(items.size()) > config_.max_history) {
     items.erase(items.begin(), items.end() - config_.max_history);
   }
   const nn::Tensor& stored = store_->Interests(user);
-  const nn::Tensor seed =
-      config_.persist_interests
-          ? stored
-          : nn::Tensor::Randn({stored.size(0), stored.size(1)}, rng_);
-  store_->SetInterests(user,
-                       model_->ForwardInterestsNoGrad(items, seed, user));
+  if (!config_.persist_interests && span > 0) {
+    // Baseline behaviour (§III): interests are whatever the extractor
+    // finds in the *current* span, routed from a fresh random seed —
+    // interests the user did not express this span are forgotten.
+    const nn::Tensor fresh_seed = nn::Tensor::Randn(
+        {stored.size(0), stored.size(1)}, rng_);
+    store_->SetInterests(
+        user, model_->ForwardInterestsNoGrad(items, fresh_seed, user));
+    return;
+  }
+  nn::Tensor refreshed = model_->ForwardInterestsNoGrad(items, stored, user);
+  // Evidence gating: an interest none of the span's items are assigned
+  // to (cosine argmax) keeps its stored vector — existing interests are
+  // preserved, not overwritten by unrelated interactions (§IV-B's
+  // premise). Interests with assigned items absorb them and drift
+  // modestly. Interests born this span are always taken from the fresh
+  // extraction.
+  if (span > 0 && config_.min_evidence_items > 0) {
+    const std::vector<int> assigned = CountAssignedItems(
+        model_->embeddings().LookupNoGrad(items), stored);
+    const std::vector<int>& births = store_->BirthSpans(user);
+    for (int64_t k = 0; k < refreshed.size(0); ++k) {
+      const bool born_this_span = births[static_cast<size_t>(k)] == span;
+      if (!born_this_span &&
+          assigned[static_cast<size_t>(k)] < config_.min_evidence_items) {
+        refreshed.SetRow(k, stored.Row(k));
+      }
+    }
+  }
+  store_->SetInterests(user, std::move(refreshed));
 }
 
 TeacherSnapshot ImsrTrainer::SnapshotTeacher(const data::Dataset& dataset,
                                              int span) const {
+  return SnapshotTeacher(ActiveSpanUsers(dataset, span));
+}
+
+TeacherSnapshot ImsrTrainer::SnapshotTeacher(
+    const std::vector<SpanUser>& users) const {
   TeacherSnapshot teacher;
   teacher.embeddings = model_->embeddings().parameter().value();
-  for (data::UserId user : dataset.active_users(span)) {
-    if (store_->Has(user)) {
-      teacher.interests.emplace(user, store_->Interests(user));
+  for (const SpanUser& entry : users) {
+    if (store_->Has(entry.user)) {
+      teacher.interests.emplace(entry.user, store_->Interests(entry.user));
     }
   }
   return teacher;

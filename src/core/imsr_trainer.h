@@ -1,8 +1,9 @@
 // The IMSR training engine (Algorithm 2): pretraining, per-span
 // incremental training with interests expansion (Alg. 1) and the
-// retention loss (Eq. 10), and interest refreshing. Also serves as the
-// shared inner loop for the FT/FR/SML/ADER strategies, which configure
-// away the IMSR-specific parts.
+// retention loss (Eq. 10), and interest refreshing. Its span step is also
+// the stream's micro-span (stream/stream_trainer.h), and the trainer is
+// the shared inner loop for the FT/FR/SML/ADER strategies, which
+// configure away the IMSR-specific parts.
 #ifndef IMSR_CORE_IMSR_TRAINER_H_
 #define IMSR_CORE_IMSR_TRAINER_H_
 
@@ -76,6 +77,13 @@ struct TeacherSnapshot {
   nn::Tensor embeddings;  // (num_items x d) copy
 };
 
+// One user of a span step: the user and their in-span items (not owned;
+// they must outlive the step).
+struct SpanUser {
+  data::UserId user;
+  const std::vector<data::ItemId>* items;
+};
+
 class ImsrTrainer {
  public:
   ImsrTrainer(models::MsrModel* model, InterestStore* store,
@@ -88,11 +96,27 @@ class ImsrTrainer {
   // user active in span 0 and trains the base model.
   void Pretrain(const data::Dataset& dataset);
 
-  // One incremental span (Algorithm 2's Training procedure). Optional
-  // `extra_samples` join the span's own samples (exemplar replay).
+  // One incremental span (Algorithm 2's Training procedure): the span
+  // step over the span's active users and samples, then a publish.
+  // Optional `extra_samples` join the span's own samples (exemplar
+  // replay).
   void TrainSpan(const data::Dataset& dataset, int span,
                  const std::vector<data::TrainingSample>* extra_samples =
                      nullptr);
+
+  // The span step TrainSpan and the stream's micro-span both run, in
+  // Algorithm 2's order: snapshot the EIR teacher (Eq. 10) of the
+  // `users` already in the store — first-seen users get none — create
+  // state for first-seen users, expand interests (Alg. 1) when `expand`
+  // (before epoch 0, or before every epoch under expansion_every_epoch),
+  // train `epochs` epochs over `samples`, then refresh every user's H_u
+  // from their items. `users` order fixes the RNG draw order. A non-null
+  // `validation` enables early stopping on its span-`span` validation
+  // items.
+  void TrainSpanStep(int span, const std::vector<SpanUser>& users,
+                     const std::vector<data::TrainingSample>& samples,
+                     int epochs, bool expand,
+                     const data::Dataset* validation = nullptr);
 
   // One supervised epoch over `samples`; `teacher` (nullable) enables the
   // retention loss for users it covers. Returns the mean per-sample
@@ -104,13 +128,19 @@ class ImsrTrainer {
   // capacity for every user active in `span` that lacks them.
   void EnsureUserState(const data::Dataset& dataset, int span);
 
-  // Recomputes and stores H_u from the user's span-`span` interactions.
+  // RefreshUserInterests for every user active in `span`, from their
+  // span-`span` interactions.
   void RefreshInterests(const data::Dataset& dataset, int span);
 
-  // Recomputes one user's interests from an explicit item list (used by
-  // replay-based strategies whose effective span data includes exemplars).
+  // Recomputes and stores one user's H_u from `items` (their span-`span`
+  // interactions, plus any replayed ones; the last max_history are
+  // used). At span 0 the extraction is seeded from the stored interests.
+  // From span 1 on, the persistence rule of TrainConfig applies: without
+  // persist_interests the seed is random; with it, an interest that fewer
+  // than min_evidence_items of `items` are assigned to keeps its stored
+  // row unless it was born in `span`.
   void RefreshUserInterests(data::UserId user,
-                            std::vector<data::ItemId> items);
+                            std::vector<data::ItemId> items, int span);
 
   // Snapshot of the stored interests of every user active in `span`.
   TeacherSnapshot SnapshotTeacher(const data::Dataset& dataset,
@@ -158,6 +188,14 @@ class ImsrTrainer {
   // Publishes the current model/store state as span `span` when a
   // registry is attached.
   void MaybePublishSnapshot(int span);
+
+  // Creates the user's store entry (K^0 random interests born at `span`)
+  // when absent, and per-user extractor capacity.
+  void EnsureUser(data::UserId user, int span);
+
+  // The embedding table plus the stored interests of those `users` the
+  // store holds.
+  TeacherSnapshot SnapshotTeacher(const std::vector<SpanUser>& users) const;
 
   // Reusable buffers for the steady-state training step. Capacities grow
   // to the high-water mark once and are then recycled, so SampleLoss and

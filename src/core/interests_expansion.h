@@ -32,8 +32,9 @@ struct ExpansionOutcome {
 // Runs Algorithm 1 for one user given their new-span interactions
 // `items` (the store must already hold an entry for the user; `span`
 // only tags newly appended interests with their birth span). Mutates
-// `outcome` counters in place. The streaming path calls this directly
-// per micro-span; the batch path below wraps it over a whole span.
+// `outcome` counters in place. The span step
+// (ImsrTrainer::TrainSpanStep) calls this per user, for batch spans and
+// stream micro-spans alike.
 void ExpandUserInterests(models::MsrModel* model,
                          InterestStore* store,
                          data::UserId user,
@@ -44,9 +45,10 @@ void ExpandUserInterests(models::MsrModel* model,
                          nn::Optimizer* optimizer,
                          ExpansionOutcome* outcome);
 
-// Runs Algorithm 1 over every active user of `span`. The store must
-// already contain an entry for each active user. `optimizer` (nullable)
-// keeps per-user extractor parameters registered as they resize.
+// Runs Algorithm 1 over every active user of `span` (perfbench's
+// piecewise span runner times it on its own). The store must already
+// contain an entry for each active user. `optimizer` (nullable) keeps
+// per-user extractor parameters registered as they resize.
 ExpansionOutcome RunInterestsExpansion(models::MsrModel* model,
                                        InterestStore* store,
                                        const data::Dataset& dataset,

@@ -140,13 +140,9 @@ void FullRetrainStrategy::RetrainFromScratch(const data::Dataset& dataset,
       items.insert(items.end(), span_data.all.begin(), span_data.all.end());
     }
     if (items.empty()) continue;
-    if (static_cast<int>(items.size()) > config_.train.max_history) {
-      items.erase(items.begin(),
-                  items.end() - config_.train.max_history);
-    }
-    store_->SetInterests(
-        user, model_->ForwardInterestsNoGrad(items, store_->Interests(user),
-                                             user));
+    // A retrain from scratch refreshes like pretraining (span 0): seeded
+    // from the stored initial interests, with no evidence gating.
+    trainer.RefreshUserInterests(user, std::move(items), /*span=*/0);
   }
 }
 

@@ -46,23 +46,28 @@ EvalResult EvaluateSpan(const serve::ServingSnapshot& snapshot,
     instances.push_back({user, span_data.test});
   }
 
-  const serve::IvfIndex* index =
-      config.retrieval == serve::RetrievalMode::kIVF ? snapshot.index()
-                                                     : nullptr;
+  const bool ivf = config.retrieval == serve::RetrievalMode::kIVF &&
+                   snapshot.index() != nullptr;
   IMSR_OBS_ONLY({
-    if (config.retrieval == serve::RetrievalMode::kIVF &&
-        index == nullptr) {
+    if (config.retrieval == serve::RetrievalMode::kIVF && !ivf) {
       IMSR_COUNTER_ADD("eval/ivf_fallback_exact",
                        static_cast<int64_t>(instances.size()));
     }
   })
-  serve::ServeConfig exact;
-  exact.rule = config.rule;
+  // Serving-accurate protocol under IVF: rank within the retrieved
+  // top-N, so a miss ranks top_n + 1 (contributes 0). Exact asks for
+  // top-(N+1): the tail entry shows a tie at the N-th place.
+  serve::ServeConfig serve_config;
+  serve_config.rule = config.rule;
+  serve_config.retrieval =
+      ivf ? serve::RetrievalMode::kIVF : serve::RetrievalMode::kExact;
+  serve_config.nprobe = config.nprobe;
+  const int request_top_n = ivf ? config.top_n : config.top_n + 1;
 
   util::Stopwatch stopwatch;
   std::vector<int64_t> ranks(instances.size(), 0);
   std::vector<serve::IvfSearchStats> search_stats(
-      index != nullptr ? instances.size() : 0);
+      ivf ? instances.size() : 0);
   // Users are independent; chunks run on the persistent pool, each
   // reusing one RecommendScratch. Ranks land in disjoint slots, so
   // metrics are bitwise identical for any thread count.
@@ -76,21 +81,11 @@ EvalResult EvaluateSpan(const serve::ServingSnapshot& snapshot,
         for (int64_t i = begin; i < end; ++i) {
           const Instance& instance =
               instances[static_cast<size_t>(i)];
-          if (index != nullptr) {
-            // Serving-accurate protocol: rank within the retrieved
-            // top-N; a miss ranks top_n + 1 (contributes 0).
-            index->SearchTopN(snapshot.Interests(instance.user),
-                              snapshot.item_embeddings(), config.rule,
-                              config.top_n, config.nprobe, &scratch.ivf,
-                              &response.items,
-                              &search_stats[static_cast<size_t>(i)]);
-          } else {
-            // Top-(N+1): the tail entry shows a tie at the N-th place.
-            serve::RecommendOne(snapshot,
-                                {instance.user, config.top_n + 1}, exact,
-                                &scratch, &response);
-            IMSR_CHECK(response.ok) << response.error;
-          }
+          serve::RecommendOne(
+              snapshot, {instance.user, request_top_n}, serve_config,
+              &scratch, &response,
+              ivf ? &search_stats[static_cast<size_t>(i)] : nullptr);
+          IMSR_CHECK(response.ok) << response.error;
           ranks[static_cast<size_t>(i)] = RankInServedList(
               response.items, instance.target, config.top_n);
         }

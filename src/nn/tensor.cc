@@ -771,29 +771,6 @@ void MatMulTransAInto(const Tensor& a, const Tensor& b, Tensor* out) {
   MatMulTransARank1(a.data(), b.data(), out->data(), r, m, n);
 }
 
-Tensor MatMulSparse(const Tensor& a, const Tensor& b) {
-  IMSR_CHECK_EQ(a.dim(), 2);
-  IMSR_CHECK_EQ(b.dim(), 2);
-  IMSR_CHECK_EQ(a.size(1), b.size(0));
-  const int64_t m = a.size(0);
-  const int64_t k = a.size(1);
-  const int64_t n = b.size(1);
-  Tensor out({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float aik = pa[i * k + kk];
-      if (aik == 0.0f) continue;
-      const float* brow = pb + kk * n;
-      float* orow = po + i * n;
-      for (int64_t j = 0; j < n; ++j) orow[j] += aik * brow[j];
-    }
-  }
-  return out;
-}
-
 Tensor Transpose(const Tensor& a) {
   Tensor out;
   TransposeInto(a, &out);
@@ -950,8 +927,8 @@ inline float ExpApprox(float x) {
 // Vectorized softmax over one span. fp-max is order-insensitive; the exp
 // goes through the polynomial ExpApprox (a few e-7 relative of libm) and
 // the `total` reduction reorders additions — together the
-// reduction-class tolerance. `out` may alias `in` (SoftmaxRowsInPlace):
-// the loops only ever touch matching indices, so aliasing is benign.
+// reduction-class tolerance. `out` may alias `in`: the loops only ever
+// touch matching indices, so aliasing is benign.
 IMSR_HOT_BEGIN
 IMSR_SIMD_CLONES
 void SoftmaxSpanSimd(const float* in, float* out, int64_t n) {
@@ -977,9 +954,9 @@ IMSR_HOT_END
 // within the same reduction-class tolerance as SoftmaxSpanSimd.
 IMSR_HOT_BEGIN
 IMSR_SIMD_CLONES
-// `out` may alias `in` (SoftmaxRowsInPlace): within a row every read
-// happens before any write, and the simd pragma vouches for the absence
-// of cross-iteration dependences, so no __restrict__ here.
+// `out` may alias `in`: within a row every read happens before any
+// write, and the simd pragma vouches for the absence of cross-iteration
+// dependences, so no __restrict__ here.
 void Softmax4RowsSimd(const float* in, float* out, int64_t rows) {
   // Pass 1: per-row max, stored as shifted exponent arguments. Stride-4
   // interleaved access, so this pass stays scalar — it is cheap.
@@ -1045,28 +1022,6 @@ void SoftmaxInto(const Tensor& a, Tensor* out) {
   const auto span_rows = [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
       SoftmaxSpanSimd(pa + i * cols, po + i * cols, cols);
-    }
-  };
-  if (rows * cols >= kParallelWorkThreshold) {
-    util::GlobalPool().ParallelFor(rows, RowGrain(rows, cols), span_rows);
-  } else {
-    span_rows(0, rows);
-  }
-}
-
-void SoftmaxRowsInPlace(Tensor* a) {
-  IMSR_CHECK(a != nullptr);
-  IMSR_CHECK(a->dim() == 1 || a->dim() == 2);
-  const int64_t rows = a->dim() == 1 ? 1 : a->size(0);
-  const int64_t cols = a->dim() == 1 ? a->numel() : a->size(1);
-  float* pa = a->data();
-  if (cols == 4 && a->dim() == 2) {
-    Softmax4RowsSimd(pa, pa, rows);
-    return;
-  }
-  const auto span_rows = [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      SoftmaxSpanSimd(pa + i * cols, pa + i * cols, cols);
     }
   };
   if (rows * cols >= kParallelWorkThreshold) {

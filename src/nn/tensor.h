@@ -240,10 +240,6 @@ void MatMulTransBInto(const Tensor& a, ConstMatrixView b, Tensor* out);
 Tensor MatMulTransA(const Tensor& a, const Tensor& b);
 // MatMulTransA writing into `out`; `out` must not alias an operand.
 void MatMulTransAInto(const Tensor& a, const Tensor& b, Tensor* out);
-// Sparsity-aware MatMul that skips zero entries of `a`. Only worth it when
-// `a` is mostly zeros (e.g. masked couplings); the dense MatMul path does
-// not branch.
-Tensor MatMulSparse(const Tensor& a, const Tensor& b);
 // 2-D transpose (blocked, cache-friendly tiles).
 Tensor Transpose(const Tensor& a);
 // Transpose writing into `out`; `out` must not alias `a`.
@@ -270,11 +266,8 @@ float L2NormFlat(const Tensor& a);
 
 // Row-wise softmax of a 2-D tensor (or softmax of a 1-D tensor).
 Tensor Softmax(const Tensor& a);
-// Softmax writing into `out`; `out` must not alias `a` (use
-// SoftmaxRowsInPlace for that).
+// Softmax writing into `out`; `out` must not alias `a`.
 void SoftmaxInto(const Tensor& a, Tensor* out);
-// In-place row-wise softmax (fused max/exp/normalise, no allocation).
-void SoftmaxRowsInPlace(Tensor* a);
 // Row-wise logsumexp of a 2-D tensor -> 1-D of length rows (or scalar for
 // 1-D input, returned as a 1-element tensor).
 Tensor LogSumExpRows(const Tensor& a);

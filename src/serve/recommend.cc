@@ -72,18 +72,20 @@ void ExactTopNInto(const ServingSnapshot& snapshot,
 
 void RecommendOne(const ServingSnapshot& snapshot,
                   const RecommendRequest& request, const ServeConfig& config,
-                  RecommendScratch* scratch, RecommendResponse* response) {
-  RecommendBatch(snapshot, &request, 1, config, scratch, response);
+                  RecommendScratch* scratch, RecommendResponse* response,
+                  IvfSearchStats* stats) {
+  RecommendBatch(snapshot, &request, 1, config, scratch, response, stats);
 }
 
 void RecommendBatch(const ServingSnapshot& snapshot,
                     const RecommendRequest* requests, size_t count,
                     const ServeConfig& config, RecommendScratch* scratch,
-                    RecommendResponse* responses) {
+                    RecommendResponse* responses, IvfSearchStats* stats) {
   IMSR_CHECK(scratch != nullptr);
   if (count == 0) return;
   IMSR_CHECK(requests != nullptr);
   IMSR_CHECK(responses != nullptr);
+  if (stats != nullptr) std::fill(stats, stats + count, IvfSearchStats{});
   const IvfIndex* index =
       config.retrieval == RetrievalMode::kIVF ? snapshot.index() : nullptr;
   IMSR_OBS_ONLY({
@@ -138,7 +140,8 @@ void RecommendBatch(const ServingSnapshot& snapshot,
       }
       index->SearchTopN(snapshot.Interests(requests[i].user),
                         snapshot.item_embeddings(), config.rule, resolved[i],
-                        config.nprobe, &scratch->ivf, &responses[i].items);
+                        config.nprobe, &scratch->ivf, &responses[i].items,
+                        stats != nullptr ? &stats[i] : nullptr);
       responses[i].ok = true;
     }
     return;

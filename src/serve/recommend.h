@@ -78,10 +78,12 @@ struct RecommendScratch {
 // force (eval::ScoreAllItemsInto, then TopNFromScores) bit for bit. The
 // offline and prequential evaluators rank through this call. Per-request
 // failures (unknown user, bad top_n) land in the response (ok=false +
-// error), never abort.
+// error), never abort. `stats` (nullable) receives the IVF search's work
+// counts, as in RecommendBatch.
 void RecommendOne(const ServingSnapshot& snapshot,
                   const RecommendRequest& request, const ServeConfig& config,
-                  RecommendScratch* scratch, RecommendResponse* response);
+                  RecommendScratch* scratch, RecommendResponse* response,
+                  IvfSearchStats* stats = nullptr);
 
 // Answers `count` requests against one snapshot on the calling thread,
 // sharing a single pass over the embedding table: unique users' interest
@@ -96,11 +98,15 @@ void RecommendOne(const ServingSnapshot& snapshot,
 // same kernel bodies, same per-user dispatch shapes, same error strings
 // (memcmp-tested at batch size 1 and N in server_test). This is the
 // shard worker's micro-batch entry point; it never fans out, because
-// parallelism already comes from the shards.
+// parallelism already comes from the shards. `stats` (nullable) is
+// parallel to `responses`: each request's IVF search work counts, zero
+// for a request answered without a search (exact path, error or
+// duplicate).
 void RecommendBatch(const ServingSnapshot& snapshot,
                     const RecommendRequest* requests, size_t count,
                     const ServeConfig& config, RecommendScratch* scratch,
-                    RecommendResponse* responses);
+                    RecommendResponse* responses,
+                    IvfSearchStats* stats = nullptr);
 
 // Answers every request against `snapshot`; responses are parallel to
 // `requests`. Fans the batch out over the process-wide pool

@@ -24,29 +24,27 @@ bool PrequentialEvaluator::ScoreEvent(
   }
   IMSR_CHECK_LT(event.item, snapshot.num_items());
 
-  if (config_.retrieval == serve::RetrievalMode::kIVF &&
-      snapshot.index() != nullptr) {
-    // Serving-accurate protocol: rank is the event item's position in
-    // the retrieved top-N; a miss ranks top_n + 1 (contributes 0).
-    serve::IvfSearchStats stats;
-    snapshot.index()->SearchTopN(
-        snapshot.Interests(event.user), snapshot.item_embeddings(),
-        config_.rule, config_.top_n, config_.nprobe, &scratch_.ivf,
-        &response_.items, &stats);
-    ivf_totals_.Add(stats);
-  } else {
-    IMSR_OBS_ONLY({
-      if (config_.retrieval == serve::RetrievalMode::kIVF) {
-        IMSR_COUNTER_ADD("stream/ivf_fallback_exact", 1);
-      }
-    })
-    // The served exact top-(N+1), ranked like the offline evaluator.
-    serve::ServeConfig exact;
-    exact.rule = config_.rule;
-    serve::RecommendOne(snapshot, {event.user, config_.top_n + 1}, exact,
-                        &scratch_, &response_);
-    IMSR_CHECK(response_.ok) << response_.error;
-  }
+  // Ranked like the offline evaluator: under IVF the event item's
+  // position in the retrieved top-N (a miss ranks top_n + 1 and
+  // contributes 0), exact over the served top-(N+1).
+  const bool ivf = config_.retrieval == serve::RetrievalMode::kIVF &&
+                   snapshot.index() != nullptr;
+  IMSR_OBS_ONLY({
+    if (config_.retrieval == serve::RetrievalMode::kIVF && !ivf) {
+      IMSR_COUNTER_ADD("stream/ivf_fallback_exact", 1);
+    }
+  })
+  serve::ServeConfig serve_config;
+  serve_config.rule = config_.rule;
+  serve_config.retrieval =
+      ivf ? serve::RetrievalMode::kIVF : serve::RetrievalMode::kExact;
+  serve_config.nprobe = config_.nprobe;
+  serve::IvfSearchStats stats;
+  serve::RecommendOne(snapshot,
+                      {event.user, ivf ? config_.top_n : config_.top_n + 1},
+                      serve_config, &scratch_, &response_, &stats);
+  IMSR_CHECK(response_.ok) << response_.error;
+  if (ivf) ivf_totals_.Add(stats);
   const int64_t rank =
       eval::RankInServedList(response_.items, event.item, config_.top_n);
   window_.AddRank(rank);

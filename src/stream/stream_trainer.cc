@@ -17,11 +17,7 @@ StreamTrainer::StreamTrainer(models::MsrModel* model,
       store_(store),
       registry_(registry),
       config_(config),
-      trainer_(model, store, config.train),
-      // Decorrelated from the inner trainer's stream (which is seeded
-      // with train.seed directly) so stream-side draws — cold-start
-      // interests, expansion vectors — do not replay training noise.
-      rng_(config.train.seed * 0x9E3779B97F4A7C15ull + 1) {
+      trainer_(model, store, config.train) {
   IMSR_CHECK(model != nullptr);
   IMSR_CHECK(store != nullptr);
   IMSR_CHECK(registry != nullptr);
@@ -44,19 +40,10 @@ void StreamTrainer::BuildAndPublish(int span) {
   }
 }
 
-void StreamTrainer::EnsureUser(data::UserId user) {
-  if (store_->Has(user)) return;
-  store_->Initialize(user, config_.train.initial_interests,
-                     model_->config().embedding_dim, micro_span_, rng_);
-  model_->extractor().EnsureUserCapacity(user, store_->NumInterests(user),
-                                         rng_, &trainer_.optimizer());
-}
-
 bool StreamTrainer::Consume(const StreamEvent& event) {
   IMSR_CHECK_GT(event.sequence, last_sequence_)
       << "events must arrive in sequence order";
   last_sequence_ = event.sequence;
-  EnsureUser(event.user);
 
   std::vector<data::ItemId>& history = histories_[event.user];
   if (history.empty()) {
@@ -72,8 +59,10 @@ bool StreamTrainer::Consume(const StreamEvent& event) {
                   history.end() - config_.train.max_history);
   }
 
+  // span_items_ is node-based, so the pointer a span user holds stays
+  // valid as the map grows.
   std::vector<data::ItemId>& items = span_items_[event.user];
-  if (items.empty()) span_users_.push_back(event.user);
+  if (items.empty()) span_users_.push_back({event.user, &items});
   items.push_back(event.item);
 
   if (pending_events() < config_.publish_every) return false;
@@ -91,48 +80,16 @@ void StreamTrainer::TrainAndPublish() {
   IMSR_TRACE_SPAN("stream/train_and_publish");
   const util::Stopwatch watch;
 
-  // Teacher state for the retention loss (Eq. 10): interests and
-  // embeddings as of the micro-span start, per the batch TrainSpan.
-  core::TeacherSnapshot teacher;
-  const bool use_teacher =
-      config_.train.eir.kind != core::RetentionKind::kNone;
-  if (use_teacher) {
-    teacher.embeddings = model_->embeddings().parameter().value();
-    for (data::UserId user : span_users_) {
-      teacher.interests.emplace(user, store_->Interests(user));
-    }
-  }
-
-  // Interests expansion on its own cadence (NID is only meaningful once
-  // a few micro-spans of drift have accumulated; running it every
+  // Interests expansion runs on its own cadence (NID is only meaningful
+  // once a few micro-spans of drift have accumulated; running it every
   // publish would re-test mostly-unchanged users).
-  if (config_.train.enable_expansion && config_.expand_every > 0 &&
+  const bool expand =
+      config_.train.enable_expansion && config_.expand_every > 0 &&
       (publish_stats_.publishes + 1) %
               static_cast<uint64_t>(config_.expand_every) ==
-          0) {
-    IMSR_TRACE_SPAN("stream/expansion");
-    for (data::UserId user : span_users_) {
-      ExpandUserInterests(model_, store_, user, span_items_[user],
-                          micro_span_, config_.train.expansion, rng_,
-                          &trainer_.optimizer(), &expansion_totals_);
-    }
-  }
-
-  if (!pending_samples_.empty()) {
-    IMSR_TRACE_SPAN("stream/train");
-    for (int epoch = 0; epoch < config_.micro_epochs; ++epoch) {
-      [[maybe_unused]] const double loss = trainer_.TrainEpoch(
-          pending_samples_, use_teacher ? &teacher : nullptr);
-      IMSR_GAUGE_SET("stream/micro_span_loss", loss);
-    }
-  }
-
-  // Re-extract every touched user's interests from their in-span items
-  // (persistence semantics follow train.persist_interests, exactly as in
-  // the batch per-span refresh).
-  for (data::UserId user : span_users_) {
-    trainer_.RefreshUserInterests(user, span_items_[user]);
-  }
+          0;
+  trainer_.TrainSpanStep(micro_span_, span_users_, pending_samples_,
+                         config_.micro_epochs, expand);
 
   BuildAndPublish(micro_span_);
   published_through_sequence_ = last_sequence_;

@@ -1,13 +1,14 @@
-// StreamTrainer — micro-span adaptation of the batch IMSR trainer
-// (Algorithm 2) for online ingestion. Events accumulate into a pending
-// micro-span; every `publish_every` events the trainer runs the span
-// recipe in miniature — optional teacher snapshot for the retention loss,
-// `micro_epochs` supervised epochs over the pending samples, NID/PIT
-// interests expansion on its own cadence, an interest refresh for every
-// touched user — and publishes a fresh ServingSnapshot through the
-// SnapshotRegistry. Between publishes the serving state is untouched, so
-// the prequential evaluator always scores against a state that has
-// provably not seen the event being scored.
+// StreamTrainer — Algorithm 2's incremental span at a finer grain, for
+// online ingestion. Events accumulate into a pending micro-span; every
+// `publish_every` events the trainer runs the same span step as the
+// batch TrainSpan (core::ImsrTrainer::TrainSpanStep: EIR teacher of the
+// users already known, state for first-seen users, NID/PIT expansion on
+// the `expand_every` cadence, `micro_epochs` epochs over the pending
+// samples, an evidence-gated refresh of every touched user) and
+// publishes a fresh ServingSnapshot through the SnapshotRegistry.
+// Between publishes the serving state is untouched, so the prequential
+// evaluator always scores against a state that has provably not seen
+// the event being scored.
 #ifndef IMSR_STREAM_STREAM_TRAINER_H_
 #define IMSR_STREAM_STREAM_TRAINER_H_
 
@@ -18,7 +19,6 @@
 #include "core/imsr_trainer.h"
 #include "serve/registry.h"
 #include "stream/event.h"
-#include "util/rng.h"
 
 namespace imsr::stream {
 
@@ -98,14 +98,12 @@ class StreamTrainer {
   // Snapshots published with a freshly built IvfIndex attached.
   uint64_t index_builds() const { return index_builds_; }
   const core::ExpansionOutcome& expansion_totals() const {
-    return expansion_totals_;
+    return trainer_.expansion_totals();
   }
   core::ImsrTrainer& trainer() { return trainer_; }
   const StreamTrainerConfig& config() const { return config_; }
 
  private:
-  // Creates store/extractor state for a user on first contact.
-  void EnsureUser(data::UserId user);
   // Builds a snapshot for `span` (with an IvfIndex when configured) and
   // publishes it through the registry.
   void BuildAndPublish(int span);
@@ -117,15 +115,15 @@ class StreamTrainer {
   serve::SnapshotRegistry* registry_;
   StreamTrainerConfig config_;
   core::ImsrTrainer trainer_;
-  util::Rng rng_;
 
   // Rolling per-user history across the whole stream (capped at
   // train.max_history) — the sample context. Pending micro-span state:
-  // the samples to train on and each touched user's in-span items.
+  // the samples to train on and each touched user's in-span items, with
+  // the touched users in first-touch order pointing at their items.
   std::unordered_map<data::UserId, std::vector<data::ItemId>> histories_;
   std::vector<data::TrainingSample> pending_samples_;
   std::unordered_map<data::UserId, std::vector<data::ItemId>> span_items_;
-  std::vector<data::UserId> span_users_;  // insertion order, deduped
+  std::vector<core::SpanUser> span_users_;
   int64_t pending_cold_ = 0;  // events with no history yet (first contact)
 
   int micro_span_ = 0;            // span tag of the next publish
@@ -133,7 +131,6 @@ class StreamTrainer {
   uint64_t published_through_sequence_ = 0;
   uint64_t index_builds_ = 0;
   PublishStats publish_stats_;
-  core::ExpansionOutcome expansion_totals_;
 };
 
 }  // namespace imsr::stream

@@ -4,16 +4,9 @@
 
 #include "obs/obs.h"
 #include "util/check.h"
-#include "util/env.h"
 #include "util/flags.h"
 #include "util/parallel.h"
 #include "util/stopwatch.h"
-
-// CMake plumbs -DIMSR_THREADS=<n> through to this definition; 0 defers to
-// the IMSR_THREADS env var and then hardware concurrency.
-#ifndef IMSR_DEFAULT_THREADS
-#define IMSR_DEFAULT_THREADS 0
-#endif
 
 namespace imsr::util {
 namespace {
@@ -23,17 +16,6 @@ namespace {
 // the pool's workers are already busy with the outer region, and blocking
 // on them from a worker would deadlock.
 thread_local int g_parallel_depth = 0;
-
-int ResolveConfiguredThreads() {
-  // Strict full-token parse (util/env.h): IMSR_THREADS="4x" or "abc" used
-  // to slip through std::atoi as 4 / silent fallthrough; now it warns and
-  // defers to the compile-time / hardware default.
-  const int64_t parsed = EnvInt("IMSR_THREADS", /*default_value=*/0,
-                                /*min_value=*/1);
-  if (parsed > 0) return static_cast<int>(parsed);
-  if (IMSR_DEFAULT_THREADS > 0) return IMSR_DEFAULT_THREADS;
-  return DefaultThreadCount();
-}
 
 }  // namespace
 
@@ -165,7 +147,7 @@ int g_thread_count = 0;                   // 0 = not yet resolved
 ThreadPool& GlobalPool() {
   std::lock_guard<std::mutex> lock(g_pool_mutex);
   if (!g_pool) {
-    if (g_thread_count <= 0) g_thread_count = ResolveConfiguredThreads();
+    if (g_thread_count <= 0) g_thread_count = DefaultThreadCount();
     g_pool = std::make_unique<ThreadPool>(g_thread_count);
   }
   return *g_pool;
@@ -182,7 +164,7 @@ void SetGlobalThreadCount(int threads) {
 
 int GlobalThreadCount() {
   std::lock_guard<std::mutex> lock(g_pool_mutex);
-  if (g_thread_count <= 0) g_thread_count = ResolveConfiguredThreads();
+  if (g_thread_count <= 0) g_thread_count = DefaultThreadCount();
   return g_thread_count;
 }
 

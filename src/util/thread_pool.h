@@ -88,8 +88,7 @@ void SetGlobalThreadCount(int threads);
 int GlobalThreadCount();
 
 // Applies the --threads=N command-line flag to the process-wide pool.
-// Precedence: --threads flag > IMSR_THREADS env var > the CMake-time
-// -DIMSR_THREADS default > hardware concurrency.
+// Without it the pool has one thread per hardware thread.
 void ApplyThreadFlag(const Flags& flags);
 
 }  // namespace imsr::util

@@ -113,18 +113,6 @@ TEST(KernelsTest, MatMulTransBIntoReusesBuffer) {
   EXPECT_LE(nn::MaxAbsDiff(out, nn::MatMulTransB(a2, b1)), 0.0f);
 }
 
-TEST(KernelsTest, MatMulSparseSkipsZerosWithoutChangingResults) {
-  util::Rng rng(105);
-  nn::Tensor a = nn::Tensor::Randn({12, 16}, rng);
-  // Zero out ~2/3 of `a` to hit the skip path.
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    if (i % 3 != 0) a.data()[i] = 0.0f;
-  }
-  const nn::Tensor b = nn::Tensor::Randn({16, 10}, rng);
-  EXPECT_LE(nn::MaxAbsDiff(nn::MatMulSparse(a, b), ReferenceMatMul(a, b)),
-            1e-5f);
-}
-
 TEST(KernelsTest, MatVecBatchMatchesPerRowMatVec) {
   util::Rng rng(106);
   const nn::Tensor a = nn::Tensor::Randn({19, 11}, rng);
@@ -135,19 +123,6 @@ TEST(KernelsTest, MatVecBatchMatchesPerRowMatVec) {
   for (int64_t r = 0; r < xs.size(0); ++r) {
     const nn::Tensor single = nn::MatVec(a, xs.Row(r));
     EXPECT_LE(nn::MaxAbsDiff(batched.Row(r), single), 1e-5f) << "row " << r;
-  }
-}
-
-TEST(KernelsTest, SoftmaxRowsInPlaceMatchesSoftmax) {
-  util::Rng rng(107);
-  for (int64_t rows : {1, 3, 64}) {
-    for (int64_t cols : {1, 2, 9, 33}) {
-      const nn::Tensor a = nn::Tensor::Randn({rows, cols}, rng);
-      nn::Tensor in_place = a;
-      nn::SoftmaxRowsInPlace(&in_place);
-      EXPECT_LE(nn::MaxAbsDiff(in_place, nn::Softmax(a)), 0.0f)
-          << rows << "x" << cols;
-    }
   }
 }
 

@@ -8,12 +8,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/imsr_trainer.h"
+#include "core/nid.h"
 #include "core/interest_store.h"
 #include "data/synthetic.h"
 #include "models/msr_model.h"
@@ -440,6 +442,96 @@ TEST(StreamServiceTest, FineTuningModeKeepsContract) {
   EXPECT_GT(result.scored, 0);
   EXPECT_EQ(trainer.expansion_totals().users_expanded, 0);
   CheckAudits(evaluator.audits());
+}
+
+bool SameBytes(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// A user the store has never held has no M^{t-1}: a micro-span made only
+// of first-seen users adds no retention term (Eq. 10), so it trains to
+// the same bytes as that micro-span without EIR.
+TEST(StreamTrainerTest, FirstSeenUsersGetNoTeacher) {
+  const std::vector<data::UserId> newcomers = {1000, 1001, 1002};
+  struct Outcome {
+    std::vector<nn::Tensor> parameters;
+    std::vector<nn::Tensor> interests;
+  };
+  auto run = [&](core::RetentionKind kind) {
+    StreamFixture fixture(53);
+    StreamTrainerConfig config = fixture.TrainerConfig(/*publish_every=*/1000);
+    config.train.eir.kind = kind;
+    serve::SnapshotRegistry registry;
+    StreamTrainer trainer(fixture.model.get(), &fixture.store, &registry,
+                          config);
+    for (data::UserId user : newcomers) {
+      EXPECT_FALSE(fixture.store.Has(user));
+    }
+    uint64_t sequence = 0;
+    for (int round = 0; round < 3; ++round) {
+      for (data::UserId user : newcomers) {
+        trainer.Consume(MakeEvent(
+            user, static_cast<data::ItemId>((user * 7 + round * 13) % 120),
+            ++sequence));
+      }
+    }
+    EXPECT_TRUE(trainer.Flush());
+    Outcome outcome;
+    for (const nn::Var& parameter : fixture.model->SharedParameters()) {
+      outcome.parameters.push_back(parameter.value());
+    }
+    for (data::UserId user : newcomers) {
+      outcome.interests.push_back(fixture.store.Interests(user));
+    }
+    return outcome;
+  };
+  const Outcome with_eir = run(core::RetentionKind::kSigmoidKd);
+  const Outcome without_eir = run(core::RetentionKind::kNone);
+  ASSERT_EQ(with_eir.parameters.size(), without_eir.parameters.size());
+  for (size_t i = 0; i < with_eir.parameters.size(); ++i) {
+    EXPECT_TRUE(SameBytes(with_eir.parameters[i], without_eir.parameters[i]))
+        << "parameter " << i;
+  }
+  for (size_t i = 0; i < newcomers.size(); ++i) {
+    EXPECT_TRUE(SameBytes(with_eir.interests[i], without_eir.interests[i]))
+        << "user " << newcomers[i];
+  }
+}
+
+// The micro-span refreshes through the batch rule: with one item per
+// user (a first stream contact, so no sample and no training), every
+// stored interest the item is not assigned to keeps its row bit for bit.
+TEST(StreamTrainerTest, RefreshKeepsInterestsWithoutEvidence) {
+  StreamFixture fixture(59);
+  serve::SnapshotRegistry registry;
+  StreamTrainer trainer(fixture.model.get(), &fixture.store, &registry,
+                        fixture.TrainerConfig(/*publish_every=*/1000));
+  const std::vector<data::UserId> users = fixture.store.Users();
+  std::vector<nn::Tensor> before;
+  std::vector<data::ItemId> items;
+  uint64_t sequence = 0;
+  for (data::UserId user : users) {
+    before.push_back(fixture.store.Interests(user));
+    items.push_back(static_cast<data::ItemId>((user * 11 + 3) % 120));
+    trainer.Consume(MakeEvent(user, items.back(), ++sequence));
+  }
+  EXPECT_TRUE(trainer.Flush());
+  int kept_rows = 0;
+  for (size_t u = 0; u < users.size(); ++u) {
+    const std::vector<int> assigned = core::CountAssignedItems(
+        fixture.model->embeddings().LookupNoGrad({items[u]}), before[u]);
+    const nn::Tensor& after = fixture.store.Interests(users[u]);
+    ASSERT_EQ(after.size(0), before[u].size(0));
+    for (int64_t k = 0; k < after.size(0); ++k) {
+      if (assigned[static_cast<size_t>(k)] > 0) continue;
+      EXPECT_TRUE(SameBytes(after.Row(k), before[u].Row(k)))
+          << "user " << users[u] << " interest " << k;
+      ++kept_rows;
+    }
+  }
+  EXPECT_GT(kept_rows, 0);
 }
 
 #if !defined(IMSR_OBS_DISABLED)

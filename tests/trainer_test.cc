@@ -257,7 +257,7 @@ TEST(TrainerTest, RefreshUserInterestsUsesGivenItems) {
   trainer.Pretrain(dataset);
   data::UserId user = dataset.active_users(0)[0];
   const nn::Tensor before = store.Interests(user);
-  trainer.RefreshUserInterests(user, {1, 2, 3, 4, 5});
+  trainer.RefreshUserInterests(user, {1, 2, 3, 4, 5}, /*span=*/0);
   EXPECT_EQ(store.NumInterests(user), before.size(0));
 }
 
@@ -709,6 +709,69 @@ TEST(TrainerTest, BatchLossSumsPerSampleLosses) {
     return total;
   });
   EXPECT_FLOAT_EQ(fused, summed);
+}
+
+// TrainSpan is the span step fed the span: on twin set-ups, TrainSpan
+// and a hand-built TrainSpanStep call (the span's active users and their
+// items, its samples, config.epochs, expansion on, early stopping on the
+// dataset) leave every shared parameter, every user's interests and
+// birth spans, and the expansion totals bitwise equal.
+TEST(TrainerTest, TrainSpanMatchesHandFedSpanStepBitwise) {
+  const data::SyntheticDataset synthetic = SmallData();
+  const data::Dataset& dataset = *synthetic.dataset;
+  TrainConfig config = SmallTrainConfig();
+  config.epochs = 3;
+  config.early_stopping = true;
+  config.early_stopping_patience = 1;
+  config.expansion.nid.c1 = 10.0;  // detector always fires
+  config.expansion.delta_k = 2;
+  for (models::ExtractorKind kind :
+       {models::ExtractorKind::kComiRecDr, models::ExtractorKind::kComiRecSa}) {
+    models::MsrModel span_model(SmallModelConfig(kind), dataset.num_items(),
+                                21);
+    models::MsrModel step_model(SmallModelConfig(kind), dataset.num_items(),
+                                21);
+    InterestStore span_store;
+    InterestStore step_store;
+    ImsrTrainer span_trainer(&span_model, &span_store, config);
+    ImsrTrainer step_trainer(&step_model, &step_store, config);
+    span_trainer.Pretrain(dataset);
+    step_trainer.Pretrain(dataset);
+    for (int span = 1; span <= 2; ++span) {
+      span_trainer.TrainSpan(dataset, span);
+      std::vector<SpanUser> users;
+      for (data::UserId user : dataset.active_users(span)) {
+        users.push_back({user, &dataset.user_span(user, span).all});
+      }
+      step_trainer.TrainSpanStep(
+          span, users,
+          data::BuildSpanSamples(dataset, span, config.max_history),
+          config.epochs, /*expand=*/true, &dataset);
+    }
+    const std::vector<nn::Var> span_parameters = span_model.SharedParameters();
+    const std::vector<nn::Var> step_parameters = step_model.SharedParameters();
+    ASSERT_EQ(span_parameters.size(), step_parameters.size());
+    for (size_t i = 0; i < span_parameters.size(); ++i) {
+      EXPECT_TRUE(BitwiseEqual(span_parameters[i].value(),
+                               step_parameters[i].value()))
+          << "parameter " << i;
+    }
+    ASSERT_EQ(span_store.Users(), step_store.Users());
+    for (data::UserId user : span_store.Users()) {
+      EXPECT_TRUE(BitwiseEqual(span_store.Interests(user),
+                               step_store.Interests(user)))
+          << "user " << user;
+      EXPECT_EQ(span_store.BirthSpans(user), step_store.BirthSpans(user))
+          << "user " << user;
+    }
+    const ExpansionOutcome& span_totals = span_trainer.expansion_totals();
+    const ExpansionOutcome& step_totals = step_trainer.expansion_totals();
+    EXPECT_GT(span_totals.interests_added, 0);
+    EXPECT_EQ(span_totals.users_considered, step_totals.users_considered);
+    EXPECT_EQ(span_totals.users_expanded, step_totals.users_expanded);
+    EXPECT_EQ(span_totals.interests_added, step_totals.interests_added);
+    EXPECT_EQ(span_totals.interests_trimmed, step_totals.interests_trimmed);
+  }
 }
 
 TEST(TrainerTest, DeterministicGivenSeeds) {

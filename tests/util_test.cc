@@ -6,7 +6,6 @@
 #include <string>
 
 #include "util/csv.h"
-#include "util/env.h"
 #include "util/flags.h"
 #include "util/lru_cache.h"
 #include "util/math_util.h"
@@ -554,40 +553,6 @@ TEST(SerializationTest, AtomicWriteRoundTripAndFailure) {
 
   EXPECT_FALSE(writer.WriteToFileAtomic("/nonexistent-dir/blob", &error));
   EXPECT_FALSE(error.empty());
-}
-
-TEST(EnvTest, ParseEnvIntIsFullToken) {
-  int64_t value = 0;
-  EXPECT_EQ(ParseEnvInt("8", 1, &value), EnvParse::kParsed);
-  EXPECT_EQ(value, 8);
-  EXPECT_EQ(ParseEnvInt("-3", INT64_MIN, &value),
-            EnvParse::kParsed);
-  EXPECT_EQ(value, -3);
-  // The std::atoi failure modes the strict parse must reject: trailing
-  // junk ("4x" silently became 4) and non-numeric text (0).
-  for (const char* bad : {"4x", "abc", "", " 4", "4 ", "1.5", "0x10"}) {
-    EXPECT_EQ(ParseEnvInt(bad, INT64_MIN, &value),
-              EnvParse::kMalformed)
-        << "'" << bad << "'";
-  }
-}
-
-TEST(EnvTest, ParseEnvIntEnforcesMinimum) {
-  int64_t value = 0;
-  EXPECT_EQ(ParseEnvInt("0", 1, &value), EnvParse::kMalformed);
-  EXPECT_EQ(ParseEnvInt("1", 1, &value), EnvParse::kParsed);
-}
-
-TEST(EnvTest, EnvLookupsFallBackOnUnsetAndMalformed) {
-  EnvParse outcome;
-  ASSERT_EQ(unsetenv("IMSR_ENV_TEST_VAR"), 0);
-  EXPECT_EQ(EnvInt("IMSR_ENV_TEST_VAR", 7, 1, &outcome), 7);
-  EXPECT_EQ(outcome, EnvParse::kUnset);
-
-  ASSERT_EQ(setenv("IMSR_ENV_TEST_VAR", "4x", 1), 0);
-  EXPECT_EQ(EnvInt("IMSR_ENV_TEST_VAR", 7, 1, &outcome), 7);
-  EXPECT_EQ(outcome, EnvParse::kMalformed);
-  ASSERT_EQ(unsetenv("IMSR_ENV_TEST_VAR"), 0);
 }
 
 }  // namespace

@@ -525,7 +525,7 @@ int CmdEvaluate(const util::Flags& flags) {
   eval::EvalConfig config;
   config.top_n = static_cast<int>(flags.GetInt("top_n", 20));
   if (!ScoreRuleFromFlags(flags, &config.rule)) return 2;
-  // <= 0 defers to the process-wide pool size (--threads / IMSR_THREADS).
+  // <= 0 defers to the process-wide pool size (--threads).
   config.threads = static_cast<int>(flags.GetInt("threads", 0));
   if (!RetrievalFromFlags(flags, &config.retrieval, &config.nprobe)) {
     return 2;
