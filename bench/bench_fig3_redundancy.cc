@@ -9,7 +9,7 @@
 
 #include "bench/bench_common.h"
 #include "core/imsr_trainer.h"
-#include "util/math_util.h"
+#include "eval/interest_analysis.h"
 
 namespace {
 
@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
   trainer.Pretrain(dataset);
   trainer.TrainSpan(dataset, 1);
 
-  // For each expanded user: per-interest similarity profiles over the
-  // user's items, Pearson correlation of each new interest against its
+  // For each expanded user: the Pearson correlation of each new
+  // interest's similarity profile over the user's items against its
   // most-correlated existing interest, and the new interests' L2 norms.
   std::vector<double> max_correlations;
   std::vector<double> new_norms;
@@ -62,26 +62,13 @@ int main(int argc, char** argv) {
     const nn::Tensor item_embeddings =
         model.embeddings().LookupNoGrad(items);
     const nn::Tensor& interests = store.Interests(user);
-
-    // p_k = similarity profile of interest k over the user's items.
-    std::vector<std::vector<double>> profiles(
-        static_cast<size_t>(k_total));
-    for (int64_t k = 0; k < k_total; ++k) {
-      const nn::Tensor scores =
-          nn::MatVec(item_embeddings, interests.Row(k));
-      profiles[static_cast<size_t>(k)].assign(
-          scores.data(), scores.data() + scores.numel());
-    }
-
-    for (int64_t j = k_existing; j < k_total; ++j) {
-      double best = -1.0;
-      for (int64_t k = 0; k < k_existing; ++k) {
-        best = std::max(best, util::PearsonCorrelation(
-                                  profiles[static_cast<size_t>(j)],
-                                  profiles[static_cast<size_t>(k)]));
-      }
-      max_correlations.push_back(best);
-      new_norms.push_back(nn::L2NormFlat(interests.Row(j)));
+    const std::vector<eval::MaxCorrelation> correlations =
+        eval::MaxCorrelationAgainstExisting(interests, item_embeddings,
+                                            k_existing);
+    const std::vector<double> norms = eval::InterestNorms(interests);
+    for (size_t j = 0; j < correlations.size(); ++j) {
+      max_correlations.push_back(correlations[j].correlation);
+      new_norms.push_back(norms[static_cast<size_t>(k_existing) + j]);
     }
 
     if (shown < 2) {
@@ -89,24 +76,13 @@ int main(int argc, char** argv) {
       std::printf("example user %d (%lld existing, %lld new):\n", user,
                   static_cast<long long>(k_existing),
                   static_cast<long long>(k_total - k_existing));
-      for (int64_t j = k_existing; j < k_total; ++j) {
-        double best = -1.0;
-        int64_t best_k = 0;
-        for (int64_t k = 0; k < k_existing; ++k) {
-          const double corr = util::PearsonCorrelation(
-              profiles[static_cast<size_t>(j)],
-              profiles[static_cast<size_t>(k)]);
-          if (corr > best) {
-            best = corr;
-            best_k = k;
-          }
-        }
+      for (size_t j = 0; j < correlations.size(); ++j) {
         std::printf(
-            "  new interest %lld: max Pearson %.3f (vs existing %lld), "
+            "  new interest %zu: max Pearson %.3f (vs existing %lld), "
             "L2 norm %.3f\n",
-            static_cast<long long>(j - k_existing), best,
-            static_cast<long long>(best_k),
-            nn::L2NormFlat(store.Interests(user).Row(j)));
+            j, correlations[j].correlation,
+            static_cast<long long>(correlations[j].existing),
+            norms[static_cast<size_t>(k_existing) + j]);
       }
     }
   }

@@ -11,6 +11,7 @@
 
 #include "bench/bench_common.h"
 #include "core/imsr_trainer.h"
+#include "eval/interest_analysis.h"
 #include "eval/projection.h"
 
 namespace {
@@ -134,27 +135,14 @@ int main(int argc, char** argv) {
     for (size_t t = 1; t < snapshots.size(); ++t) {
       const nn::Tensor& prev = snapshots[t - 1];
       const nn::Tensor& curr = snapshots[t];
-      double drift = 0.0;
-      const int64_t inherited = std::min(prev.size(0), curr.size(0));
-      for (int64_t k = 0; k < inherited; ++k) {
-        drift += nn::L2NormFlat(nn::Sub(curr.Row(k), prev.Row(k)));
-      }
-      drift /= static_cast<double>(inherited);
+      const double drift = eval::InheritedDrift(prev, curr);
       // Distance of new interests (if any) to their nearest inherited one.
+      const std::vector<double> distances = eval::DistanceToNearestExisting(
+          curr, std::min(prev.size(0), curr.size(0)));
+      const int64_t new_count = static_cast<int64_t>(distances.size());
       double new_distance = 0.0;
-      int64_t new_count = curr.size(0) - inherited;
-      for (int64_t j = inherited; j < curr.size(0); ++j) {
-        double nearest = 1e30;
-        for (int64_t k = 0; k < inherited; ++k) {
-          nearest = std::min(nearest,
-                             static_cast<double>(nn::L2NormFlat(
-                                 nn::Sub(curr.Row(j), curr.Row(k)))));
-        }
-        new_distance += nearest;
-      }
-      if (new_count > 0) {
-        new_distance /= static_cast<double>(new_count);
-      }
+      for (double distance : distances) new_distance += distance;
+      if (new_count > 0) new_distance /= static_cast<double>(new_count);
       std::printf(
           "  span %zu: K=%lld, inherited drift %.3f%s\n", t,
           static_cast<long long>(curr.size(0)), drift,
@@ -196,36 +184,14 @@ int main(int argc, char** argv) {
 
   // ---- (c) interest-age heatmap ----
   {
-    std::vector<int64_t> served_by_span(
-        static_cast<size_t>(last_trained + 1), 0);
-    int64_t users_counted = 0;
-    for (data::UserId user : dataset.active_users(test_span)) {
-      if (!imsr_store.Has(user)) continue;
-      const data::UserSpanData& span_data =
-          dataset.user_span(user, test_span);
-      if (span_data.test < 0) continue;
-      const nn::Tensor target =
-          imsr_model.embeddings().RowNoGrad(span_data.test);
-      const nn::Tensor& interests = imsr_store.Interests(user);
-      const nn::Tensor scores = nn::MatVec(interests, target);
-      int64_t best = 0;
-      for (int64_t k = 1; k < scores.numel(); ++k) {
-        if (scores.at(k) > scores.at(best)) best = k;
-      }
-      const int birth =
-          imsr_store.BirthSpans(user)[static_cast<size_t>(best)];
-      served_by_span[static_cast<size_t>(
-          std::min(birth, last_trained))] += 1;
-      ++users_counted;
-    }
+    const eval::InterestAgeShares served = eval::InterestAgeServingShare(
+        imsr_model.embeddings().parameter().value(), imsr_store, dataset,
+        test_span, last_trained);
     std::printf("(c) final-span test targets best served by interests "
                 "created in span s (%lld users):\n",
-                static_cast<long long>(users_counted));
-    for (size_t s = 0; s < served_by_span.size(); ++s) {
-      const double share =
-          users_counted > 0 ? static_cast<double>(served_by_span[s]) /
-                                  static_cast<double>(users_counted)
-                            : 0.0;
+                static_cast<long long>(served.users));
+    for (size_t s = 0; s < served.shares.size(); ++s) {
+      const double share = served.shares[s];
       std::printf("  span %zu interests: %5.1f%%  %s\n", s, share * 100.0,
                   std::string(static_cast<size_t>(share * 50), '#')
                       .c_str());

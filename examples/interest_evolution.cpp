@@ -10,6 +10,7 @@
 #include "core/imsr_trainer.h"
 #include "core/nid.h"
 #include "data/synthetic.h"
+#include "eval/interest_analysis.h"
 #include "util/csv.h"
 #include "util/flags.h"
 
@@ -82,12 +83,8 @@ int main(int argc, char** argv) {
 
     const int64_t k_after = store.NumInterests(user);
     // Drift of the inherited interests across the span.
-    double drift = 0.0;
-    for (int64_t k = 0; k < k_before; ++k) {
-      drift += nn::L2NormFlat(
-          nn::Sub(store.Interests(user).Row(k), interests_before.Row(k)));
-    }
-    drift /= static_cast<double>(k_before);
+    const double drift =
+        eval::InheritedDrift(interests_before, store.Interests(user));
 
     std::printf("span %d: %2zu interactions | mean KL %s%s | K %lld -> "
                 "%lld | inherited drift %.3f\n",

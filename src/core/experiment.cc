@@ -117,18 +117,4 @@ ExperimentResult RunRepeatedExperiment(const data::Dataset& dataset,
   return aggregate;
 }
 
-RepeatedScores CollectRepeatedScores(const data::Dataset& dataset,
-                                     const ExperimentConfig& config,
-                                     int repeats) {
-  RepeatedScores scores;
-  for (int repeat = 0; repeat < repeats; ++repeat) {
-    ExperimentConfig run = config;
-    run.seed = config.seed + static_cast<uint64_t>(repeat) * 104729ULL;
-    const ExperimentResult result = RunExperiment(dataset, run);
-    scores.hit_ratios.push_back(result.avg_hit_ratio);
-    scores.ndcgs.push_back(result.avg_ndcg);
-  }
-  return scores;
-}
-
 }  // namespace imsr::core

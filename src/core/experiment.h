@@ -48,15 +48,6 @@ ExperimentResult RunRepeatedExperiment(const data::Dataset& dataset,
                                        const ExperimentConfig& config,
                                        int repeats);
 
-// Per-repeat HR/NDCG pairs (for significance tests).
-struct RepeatedScores {
-  std::vector<double> hit_ratios;
-  std::vector<double> ndcgs;
-};
-RepeatedScores CollectRepeatedScores(const data::Dataset& dataset,
-                                     const ExperimentConfig& config,
-                                     int repeats);
-
 }  // namespace imsr::core
 
 #endif  // IMSR_CORE_EXPERIMENT_H_

@@ -433,11 +433,12 @@ void ImsrTrainer::RefreshUserInterests(data::UserId user,
     const std::vector<int> assigned = CountAssignedItems(
         model_->embeddings().LookupNoGrad(items), stored);
     const std::vector<int>& births = store_->BirthSpans(user);
+    const int64_t d = refreshed.size(1);
     for (int64_t k = 0; k < refreshed.size(0); ++k) {
       const bool born_this_span = births[static_cast<size_t>(k)] == span;
       if (!born_this_span &&
           assigned[static_cast<size_t>(k)] < config_.min_evidence_items) {
-        refreshed.SetRow(k, stored.Row(k));
+        std::copy_n(stored.data() + k * d, d, refreshed.data() + k * d);
       }
     }
   }

@@ -53,9 +53,9 @@ struct TrainConfig {
 
   // Minibatched training path: per optimizer step, one fused
   // sampled-softmax node over a (B*C x d) candidate gather instead of B
-  // per-sample loss graphs. At batch_size == 1 it is bitwise identical
-  // to the per-sample path (see SampledSoftmaxBatchLoss); false restores
-  // the per-sample reference loop.
+  // per-sample loss graphs. false selects the per-sample loop, kept only
+  // as trainer_test's reference: at batch_size == 1 the two paths are
+  // bitwise identical (see SampledSoftmaxBatchLoss).
   bool batched = true;
 
   EirConfig eir;              // set kind = kNone for plain fine-tuning

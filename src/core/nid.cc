@@ -86,15 +86,43 @@ bool DetectNewInterests(const nn::Tensor& item_embeddings,
 std::vector<int> CountAssignedItems(const nn::Tensor& item_embeddings,
                                     const nn::Tensor& interests) {
   IMSR_CHECK_EQ(item_embeddings.dim(), 2);
-  std::vector<int> counts(static_cast<size_t>(interests.size(0)), 0);
-  for (int64_t i = 0; i < item_embeddings.size(0); ++i) {
-    const std::vector<double> logits =
-        CosineLogits(item_embeddings.Row(i), interests);
-    size_t best = 0;
-    for (size_t k = 1; k < logits.size(); ++k) {
-      if (logits[k] > logits[best]) best = k;
+  IMSR_CHECK_EQ(interests.dim(), 2);
+  IMSR_CHECK_EQ(item_embeddings.size(1), interests.size(1));
+  const int64_t k = interests.size(0);
+  const int64_t d = interests.size(1);
+  IMSR_CHECK_GT(k, 0);
+  // CosineLogits's per-row norms and logit expressions, with the row
+  // norms taken once per call and item rows read in place.
+  const float* h = interests.data();
+  std::vector<double> row_norms(static_cast<size_t>(k));
+  for (int64_t row = 0; row < k; ++row) {
+    double row_ss = 0.0;
+    for (int64_t j = 0; j < d; ++j) {
+      row_ss += static_cast<double>(h[row * d + j]) * h[row * d + j];
     }
-    ++counts[best];
+    row_norms[static_cast<size_t>(row)] = std::sqrt(row_ss);
+  }
+  std::vector<int> counts(static_cast<size_t>(k), 0);
+  for (int64_t i = 0; i < item_embeddings.size(0); ++i) {
+    const float* item = item_embeddings.data() + i * d;
+    const float item_norm = nn::L2NormSpan(item, d);
+    int64_t best = 0;
+    double best_logit = 0.0;
+    for (int64_t row = 0; row < k; ++row) {
+      double dot = 0.0;
+      for (int64_t j = 0; j < d; ++j) {
+        dot += static_cast<double>(item[j]) * h[row * d + j];
+      }
+      const double denom = static_cast<double>(item_norm) *
+                           row_norms[static_cast<size_t>(row)];
+      const double logit = denom > 1e-12 ? dot / denom : 0.0;
+      // First max wins ties, as in an argmax over CosineLogits.
+      if (row == 0 || logit > best_logit) {
+        best = row;
+        best_logit = logit;
+      }
+    }
+    ++counts[static_cast<size_t>(best)];
   }
   return counts;
 }

@@ -47,8 +47,8 @@ bool DetectNewInterests(const nn::Tensor& item_embeddings,
                         const NidConfig& config);
 
 // Hard assignment census: how many rows of `item_embeddings` (n x d) have
-// interest k as their cosine-argmax, for every k. Used by the trainer's
-// evidence-gated interest refresh.
+// interest k as their cosine-argmax (the first k on ties), for every k.
+// Used by the trainer's evidence-gated interest refresh.
 std::vector<int> CountAssignedItems(const nn::Tensor& item_embeddings,
                                     const nn::Tensor& interests);
 

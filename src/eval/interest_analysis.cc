@@ -7,51 +7,29 @@
 
 namespace imsr::eval {
 
-std::vector<std::vector<double>> InterestItemProfiles(
-    const nn::Tensor& interests, const nn::Tensor& item_embeddings) {
+std::vector<MaxCorrelation> MaxCorrelationAgainstExisting(
+    const nn::Tensor& interests, const nn::Tensor& item_embeddings,
+    int64_t first_new) {
   IMSR_CHECK_EQ(interests.dim(), 2);
   IMSR_CHECK_EQ(item_embeddings.dim(), 2);
   IMSR_CHECK_EQ(interests.size(1), item_embeddings.size(1));
+  IMSR_CHECK(first_new >= 1 && first_new <= interests.size(0));
+  // profiles[k]: every item's score under interest k.
   std::vector<std::vector<double>> profiles(
       static_cast<size_t>(interests.size(0)));
-  // One batched matvec: row k holds every item's score under interest k.
-  const nn::Tensor scores = nn::MatVecBatch(item_embeddings, interests);
-  const int64_t num_items = item_embeddings.size(0);
   for (int64_t k = 0; k < interests.size(0); ++k) {
-    const float* row = scores.data() + k * num_items;
-    profiles[static_cast<size_t>(k)].assign(row, row + num_items);
+    const nn::Tensor scores = nn::MatVec(item_embeddings, interests.Row(k));
+    profiles[static_cast<size_t>(k)].assign(
+        scores.data(), scores.data() + scores.numel());
   }
-  return profiles;
-}
-
-std::vector<std::vector<double>> ProfileCorrelationMatrix(
-    const nn::Tensor& interests, const nn::Tensor& item_embeddings) {
-  const auto profiles = InterestItemProfiles(interests, item_embeddings);
-  const size_t k = profiles.size();
-  std::vector<std::vector<double>> matrix(k, std::vector<double>(k, 1.0));
-  for (size_t i = 0; i < k; ++i) {
-    for (size_t j = i + 1; j < k; ++j) {
-      const double corr =
-          util::PearsonCorrelation(profiles[i], profiles[j]);
-      matrix[i][j] = corr;
-      matrix[j][i] = corr;
-    }
-  }
-  return matrix;
-}
-
-std::vector<double> MaxCorrelationAgainstExisting(
-    const nn::Tensor& interests, const nn::Tensor& item_embeddings,
-    int64_t first_new) {
-  IMSR_CHECK(first_new >= 1 && first_new <= interests.size(0));
-  const auto profiles = InterestItemProfiles(interests, item_embeddings);
-  std::vector<double> result;
+  std::vector<MaxCorrelation> result;
   for (int64_t j = first_new; j < interests.size(0); ++j) {
-    double best = -1.0;
+    MaxCorrelation best;
     for (int64_t k = 0; k < first_new; ++k) {
-      best = std::max(best, util::PearsonCorrelation(
-                                profiles[static_cast<size_t>(j)],
-                                profiles[static_cast<size_t>(k)]));
+      const double corr =
+          util::PearsonCorrelation(profiles[static_cast<size_t>(j)],
+                                   profiles[static_cast<size_t>(k)]);
+      if (corr > best.correlation) best = {corr, k};
     }
     result.push_back(best);
   }
@@ -94,12 +72,13 @@ std::vector<double> DistanceToNearestExisting(const nn::Tensor& interests,
   return distances;
 }
 
-std::vector<double> InterestAgeServingShare(
-    const nn::Tensor& item_embeddings, const core::InterestStore& store,
-    const data::Dataset& dataset, int test_span, int max_span) {
+InterestAgeShares InterestAgeServingShare(const nn::Tensor& item_embeddings,
+                                          const core::InterestStore& store,
+                                          const data::Dataset& dataset,
+                                          int test_span, int max_span) {
   IMSR_CHECK_GE(max_span, 0);
   std::vector<int64_t> served(static_cast<size_t>(max_span + 1), 0);
-  int64_t users = 0;
+  InterestAgeShares result;
   for (data::UserId user : dataset.active_users(test_span)) {
     if (!store.Has(user)) continue;
     const data::UserSpanData& span_data =
@@ -113,15 +92,15 @@ std::vector<double> InterestAgeServingShare(
     }
     const int birth = store.BirthSpans(user)[static_cast<size_t>(best)];
     served[static_cast<size_t>(std::min(birth, max_span))] += 1;
-    ++users;
+    ++result.users;
   }
-  std::vector<double> shares(served.size(), 0.0);
-  if (users == 0) return shares;
+  result.shares.assign(served.size(), 0.0);
+  if (result.users == 0) return result;
   for (size_t s = 0; s < served.size(); ++s) {
-    shares[s] =
-        static_cast<double>(served[s]) / static_cast<double>(users);
+    result.shares[s] = static_cast<double>(served[s]) /
+                       static_cast<double>(result.users);
   }
-  return shares;
+  return result;
 }
 
 }  // namespace imsr::eval

@@ -1,8 +1,8 @@
 // Interest-set analytics backing the paper's diagnostic figures:
 // similarity-profile correlations (Fig. 3), inter-span drift (Fig. 7b)
 // and the interest-age census of which interests serve which targets
-// (Fig. 7c). Library functions so benches, examples and downstream users
-// share one implementation.
+// (Fig. 7c). bench_fig3_redundancy, bench_fig7_case_study and the
+// interest_evolution example all compute their figures here.
 #ifndef IMSR_EVAL_INTEREST_ANALYSIS_H_
 #define IMSR_EVAL_INTEREST_ANALYSIS_H_
 
@@ -14,21 +14,17 @@
 
 namespace imsr::eval {
 
-// Similarity profile of each interest over a set of items: row k holds
-// the dot products of interest k with every item embedding (the p_k
-// vectors of §IV-D).
-std::vector<std::vector<double>> InterestItemProfiles(
-    const nn::Tensor& interests, const nn::Tensor& item_embeddings);
+// Fig. 3's redundancy measure for one new interest: the highest Pearson
+// correlation of its similarity profile (dot products with every item,
+// the p_k vectors of §IV-D) against an existing interest's profile, and
+// the first existing row reaching it.
+struct MaxCorrelation {
+  double correlation = -1.0;
+  int64_t existing = 0;
+};
 
-// Pearson correlation matrix between interest profiles; entry (j, k) is
-// the correlation of interests j and k over the given items.
-std::vector<std::vector<double>> ProfileCorrelationMatrix(
-    const nn::Tensor& interests, const nn::Tensor& item_embeddings);
-
-// For each row in [first_new, K): the maximum Pearson correlation of its
-// profile against any row in [0, first_new) — Fig. 3's redundancy
-// measure.
-std::vector<double> MaxCorrelationAgainstExisting(
+// One entry per row in [first_new, K), against rows [0, first_new).
+std::vector<MaxCorrelation> MaxCorrelationAgainstExisting(
     const nn::Tensor& interests, const nn::Tensor& item_embeddings,
     int64_t first_new);
 
@@ -44,12 +40,20 @@ double InheritedDrift(const nn::Tensor& before, const nn::Tensor& after);
 std::vector<double> DistanceToNearestExisting(const nn::Tensor& interests,
                                               int64_t first_new);
 
-// Fig. 7c: fraction of `test_span` test targets whose best-matching
-// stored interest (by dot product) was created in each span. Entry s of
-// the result is the share for creation span s (0..max_span).
-std::vector<double> InterestAgeServingShare(
-    const nn::Tensor& item_embeddings, const core::InterestStore& store,
-    const data::Dataset& dataset, int test_span, int max_span);
+// Fig. 7c: which interests serve the `test_span` test targets.
+struct InterestAgeShares {
+  // Entry s: fraction of counted users whose target's best-matching
+  // stored interest (by dot product, first max) was created in span s;
+  // births past max_span count as max_span.
+  std::vector<double> shares;
+  // Users counted: active in test_span, with stored interests and a
+  // test item.
+  int64_t users = 0;
+};
+InterestAgeShares InterestAgeServingShare(const nn::Tensor& item_embeddings,
+                                          const core::InterestStore& store,
+                                          const data::Dataset& dataset,
+                                          int test_span, int max_span);
 
 }  // namespace imsr::eval
 

@@ -46,7 +46,6 @@
 #include "core/interest_store.h"
 #include "core/interests_expansion.h"
 #include "core/nid.h"
-#include "core/online_update.h"
 #include "core/pit.h"
 #include "core/strategies.h"
 

@@ -1,7 +1,5 @@
 #include "models/aggregator.h"
 
-#include <algorithm>
-
 #include "nn/ops.h"
 
 namespace imsr::models {
@@ -22,22 +20,6 @@ nn::Tensor AttentiveAggregateNoGrad(const nn::Tensor& interests,
   const nn::Tensor logits = nn::MatVec(interests, target_embedding);
   const nn::Tensor beta = nn::Softmax(logits);
   return nn::MatVecTransA(interests, beta);
-}
-
-float AttentiveScore(const nn::Tensor& interests,
-                     const nn::Tensor& item_embedding) {
-  const nn::Tensor v = AttentiveAggregateNoGrad(interests, item_embedding);
-  return nn::DotFlat(v, item_embedding);
-}
-
-float MaxInterestScore(const nn::Tensor& interests,
-                       const nn::Tensor& item_embedding) {
-  const nn::Tensor logits = nn::MatVec(interests, item_embedding);
-  float best = logits.at(0);
-  for (int64_t k = 1; k < logits.numel(); ++k) {
-    best = std::max(best, logits.at(k));
-  }
-  return best;
 }
 
 }  // namespace imsr::models

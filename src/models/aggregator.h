@@ -17,15 +17,6 @@ nn::Var AttentiveAggregate(const nn::Var& interests,
 nn::Tensor AttentiveAggregateNoGrad(const nn::Tensor& interests,
                                     const nn::Tensor& target_embedding);
 
-// Inference score of one candidate item under the attentive rule
-// (Algorithm 2's inference step): v_u(e_i) . e_i.
-float AttentiveScore(const nn::Tensor& interests,
-                     const nn::Tensor& item_embedding);
-
-// ComiRec's serving rule: max_k h_k . e_i.
-float MaxInterestScore(const nn::Tensor& interests,
-                       const nn::Tensor& item_embedding);
-
 }  // namespace imsr::models
 
 #endif  // IMSR_MODELS_AGGREGATOR_H_

@@ -311,23 +311,6 @@ Var Exp(const Var& a) {
   });
 }
 
-Var Relu(const Var& a) {
-  Tensor out = a.value();
-  float* p = out.data();
-  for (int64_t i = 0; i < out.numel(); ++i) p[i] = std::max(p[i], 0.0f);
-  return Var::MakeNode(std::move(out), {a}, [a](VarNode& node) {
-    if (!Wants(a)) return;
-    Tensor grad = Tensor::Uninitialized(node.value.shape());
-    const float* y = node.value.data();
-    const float* g = node.grad.data();
-    float* o = grad.data();
-    for (int64_t i = 0; i < node.value.numel(); ++i) {
-      o[i] = y[i] > 0.0f ? g[i] : 0.0f;
-    }
-    a.node()->AccumulateGrad(std::move(grad));
-  });
-}
-
 Var Softmax(const Var& a) {
   Tensor out = nn::Softmax(a.value());
   return Var::MakeNode(std::move(out), {a}, [a](VarNode& node) {

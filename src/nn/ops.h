@@ -56,7 +56,6 @@ Var SumSquares(const Var& a);  // -> scalar, sum of squared entries
 Var Sigmoid(const Var& a);
 Var Tanh(const Var& a);
 Var Exp(const Var& a);
-Var Relu(const Var& a);
 // Row-wise softmax (2-D) or softmax of a vector (1-D).
 Var Softmax(const Var& a);
 // Capsule squash per row: (|v|^2 / (1+|v|^2)) v / |v|.

@@ -69,32 +69,16 @@ void Optimizer::ZeroGradAll() {
   for (Var& parameter : parameters_) parameter.ZeroGrad();
 }
 
-// Both update rules are elementwise: each parameter's new value is an
-// independent chain of scalar ops (mul/add/div/sqrt, all IEEE
-// correctly-rounded), so the simd annotation cannot change a bit — no
-// scalar fallback needed. IMSR_HOT because GCC's -O2 cost model
-// otherwise declines these runtime-trip-count loops.
-IMSR_HOT_BEGIN
-void Sgd::Step() {
-  for (Var& parameter : parameters_) {
-    if (!parameter.has_grad()) continue;
-    float* __restrict__ value = parameter.mutable_value().data();
-    const float* __restrict__ g = parameter.grad().data();
-    const float lr = learning_rate_;
-    ParallelElementwise(
-        parameter.value().numel(), [&](int64_t begin, int64_t end) {
-          IMSR_SIMD_PRAGMA()
-          for (int64_t i = begin; i < end; ++i) value[i] -= lr * g[i];
-        });
-  }
-}
-IMSR_HOT_END
-
 void Adam::Unregister(const Var& parameter) {
   state_.erase(parameter.node().get());
   Optimizer::Unregister(parameter);
 }
 
+// The update rule is elementwise: each parameter's new value is an
+// independent chain of scalar ops (mul/add/div/sqrt, all IEEE
+// correctly-rounded), so the simd annotation cannot change a bit — no
+// scalar fallback needed. IMSR_HOT because GCC's -O2 cost model
+// otherwise declines these runtime-trip-count loops.
 IMSR_HOT_BEGIN
 void Adam::Step() {
   for (Var& parameter : parameters_) {

@@ -1,4 +1,4 @@
-// First-order optimisers over Var parameters. Parameters are registered
+// The Adam optimiser over Var parameters. Parameters are registered
 // explicitly; Step() applies the update using each parameter's accumulated
 // gradient and then the caller is expected to ZeroGradAll() before the next
 // batch.
@@ -13,7 +13,9 @@
 
 namespace imsr::nn {
 
-// Common interface so trainers can swap optimisers.
+// Registry of the parameters an optimiser updates; extractors and
+// interests expansion take an Optimizer* to (un)register per-user
+// parameters.
 class Optimizer {
  public:
   virtual ~Optimizer() = default;
@@ -36,18 +38,6 @@ class Optimizer {
  protected:
   std::vector<Var> parameters_;
   std::unordered_map<VarNode*, size_t> index_;
-};
-
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(float learning_rate) : learning_rate_(learning_rate) {}
-  void Step() override;
-
-  float learning_rate() const { return learning_rate_; }
-  void set_learning_rate(float lr) { learning_rate_ = lr; }
-
- private:
-  float learning_rate_;
 };
 
 class Adam : public Optimizer {

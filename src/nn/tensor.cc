@@ -887,8 +887,10 @@ float DotFlat(const Tensor& a, const Tensor& b) {
   return DotSpan(a.data(), b.data(), a.numel());
 }
 
-float L2NormFlat(const Tensor& a) {
-  return std::sqrt(SumSquaresSpanSimd(a.data(), a.numel()));
+float L2NormFlat(const Tensor& a) { return L2NormSpan(a.data(), a.numel()); }
+
+float L2NormSpan(const float* a, int64_t n) {
+  return std::sqrt(SumSquaresSpanSimd(a, n));
 }
 
 namespace {

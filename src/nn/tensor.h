@@ -263,6 +263,8 @@ float DotFlat(const Tensor& a, const Tensor& b);
 float DotSpan(const float* a, const float* b, int64_t n);
 // Euclidean norm of the flattened tensor.
 float L2NormFlat(const Tensor& a);
+// Euclidean norm of a raw span of length n — the kernel L2NormFlat runs.
+float L2NormSpan(const float* a, int64_t n);
 
 // Row-wise softmax of a 2-D tensor (or softmax of a 1-D tensor).
 Tensor Softmax(const Tensor& a);

@@ -105,12 +105,6 @@ struct IvfSearchTotals {
     shortlist += stats.shortlist;
     reranked += stats.reranked;
   }
-  void Merge(const IvfSearchTotals& other) {
-    searches += other.searches;
-    probes += other.probes;
-    shortlist += other.shortlist;
-    reranked += other.reranked;
-  }
 };
 
 // Rows per block of the index's int8 code layout (IvfIndex::codes()).

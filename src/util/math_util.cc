@@ -33,14 +33,6 @@ double Mean(const std::vector<double>& values) {
   return total / static_cast<double>(values.size());
 }
 
-double StdDev(const std::vector<double>& values) {
-  if (values.size() < 2) return 0.0;
-  const double mean = Mean(values);
-  double ss = 0.0;
-  for (double v : values) ss += (v - mean) * (v - mean);
-  return std::sqrt(ss / static_cast<double>(values.size() - 1));
-}
-
 double L2Norm(const std::vector<double>& values) {
   double ss = 0.0;
   for (double v : values) ss += v * v;
@@ -80,22 +72,6 @@ double PearsonCorrelation(const std::vector<double>& x,
   }
   if (sxx == 0.0 || syy == 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);
-}
-
-double PairedTTestPValue(const std::vector<double>& a,
-                         const std::vector<double>& b) {
-  IMSR_CHECK_EQ(a.size(), b.size());
-  const size_t n = a.size();
-  if (n < 2) return 1.0;
-  std::vector<double> diff(n);
-  for (size_t i = 0; i < n; ++i) diff[i] = a[i] - b[i];
-  const double mean = Mean(diff);
-  const double sd = StdDev(diff);
-  if (sd == 0.0) return mean == 0.0 ? 1.0 : 0.0;
-  const double t = mean / (sd / std::sqrt(static_cast<double>(n)));
-  // Two-tailed p via the normal approximation Phi(-|t|) * 2.
-  const double p = std::erfc(std::fabs(t) / std::sqrt(2.0));
-  return p;
 }
 
 }  // namespace imsr::util

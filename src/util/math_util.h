@@ -22,9 +22,6 @@ double PearsonCorrelation(const std::vector<double>& x,
 // Arithmetic mean; requires non-empty input.
 double Mean(const std::vector<double>& values);
 
-// Sample standard deviation; returns 0 for fewer than two values.
-double StdDev(const std::vector<double>& values);
-
 // Euclidean norm.
 double L2Norm(const std::vector<double>& values);
 
@@ -34,12 +31,6 @@ double Dot(const std::vector<double>& x, const std::vector<double>& y);
 // Cosine similarity; returns 0 if either vector is all-zero.
 double CosineSimilarity(const std::vector<double>& x,
                         const std::vector<double>& y);
-
-// Two-tailed paired t-test p-value approximation for equal-size samples.
-// Uses a normal approximation of the t distribution (adequate for the
-// repeat counts used in the benches). Returns 1.0 for degenerate inputs.
-double PairedTTestPValue(const std::vector<double>& a,
-                         const std::vector<double>& b);
 
 }  // namespace imsr::util
 

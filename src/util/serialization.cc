@@ -9,8 +9,6 @@
 #include <cstring>
 #include <fstream>
 
-#include "util/check.h"
-
 namespace imsr::util {
 
 void BinaryWriter::Append(const void* data, size_t size) {
@@ -19,8 +17,6 @@ void BinaryWriter::Append(const void* data, size_t size) {
 }
 
 void BinaryWriter::WriteInt64(int64_t value) { Append(&value, sizeof(value)); }
-
-void BinaryWriter::WriteDouble(double value) { Append(&value, sizeof(value)); }
 
 void BinaryWriter::WriteFloat(float value) { Append(&value, sizeof(value)); }
 
@@ -36,14 +32,6 @@ void BinaryWriter::WriteFloatArray(const float* data, size_t count) {
 
 void BinaryWriter::WriteBytes(const void* data, size_t size) {
   Append(data, size);
-}
-
-bool BinaryWriter::WriteToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out.write(reinterpret_cast<const char*>(buffer_.data()),
-            static_cast<std::streamsize>(buffer_.size()));
-  return static_cast<bool>(out);
 }
 
 bool BinaryWriter::WriteToFileAtomic(const std::string& path,
@@ -163,10 +151,6 @@ bool BinaryReader::TryReadInt64(int64_t* out) {
   return TryReadBytes(out, sizeof(*out));
 }
 
-bool BinaryReader::TryReadDouble(double* out) {
-  return TryReadBytes(out, sizeof(*out));
-}
-
 bool BinaryReader::TryReadFloat(float* out) {
   return TryReadBytes(out, sizeof(*out));
 }
@@ -199,34 +183,6 @@ bool BinaryReader::TryReadFloatArray(float* data, size_t count) {
                 " bytes");
   }
   return TryReadBytes(data, count * sizeof(float));
-}
-
-int64_t BinaryReader::ReadInt64() {
-  int64_t value = 0;
-  IMSR_CHECK(TryReadInt64(&value)) << error_;
-  return value;
-}
-
-double BinaryReader::ReadDouble() {
-  double value = 0;
-  IMSR_CHECK(TryReadDouble(&value)) << error_;
-  return value;
-}
-
-float BinaryReader::ReadFloat() {
-  float value = 0;
-  IMSR_CHECK(TryReadFloat(&value)) << error_;
-  return value;
-}
-
-std::string BinaryReader::ReadString() {
-  std::string value;
-  IMSR_CHECK(TryReadString(&value)) << error_;
-  return value;
-}
-
-void BinaryReader::ReadFloatArray(float* data, size_t count) {
-  IMSR_CHECK(TryReadFloatArray(data, count)) << error_;
 }
 
 }  // namespace imsr::util

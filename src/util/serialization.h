@@ -1,12 +1,9 @@
 // Binary (de)serialization for model checkpoints. Little-endian host
 // assumed (x86/ARM); a magic header with a version guards format drift.
 //
-// Readers come in two flavours:
-//   * TryRead* — fallible: returns false and records a descriptive error
-//     (sticky; every later read also fails) instead of aborting. All code
-//     that parses *external* bytes (checkpoint files) must use these.
-//   * Read*    — contract-checked: aborts via IMSR_CHECK on malformed
-//     input. Only for buffers the process itself just produced.
+// Every read is fallible: a TryRead* returns false and records a
+// descriptive error (sticky; every later read also fails) instead of
+// aborting, so corrupt checkpoint bytes are reported, never fatal.
 #ifndef IMSR_UTIL_SERIALIZATION_H_
 #define IMSR_UTIL_SERIALIZATION_H_
 
@@ -20,16 +17,12 @@ namespace imsr::util {
 class BinaryWriter {
  public:
   void WriteInt64(int64_t value);
-  void WriteDouble(double value);
   void WriteFloat(float value);
   void WriteString(const std::string& value);
   void WriteFloatArray(const float* data, size_t count);
   void WriteBytes(const void* data, size_t size);
 
   const std::vector<uint8_t>& buffer() const { return buffer_; }
-
-  // Writes the buffer to a file; returns false on I/O failure.
-  bool WriteToFile(const std::string& path) const;
 
   // Durable atomic replace: writes to `path` + ".tmp", flushes and fsyncs,
   // then renames over `path`, so a crash at any point leaves either the
@@ -51,20 +44,12 @@ class BinaryReader {
   // Loads a file into a reader; returns false on I/O failure.
   static bool ReadFromFile(const std::string& path, BinaryReader* reader);
 
-  // Contract-checked reads: abort on truncated or malformed input.
-  int64_t ReadInt64();
-  double ReadDouble();
-  float ReadFloat();
-  std::string ReadString();
-  void ReadFloatArray(float* data, size_t count);
-
-  // Fallible reads: on truncation, a garbage length prefix, or a count
-  // mismatch they record an error and return false without touching `out`
-  // beyond what was already written. The error is sticky — after the first
+  // On truncation, a garbage length prefix, or a count mismatch these
+  // record an error and return false without touching `out` beyond what
+  // was already written. The error is sticky — after the first
   // failure every subsequent TryRead* fails too, so a parsing sequence can
   // check `ok()` once at the end.
   bool TryReadInt64(int64_t* out);
-  bool TryReadDouble(double* out);
   bool TryReadFloat(float* out);
   bool TryReadString(std::string* out);
   bool TryReadFloatArray(float* data, size_t count);

@@ -1,10 +1,6 @@
-// Tests for the interest-analysis toolkit, the multi-cutoff metrics and
-// the online serving-time updater.
+// Tests for the interest-analysis toolkit and the multi-cutoff metrics.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "core/online_update.h"
 #include "eval/interest_analysis.h"
 #include "eval/metrics.h"
 
@@ -64,37 +60,22 @@ struct AnalysisFixture {
   nn::Tensor interests;
 };
 
-TEST(InterestAnalysisTest, ProfilesHaveExpectedShape) {
-  AnalysisFixture f;
-  const auto profiles =
-      eval::InterestItemProfiles(f.interests, f.items);
-  ASSERT_EQ(profiles.size(), 3u);
-  ASSERT_EQ(profiles[0].size(), 6u);
-  EXPECT_GT(profiles[0][0], profiles[0][3]);  // axis-0 interest scores
-}
-
-TEST(InterestAnalysisTest, CorrelationMatrixSymmetricWithUnitDiagonal) {
-  AnalysisFixture f;
-  const auto matrix =
-      eval::ProfileCorrelationMatrix(f.interests, f.items);
-  for (size_t i = 0; i < matrix.size(); ++i) {
-    EXPECT_DOUBLE_EQ(matrix[i][i], 1.0);
-    for (size_t j = 0; j < matrix.size(); ++j) {
-      EXPECT_DOUBLE_EQ(matrix[i][j], matrix[j][i]);
-    }
-  }
-  // The redundant interest correlates perfectly with interest 0 and
-  // negatively with interest 1.
-  EXPECT_NEAR(matrix[0][2], 1.0, 1e-9);
-  EXPECT_LT(matrix[1][2], 0.0);
-}
-
 TEST(InterestAnalysisTest, MaxCorrelationFlagsRedundantNewInterest) {
   AnalysisFixture f;
-  const std::vector<double> corr =
+  const std::vector<eval::MaxCorrelation> corr =
       eval::MaxCorrelationAgainstExisting(f.interests, f.items, 2);
   ASSERT_EQ(corr.size(), 1u);  // one "new" interest (row 2)
-  EXPECT_NEAR(corr[0], 1.0, 1e-9);
+  EXPECT_NEAR(corr[0].correlation, 1.0, 1e-9);
+  EXPECT_EQ(corr[0].existing, 0);  // the interest it copies
+  // With the copied interest second, the argmax names row 1.
+  const nn::Tensor reordered =
+      nn::ConcatRows({f.interests.RowSlice(1, 2), f.interests.RowSlice(0, 1),
+                      f.interests.RowSlice(2, 3)});
+  const std::vector<eval::MaxCorrelation> second =
+      eval::MaxCorrelationAgainstExisting(reordered, f.items, 2);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_NEAR(second[0].correlation, 1.0, 1e-9);
+  EXPECT_EQ(second[0].existing, 1);
 }
 
 TEST(InterestAnalysisTest, NormsAndDrift) {
@@ -121,75 +102,58 @@ TEST(InterestAnalysisTest, DistanceToNearestExisting) {
   EXPECT_NEAR(distances[0], 0.1, 1e-6);
 }
 
-// ---- Online updating ----
+// Fig. 7c over a hand-built span: identity item embeddings, so each
+// interest scores only the item on its axis.
+TEST(InterestAnalysisTest, InterestAgeServingShareCountsBirthSpans) {
+  // pretrain [0,50), span 1 [50,75), span 2 [75,100).
+  const std::vector<data::Interaction> log = {
+      {4, 0, 0},                            // sets the timeline start
+      {0, 1, 80}, {0, 0, 90},               // user 0: test item 0
+      {1, 3, 76}, {1, 2, 77}, {1, 2, 78},   // user 1: test item 2
+      {2, 1, 81}, {2, 3, 82},               // user 2: test item 3
+      {3, 0, 85},                           // user 3: no test item
+      {4, 0, 86}, {4, 1, 99},               // user 4: not in the store
+  };
+  const data::Dataset dataset(5, 4, log, 2, 0.5, 1);
+  nn::Tensor items({4, 4});
+  for (int64_t i = 0; i < 4; ++i) items.at(i, i) = 1.0f;
+  auto axis = [](int64_t a, float scale) {
+    nn::Tensor row({1, 4});
+    row.at(0, a) = scale;
+    return row;
+  };
 
-TEST(OnlineUpdateTest, PullsBestMatchingInterestTowardItem) {
+  core::InterestStore store;
   util::Rng rng(1);
-  models::EmbeddingTable table(10, 4, rng);
-  // Item 3 along axis 0.
-  nn::Tensor& embeddings = table.parameter().mutable_value();
-  embeddings.Fill(0.0f);
-  embeddings.at(3, 0) = 2.0f;
-  embeddings.at(4, 1) = 2.0f;
-
-  core::InterestStore store;
-  store.Initialize(0, 2, 4, 0, rng);
-  nn::Tensor interests({2, 4});
-  interests.at(0, 0) = 0.5f;
-  interests.at(0, 1) = 0.3f;  // mostly axis 0
-  interests.at(1, 1) = 0.6f;  // axis 1
-  store.SetInterests(0, interests);
-
-  core::OnlineUpdateConfig config;
-  config.rate = 0.5f;
-  config.temperature = 0.1f;
-  core::OnlineUpdater updater(&store, &table, config);
-  updater.Absorb(0, 3);
-  EXPECT_EQ(updater.updates_applied(), 1);
-
-  const nn::Tensor& updated = store.Interests(0);
-  // Interest 0 rotated further towards axis 0; interest 1 barely moved.
-  const double cos0_before = 0.5 / std::sqrt(0.25 + 0.09);
-  const double cos0_after =
-      updated.at(0, 0) / nn::L2NormFlat(updated.Row(0));
-  EXPECT_GT(cos0_after, cos0_before + 1e-3);
-  EXPECT_NEAR(updated.at(1, 1), 0.6f, 0.05f);
-}
-
-TEST(OnlineUpdateTest, PreservesInterestNorms) {
-  util::Rng rng(2);
-  models::EmbeddingTable table(20, 8, rng);
-  core::InterestStore store;
-  store.Initialize(1, 3, 8, 0, rng);
-  const std::vector<double> before =
-      eval::InterestNorms(store.Interests(1));
-  core::OnlineUpdater updater(&store, &table, {});
-  updater.AbsorbSequence(1, {2, 5, 9, 14});
-  const std::vector<double> after =
-      eval::InterestNorms(store.Interests(1));
-  for (size_t k = 0; k < before.size(); ++k) {
-    // The pull mixes two vectors of equal length: norms shrink at most
-    // modestly and never grow beyond the original.
-    EXPECT_LE(after[k], before[k] * 1.01);
-    EXPECT_GE(after[k], before[k] * 0.5);
+  for (data::UserId user : {0, 1, 2, 3}) {
+    store.Initialize(user, 1, 4, 0, rng);
   }
-}
+  // User 0: axis 1 @ span 0, axis 0 @ span 1 -> served by span 1.
+  store.SetInterests(0, axis(1, 1.0f));
+  store.Append(0, axis(0, 1.0f), 1);
+  // User 1: axis 2 @ span 0 and @ span 1 tie -> the first (span 0) wins.
+  store.SetInterests(1, axis(2, 1.0f));
+  store.Append(1, axis(2, 1.0f), 1);
+  // User 2: axis 3 @ span 0, a longer axis 3 @ span 2 -> span 2.
+  store.SetInterests(2, axis(3, 1.0f));
+  store.Append(2, axis(3, 2.0f), 2);
 
-TEST(OnlineUpdateTest, NoOpForUnknownUserOrZeroRate) {
-  util::Rng rng(3);
-  models::EmbeddingTable table(10, 4, rng);
-  core::InterestStore store;
-  core::OnlineUpdater updater(&store, &table, {});
-  updater.Absorb(42, 1);  // user unknown
-  EXPECT_EQ(updater.updates_applied(), 0);
-
-  store.Initialize(42, 2, 4, 0, rng);
-  core::OnlineUpdateConfig disabled;
-  disabled.rate = 0.0f;
-  core::OnlineUpdater frozen(&store, &table, disabled);
-  const nn::Tensor before = store.Interests(42);
-  frozen.Absorb(42, 1);
-  EXPECT_LT(nn::MaxAbsDiff(before, store.Interests(42)), 1e-12f);
+  const eval::InterestAgeShares shares =
+      eval::InterestAgeServingShare(items, store, dataset, 2, 2);
+  EXPECT_EQ(shares.users, 3);
+  EXPECT_EQ(shares.shares, (std::vector<double>{1.0 / 3.0, 1.0 / 3.0,
+                                                1.0 / 3.0}));
+  // Births past max_span count as max_span.
+  const eval::InterestAgeShares clamped =
+      eval::InterestAgeServingShare(items, store, dataset, 2, 1);
+  EXPECT_EQ(clamped.users, 3);
+  EXPECT_EQ(clamped.shares, (std::vector<double>{1.0 / 3.0, 2.0 / 3.0}));
+  // A span nobody with interests is active in counts no one.
+  const eval::InterestAgeShares empty =
+      eval::InterestAgeServingShare(items, core::InterestStore(), dataset,
+                                    2, 1);
+  EXPECT_EQ(empty.users, 0);
+  EXPECT_EQ(empty.shares, (std::vector<double>{0.0, 0.0}));
 }
 
 }  // namespace

@@ -225,7 +225,7 @@ TEST_F(CheckpointCorruptionTest, V1MagicIsRejectedAsUnsupportedVersion) {
   writer.WriteString("legacy");
   source_->Save(&writer);
   source_store_->Save(&writer);
-  ASSERT_TRUE(writer.WriteToFile(path_));
+  ASSERT_TRUE(writer.WriteToFileAtomic(path_));
 
   models::MsrModel destination(TinyConfig(), kNumItems, 7);
   InterestStore destination_store;

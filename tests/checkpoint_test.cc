@@ -118,7 +118,7 @@ TEST(CheckpointTest, RejectsMissingAndForeignFiles) {
   const std::string path = "/tmp/imsr_checkpoint_foreign_test.bin";
   util::BinaryWriter writer;
   writer.WriteString("not-a-checkpoint");
-  ASSERT_TRUE(writer.WriteToFile(path));
+  ASSERT_TRUE(writer.WriteToFileAtomic(path));
   error.clear();
   EXPECT_FALSE(LoadCheckpoint(path, &model, &store, nullptr, &error));
   EXPECT_NE(error.find("not an IMSR checkpoint"), std::string::npos);

@@ -189,6 +189,58 @@ TEST(NidTest, CountAssignedItemsSumsToItemCount) {
   EXPECT_EQ(total, 17);
 }
 
+// The census as one argmax per item over a fresh logits vector, every
+// interest row's norm recomputed per item: the reference the single-pass
+// CountAssignedItems must match count for count.
+std::vector<int> PerItemArgmaxCounts(const nn::Tensor& items,
+                                     const nn::Tensor& interests) {
+  const int64_t k = interests.size(0);
+  const int64_t d = interests.size(1);
+  std::vector<int> counts(static_cast<size_t>(k), 0);
+  for (int64_t i = 0; i < items.size(0); ++i) {
+    const nn::Tensor item = items.Row(i);
+    const float item_norm = nn::L2NormFlat(item);
+    std::vector<double> logits(static_cast<size_t>(k), 0.0);
+    for (int64_t row = 0; row < k; ++row) {
+      double dot = 0.0;
+      double row_ss = 0.0;
+      for (int64_t j = 0; j < d; ++j) {
+        const float h = interests.at(row, j);
+        dot += static_cast<double>(item.at(j)) * h;
+        row_ss += static_cast<double>(h) * h;
+      }
+      const double denom =
+          static_cast<double>(item_norm) * std::sqrt(row_ss);
+      logits[static_cast<size_t>(row)] = denom > 1e-12 ? dot / denom : 0.0;
+    }
+    size_t best = 0;
+    for (size_t r = 1; r < logits.size(); ++r) {
+      if (logits[r] > logits[best]) best = r;
+    }
+    ++counts[best];
+  }
+  return counts;
+}
+
+TEST(NidTest, CountAssignedItemsMatchesPerItemArgmax) {
+  util::Rng rng(23);
+  for (int64_t d : {1, 3, 8, 33}) {
+    for (int64_t k = 1; k <= 6; ++k) {
+      nn::Tensor interests = nn::Tensor::Randn({k, d}, rng);
+      nn::Tensor items = nn::Tensor::Randn({29, d}, rng);
+      // Exact ties: a duplicated interest row, and zero rows whose
+      // logits all read 0.
+      if (k >= 3) interests.SetRow(2, interests.Row(0));
+      if (k >= 2) interests.SetRow(k - 1, nn::Tensor::Zeros({d}));
+      items.SetRow(4, nn::Tensor::Zeros({d}));
+      items.SetRow(5, interests.Row(0));
+      EXPECT_EQ(CountAssignedItems(items, interests),
+                PerItemArgmaxCounts(items, interests))
+          << "d=" << d << " k=" << k;
+    }
+  }
+}
+
 // ---- PIT ----
 
 TEST(PitTest, SolveLinearSystemIdentityAndGeneral) {

@@ -68,27 +68,6 @@ TEST(DeathTest, PitRequiresValidBasis) {
   EXPECT_DEATH(core::ProjectAndTrim(interests, 5, config), "IMSR_CHECK");
 }
 
-TEST(DeathTest, SerializationBoundsChecked) {
-  util::BinaryWriter writer;
-  writer.WriteInt64(1);
-  util::BinaryReader reader(writer.buffer());
-  reader.ReadInt64();
-  EXPECT_DEATH(reader.ReadInt64(), "truncated");
-}
-
-TEST(DeathTest, SerializationGarbageLengthsChecked) {
-  // The contract-checked readers must also refuse corrupt lengths (the
-  // fallible TryRead* flavours return false instead; see util_test).
-  util::BinaryWriter writer;
-  writer.WriteInt64(-4);
-  util::BinaryReader reader(writer.buffer());
-  EXPECT_DEATH(reader.ReadString(), "corrupt string length");
-  util::BinaryWriter huge;
-  huge.WriteInt64(INT64_MAX - 7);
-  util::BinaryReader huge_reader(huge.buffer());
-  EXPECT_DEATH(huge_reader.ReadString(), "corrupt string length");
-}
-
 TEST(DeathTest, NegativeSamplerNeedsTwoItems) {
   EXPECT_DEATH(data::NegativeSampler(1), "IMSR_CHECK");
 }

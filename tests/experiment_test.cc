@@ -108,14 +108,6 @@ TEST(ExperimentTest, RepeatedRunAveragesSpanMetrics) {
               (single.avg_hit_ratio + other.avg_hit_ratio) / 2.0, 1e-9);
 }
 
-TEST(ExperimentTest, CollectRepeatedScoresShape) {
-  const data::SyntheticDataset synthetic = SmallData();
-  const RepeatedScores scores = CollectRepeatedScores(
-      *synthetic.dataset, SmallExperiment(StrategyKind::kFineTune), 3);
-  EXPECT_EQ(scores.hit_ratios.size(), 3u);
-  EXPECT_EQ(scores.ndcgs.size(), 3u);
-}
-
 TEST(ExperimentTest, ImsrReportsExpansionWhileFtDoesNot) {
   const data::SyntheticDataset synthetic = SmallData();
   ExperimentConfig imsr = SmallExperiment(StrategyKind::kImsr);

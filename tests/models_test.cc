@@ -285,20 +285,6 @@ TEST(AggregatorTest, GradVersionMatchesNoGrad) {
             1e-5f);
 }
 
-TEST(AggregatorTest, ScoreRules) {
-  nn::Tensor interests({2, 3});
-  interests.at(0, 0) = 1.0f;
-  interests.at(1, 1) = 1.0f;
-  nn::Tensor item({3});
-  item.at(0) = 2.0f;
-  item.at(1) = 1.0f;
-  EXPECT_FLOAT_EQ(MaxInterestScore(interests, item), 2.0f);
-  // Attentive score blends toward the best-matching interest.
-  const float attentive = AttentiveScore(interests, item);
-  EXPECT_GT(attentive, 1.0f);
-  EXPECT_LE(attentive, 2.0f);
-}
-
 // Exact float-for-float equality (memcmp: -0.0 vs +0.0 would fail).
 bool SameBits(const nn::Tensor& a, const nn::Tensor& b) {
   return a.shape() == b.shape() &&

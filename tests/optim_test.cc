@@ -1,4 +1,4 @@
-// Tests for the optimisers (SGD, Adam) and initialisers.
+// Tests for the Adam optimiser and the initialisers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,38 +9,6 @@
 
 namespace imsr::nn {
 namespace {
-
-TEST(SgdTest, SingleStepMatchesFormula) {
-  Var w(Tensor::FromVector({2.0f, -1.0f}), true);
-  // loss = w0^2 + w1^2 -> grad = 2w.
-  ops::SumSquares(w).Backward();
-  Sgd sgd(0.1f);
-  sgd.Register(w);
-  sgd.Step();
-  EXPECT_FLOAT_EQ(w.value().at(0), 2.0f - 0.1f * 4.0f);
-  EXPECT_FLOAT_EQ(w.value().at(1), -1.0f - 0.1f * -2.0f);
-}
-
-TEST(SgdTest, SkipsParametersWithoutGradients) {
-  Var w(Tensor::FromVector({1.0f}), true);
-  Sgd sgd(0.5f);
-  sgd.Register(w);
-  sgd.Step();  // no gradient accumulated
-  EXPECT_FLOAT_EQ(w.value().at(0), 1.0f);
-}
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  Var w(Tensor::FromVector({5.0f, -3.0f}), true);
-  Sgd sgd(0.2f);
-  sgd.Register(w);
-  for (int step = 0; step < 100; ++step) {
-    sgd.ZeroGradAll();
-    ops::SumSquares(w).Backward();
-    sgd.Step();
-  }
-  EXPECT_NEAR(w.value().at(0), 0.0f, 1e-4f);
-  EXPECT_NEAR(w.value().at(1), 0.0f, 1e-4f);
-}
 
 TEST(AdamTest, FirstStepHasLearningRateMagnitude) {
   // Adam's bias-corrected first step is ~lr * sign(grad).
@@ -66,6 +34,28 @@ TEST(AdamTest, ConvergesOnQuadraticWithShiftedMinimum) {
     adam.Step();
   }
   EXPECT_LT(MaxAbsDiff(w.value(), target), 1e-2f);
+}
+
+TEST(AdamTest, SkipsParametersWithoutGradients) {
+  Var w(Tensor::FromVector({1.0f}), true);
+  Var v(Tensor::FromVector({2.0f}), true);
+  Adam adam(0.5f);
+  adam.Register(w);
+  adam.Register(v);
+  ops::SumSquares(v).Backward();  // gradient for v only
+  adam.Step();
+  EXPECT_FLOAT_EQ(w.value().at(0), 1.0f);
+  EXPECT_NE(v.value().at(0), 2.0f);
+  // A parameter skipped by a step starts its moments at its first
+  // gradient, exactly like a fresh optimiser.
+  ops::SumSquares(w).Backward();
+  adam.Step();
+  Var fresh(Tensor::FromVector({1.0f}), true);
+  Adam reference(0.5f);
+  reference.Register(fresh);
+  ops::SumSquares(fresh).Backward();
+  reference.Step();
+  EXPECT_EQ(w.value().at(0), fresh.value().at(0));
 }
 
 TEST(AdamTest, RegisterIsIdempotent) {

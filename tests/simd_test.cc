@@ -323,24 +323,6 @@ TEST(SimdTest, TranscendentalMapsBitwise) {
   }
 }
 
-TEST(SimdTest, SgdStepBitwiseMatchesReference) {
-  util::Rng rng(26);
-  for (int64_t n : kSizes) {
-    const nn::Tensor initial = nn::Tensor::Randn({n}, rng);
-    const nn::Tensor grad = nn::Tensor::Randn({n}, rng);
-    nn::Var parameter(initial, /*requires_grad=*/true);
-    parameter.node()->AccumulateGrad(grad);
-    nn::Sgd sgd(0.05f);
-    sgd.Register(parameter);
-    sgd.Step();
-    for (int64_t i = 0; i < n; ++i) {
-      EXPECT_EQ(parameter.value().at(i),
-                initial.at(i) - 0.05f * grad.at(i))
-          << "n=" << n;
-    }
-  }
-}
-
 TEST(SimdTest, AdamStepBitwiseMatchesReference) {
   util::Rng rng(27);
   nn::Adam::Config config;

@@ -160,21 +160,9 @@ TEST(MathTest, CosineSimilarityBasics) {
   EXPECT_EQ(CosineSimilarity({0, 0}, {1, 1}), 0.0);
 }
 
-TEST(MathTest, MeanAndStdDev) {
+TEST(MathTest, Mean) {
   const std::vector<double> values = {2, 4, 4, 4, 5, 5, 7, 9};
   EXPECT_NEAR(Mean(values), 5.0, 1e-12);
-  EXPECT_NEAR(StdDev(values), std::sqrt(32.0 / 7.0), 1e-12);
-}
-
-TEST(MathTest, PairedTTestDetectsDifference) {
-  std::vector<double> a;
-  std::vector<double> b;
-  for (int i = 0; i < 10; ++i) {
-    a.push_back(1.0 + 0.01 * i);
-    b.push_back(2.0 + 0.01 * i);
-  }
-  EXPECT_LT(PairedTTestPValue(a, b), 0.05);
-  EXPECT_NEAR(PairedTTestPValue(a, a), 1.0, 1e-12);
 }
 
 TEST(TableTest, PrettyAndCsvRendering) {
@@ -443,32 +431,26 @@ TEST(ShutdownTest, FlagRoundTrip) {
 TEST(SerializationTest, RoundTrip) {
   BinaryWriter writer;
   writer.WriteInt64(-5);
-  writer.WriteDouble(2.5);
   writer.WriteFloat(1.5f);
   writer.WriteString("hello");
   const float values[3] = {1.0f, 2.0f, 3.0f};
   writer.WriteFloatArray(values, 3);
 
   BinaryReader reader(writer.buffer());
-  EXPECT_EQ(reader.ReadInt64(), -5);
-  EXPECT_DOUBLE_EQ(reader.ReadDouble(), 2.5);
-  EXPECT_FLOAT_EQ(reader.ReadFloat(), 1.5f);
-  EXPECT_EQ(reader.ReadString(), "hello");
+  int64_t i = 0;
+  float f = 0.0f;
+  std::string s;
   float out[3] = {};
-  reader.ReadFloatArray(out, 3);
+  ASSERT_TRUE(reader.TryReadInt64(&i));
+  ASSERT_TRUE(reader.TryReadFloat(&f));
+  ASSERT_TRUE(reader.TryReadString(&s));
+  ASSERT_TRUE(reader.TryReadFloatArray(out, 3));
+  EXPECT_EQ(i, -5);
+  EXPECT_FLOAT_EQ(f, 1.5f);
+  EXPECT_EQ(s, "hello");
   EXPECT_FLOAT_EQ(out[2], 3.0f);
   EXPECT_TRUE(reader.AtEnd());
-}
-
-TEST(SerializationTest, FileRoundTrip) {
-  BinaryWriter writer;
-  writer.WriteString("payload");
-  const std::string path = "/tmp/imsr_util_test_blob.bin";
-  ASSERT_TRUE(writer.WriteToFile(path));
-  BinaryReader reader({});
-  ASSERT_TRUE(BinaryReader::ReadFromFile(path, &reader));
-  EXPECT_EQ(reader.ReadString(), "payload");
-  std::remove(path.c_str());
+  EXPECT_TRUE(reader.ok());
 }
 
 TEST(SerializationTest, TryReadsFailOnTruncationAndStickError) {
@@ -548,7 +530,9 @@ TEST(SerializationTest, AtomicWriteRoundTripAndFailure) {
   EXPECT_EQ(tmp, nullptr);
   BinaryReader reader({});
   ASSERT_TRUE(BinaryReader::ReadFromFile(path, &reader));
-  EXPECT_EQ(reader.ReadString(), "durable");
+  std::string payload;
+  ASSERT_TRUE(reader.TryReadString(&payload));
+  EXPECT_EQ(payload, "durable");
   std::remove(path.c_str());
 
   EXPECT_FALSE(writer.WriteToFileAtomic("/nonexistent-dir/blob", &error));

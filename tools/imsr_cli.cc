@@ -7,9 +7,7 @@
 //              Table-II-style statistics of a log
 //   pretrain   --log=log.csv --checkpoint=ckpt.bin [--model=dr] [--dim=32]
 //              train on the pre-training span, write a checkpoint.
-//              --batch_size=B sets the optimizer minibatch (default 64);
-//              --batched=false falls back to the per-sample loss loop
-//              (bitwise identical at batch_size=1, mainly for debugging)
+//              --batch_size=B sets the optimizer minibatch (default 64)
 //   train-span --log=log.csv --checkpoint=ckpt.bin --span=1
 //              one incremental IMSR update (EIR+NID+PIT), checkpoint back
 //
@@ -139,8 +137,6 @@ void RegisterTrainFlags(util::FlagSet* set) {
   set->AddInt("pretrain_epochs", 5, "epochs over the pre-training span");
   set->AddInt("epochs", 3, "epochs per incremental span");
   set->AddInt("batch_size", 64, "optimizer minibatch size");
-  set->AddBool("batched", true,
-               "minibatched loss (false = per-sample debug loop)");
   set->AddDouble("lr", 0.005, "Adam learning rate");
   set->AddInt("k0", 4, "initial interests per user");
   set->AddDouble("kd", 0.1, "EIR retention coefficient");
@@ -328,7 +324,6 @@ core::TrainConfig TrainConfigFromFlags(const util::Flags& flags) {
   config.epochs = static_cast<int>(flags.GetInt("epochs", 3));
   config.batch_size = static_cast<int>(
       flags.GetInt("batch_size", config.batch_size));
-  config.batched = flags.GetBool("batched", config.batched);
   config.learning_rate =
       static_cast<float>(flags.GetDouble("lr", 0.005));
   config.initial_interests = static_cast<int>(flags.GetInt("k0", 4));
