@@ -27,8 +27,10 @@ core::ExperimentResult RunVariant(const data::Dataset& dataset,
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const bench::BenchSetup setup = bench::ParseBenchFlags(flags);
+  util::FlagSet flags = bench::BenchFlags(
+      "bench_ablation_design",
+      "ablations of this reproduction's own design choices");
+  const bench::BenchSetup setup = bench::ParseBenchFlags(argc, argv, &flags);
 
   bench::PrintHeader(
       "Design-choice ablations (this reproduction's own decisions)",

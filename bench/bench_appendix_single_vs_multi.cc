@@ -39,8 +39,10 @@ void PrintRow(util::Table& table, const std::string& name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const bench::BenchSetup setup = bench::ParseBenchFlags(flags);
+  util::FlagSet flags = bench::BenchFlags(
+      "bench_appendix_single_vs_multi",
+      "single-interest GRU4Rec vs multi-interest ComiRec-DR");
+  const bench::BenchSetup setup = bench::ParseBenchFlags(argc, argv, &flags);
 
   bench::PrintHeader(
       "Appendix — single-interest (GRU4Rec) vs multi-interest "

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "core/train_flags.h"
 #include "data/stats.h"
 #include "data/synthetic.h"
 #include "util/csv.h"
@@ -43,37 +44,42 @@ struct BenchSetup {
   core::ExperimentConfig experiment;  // model/strategy/eval defaults
 };
 
-// Parses the common bench flags:
-//   --scale=0.25 --repeats=1 --seed=7 --dim=32 --epochs=3
-//   --pretrain_epochs=5 --kd=0.1 --c1=0.04 --c2=0.3 --delta_k=3 --k0=4
-// and sizes the process-wide pool from --threads=N.
-inline BenchSetup ParseBenchFlags(const util::Flags& flags) {
-  util::ApplyThreadFlag(flags);
+// The flags every paper bench takes: --scale, --repeats, --seed,
+// --top_n, the shared model and training flags (core/train_flags.h) and
+// --threads, with BenchSetup's defaults. A bench registers its own
+// flags on the returned set before ParseBenchFlags; `--help` lists them
+// all with their defaults.
+inline util::FlagSet BenchFlags(const std::string& program,
+                                const std::string& synopsis) {
+  const BenchSetup defaults;
+  util::FlagSet flags(program, synopsis);
+  flags.AddDouble("scale", defaults.scale,
+                  "fraction of each dataset preset's full size");
+  flags.AddInt("repeats", defaults.repeats, "seeds averaged per cell",
+               /*min=*/1);
+  flags.AddInt("seed", static_cast<int64_t>(defaults.seed),
+               "base seed of the repeats");
+  flags.AddInt("top_n", defaults.experiment.eval.top_n, "ranking cutoff N",
+               /*min=*/1);
+  core::RegisterTrainFlags(&flags, /*with_training=*/true);
+  util::RegisterThreadFlag(&flags);
+  return flags;
+}
+
+// Parses argv into `flags` (--help exits 0, a usage error exits 2),
+// sizes the process-wide pool from --threads and reads the common flags.
+inline BenchSetup ParseBenchFlags(int argc, char** argv,
+                                  util::FlagSet* flags) {
+  flags->ParseOrExit(argc - 1, argv + 1);
+  util::ApplyThreadFlag(*flags);
   BenchSetup setup;
-  setup.scale = flags.GetDouble("scale", kDefaultScale);
-  setup.repeats = static_cast<int>(flags.GetInt("repeats", 1));
-  setup.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  setup.scale = flags->GetDouble("scale");
+  setup.repeats = static_cast<int>(flags->GetInt("repeats"));
+  setup.seed = static_cast<uint64_t>(flags->GetInt("seed"));
   setup.experiment.seed = setup.seed;
-
-  auto& model = setup.experiment.model;
-  model.embedding_dim = flags.GetInt("dim", 32);
-  model.attention_dim = flags.GetInt("dim", 32);
-
-  auto& train = setup.experiment.strategy.train;
-  train.pretrain_epochs =
-      static_cast<int>(flags.GetInt("pretrain_epochs", 5));
-  train.epochs = static_cast<int>(flags.GetInt("epochs", 3));
-  train.learning_rate =
-      static_cast<float>(flags.GetDouble("lr", 0.005));
-  train.initial_interests = static_cast<int>(flags.GetInt("k0", 4));
-  train.eir.coefficient =
-      static_cast<float>(flags.GetDouble("kd", 0.1));
-  train.expansion.nid.c1 = flags.GetDouble("c1", 0.06);
-  train.expansion.pit.c2 = flags.GetDouble("c2", 0.3);
-  train.expansion.delta_k =
-      static_cast<int>(flags.GetInt("delta_k", 3));
-  setup.experiment.eval.top_n =
-      static_cast<int>(flags.GetInt("top_n", 20));
+  core::ReadTrainFlags(*flags, &setup.experiment.model,
+                       &setup.experiment.strategy.train);
+  setup.experiment.eval.top_n = static_cast<int>(flags->GetInt("top_n"));
   return setup;
 }
 

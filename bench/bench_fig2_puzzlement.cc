@@ -30,8 +30,10 @@ std::string ProfileRow(const std::string& label,
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  bench::BenchSetup setup = bench::ParseBenchFlags(flags);
+  util::FlagSet flags = bench::BenchFlags(
+      "bench_fig2_puzzlement",
+      "Figure 2: assignment profiles of a puzzled vs a classified item");
+  bench::BenchSetup setup = bench::ParseBenchFlags(argc, argv, &flags);
 
   bench::PrintHeader(
       "Figure 2 — assignment profiles of a puzzled vs a classified item",

@@ -18,8 +18,10 @@ using namespace imsr;  // NOLINT(build/namespaces)
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  bench::BenchSetup setup = bench::ParseBenchFlags(flags);
+  util::FlagSet flags = bench::BenchFlags(
+      "bench_fig3_redundancy",
+      "Figure 3: redundancy and vacuousness of untrimmed new interests");
+  bench::BenchSetup setup = bench::ParseBenchFlags(argc, argv, &flags);
 
   bench::PrintHeader(
       "Figure 3 — redundancy/vacuousness of untrimmed new interests",

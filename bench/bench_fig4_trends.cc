@@ -12,11 +12,14 @@ using namespace imsr;  // NOLINT(build/namespaces)
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const bench::BenchSetup setup = bench::ParseBenchFlags(flags);
-  const std::string only_data = flags.GetString("data", "");
+  util::FlagSet flags = bench::BenchFlags(
+      "bench_fig4_trends", "Figure 4: HR@20 trend over time spans");
+  flags.AddString("data", "", "dataset preset to run alone (omit = all four)");
+  flags.AddString("model", "dr", "base model (mind | dr | sa)");
+  const bench::BenchSetup setup = bench::ParseBenchFlags(argc, argv, &flags);
+  const std::string only_data = flags.GetString("data");
   const models::ExtractorKind model_kind =
-      bench::ExtractorKindFromNameOrExit(flags.GetString("model", "dr"));
+      bench::ExtractorKindFromNameOrExit(flags.GetString("model"));
 
   bench::PrintHeader(
       "Figure 4 — HR@20 trend over time spans (ComiRec-DR)",

@@ -17,8 +17,9 @@ struct Variant {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const bench::BenchSetup setup = bench::ParseBenchFlags(flags);
+  util::FlagSet flags = bench::BenchFlags(
+      "bench_fig5_ablation", "Figure 5: ablation study on Books and Taobao");
+  const bench::BenchSetup setup = bench::ParseBenchFlags(argc, argv, &flags);
 
   bench::PrintHeader(
       "Figure 5 — ablation study (Books & Taobao, ComiRec-DR/SA)",

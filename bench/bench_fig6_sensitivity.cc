@@ -11,10 +11,12 @@ using namespace imsr;  // NOLINT(build/namespaces)
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const bench::BenchSetup setup = bench::ParseBenchFlags(flags);
+  util::FlagSet flags = bench::BenchFlags(
+      "bench_fig6_sensitivity", "Figure 6: hyperparameter sensitivity of IMSR");
+  flags.AddString("model", "dr", "base model (mind | dr | sa)");
+  const bench::BenchSetup setup = bench::ParseBenchFlags(argc, argv, &flags);
   const models::ExtractorKind model_kind =
-      bench::ExtractorKindFromNameOrExit(flags.GetString("model", "dr"));
+      bench::ExtractorKindFromNameOrExit(flags.GetString("model"));
 
   bench::PrintHeader(
       "Figure 6 — hyperparameter sensitivity (c1, c2, K & delta-K)",

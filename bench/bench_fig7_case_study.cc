@@ -21,10 +21,12 @@ using namespace imsr;  // NOLINT(build/namespaces)
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const bench::BenchSetup setup = bench::ParseBenchFlags(flags);
+  util::FlagSet flags = bench::BenchFlags(
+      "bench_fig7_case_study", "Figure 7: case studies on Taobao");
+  flags.AddString("model", "dr", "base model (mind | dr | sa)");
+  const bench::BenchSetup setup = bench::ParseBenchFlags(argc, argv, &flags);
   const models::ExtractorKind model_kind =
-      bench::ExtractorKindFromNameOrExit(flags.GetString("model", "dr"));
+      bench::ExtractorKindFromNameOrExit(flags.GetString("model"));
 
   bench::PrintHeader(
       "Figure 7 — case studies (Taobao, ComiRec-DR)",

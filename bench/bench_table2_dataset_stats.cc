@@ -6,8 +6,9 @@
 
 int main(int argc, char** argv) {
   using namespace imsr;  // NOLINT(build/namespaces)
-  util::Flags flags(argc, argv);
-  const bench::BenchSetup setup = bench::ParseBenchFlags(flags);
+  util::FlagSet flags = bench::BenchFlags(
+      "bench_table2_dataset_stats", "Table II: dataset statistics");
+  const bench::BenchSetup setup = bench::ParseBenchFlags(argc, argv, &flags);
 
   bench::PrintHeader("Table II — dataset statistics",
                      "Table II (4 datasets, pre-training + 6 spans)");

@@ -22,10 +22,14 @@ struct StrategyRow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const bench::BenchSetup setup = bench::ParseBenchFlags(flags);
-  const std::string only_data = flags.GetString("data", "");
-  const std::string only_model = flags.GetString("model", "");
+  util::FlagSet flags = bench::BenchFlags(
+      "bench_table3_performance",
+      "Table III: HR@20 / NDCG@20 / RI of every strategy and base model");
+  flags.AddString("data", "", "dataset preset to run alone (omit = all four)");
+  flags.AddString("model", "", "base model to run alone (omit = all three)");
+  const bench::BenchSetup setup = bench::ParseBenchFlags(argc, argv, &flags);
+  const std::string only_data = flags.GetString("data");
+  const std::string only_model = flags.GetString("model");
   // Validate the filter up front so a typo is a usage error, not a
   // silently empty report.
   const bool filter_model = !only_model.empty();

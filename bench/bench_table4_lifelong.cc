@@ -39,8 +39,9 @@ double RunLifelong(Model& model, const data::Dataset& dataset,
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const bench::BenchSetup setup = bench::ParseBenchFlags(flags);
+  util::FlagSet flags = bench::BenchFlags(
+      "bench_table4_lifelong", "Table IV: IMSR vs the life-long MSR models");
+  const bench::BenchSetup setup = bench::ParseBenchFlags(argc, argv, &flags);
 
   bench::PrintHeader(
       "Table IV — IMSR vs life-long MSR models (MIMN, LimaRec)",

@@ -13,9 +13,11 @@ using namespace imsr;  // NOLINT(build/namespaces)
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const bench::BenchSetup setup = bench::ParseBenchFlags(flags);
-  const std::string model_name = flags.GetString("model", "dr");
+  util::FlagSet flags = bench::BenchFlags(
+      "bench_table5_time", "Table V: training and inference time on Taobao");
+  flags.AddString("model", "dr", "base model (mind | dr | sa)");
+  const bench::BenchSetup setup = bench::ParseBenchFlags(argc, argv, &flags);
+  const std::string model_name = flags.GetString("model");
 
   bench::PrintHeader(
       "Table V — training / inference time on Taobao",

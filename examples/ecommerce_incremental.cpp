@@ -16,9 +16,14 @@
 
 int main(int argc, char** argv) {
   using namespace imsr;  // NOLINT(build/namespaces)
-  util::Flags flags(argc, argv);
-  const double scale = flags.GetDouble("scale", 0.3);
-  const int top_n = static_cast<int>(flags.GetInt("top_n", 10));
+  util::FlagSet flags("ecommerce_incremental",
+                      "pretrain, per-span IMSR update and serving loop");
+  flags.AddDouble("scale", 0.3, "fraction of the Taobao preset's size");
+  flags.AddInt("top_n", 10, "items recommended to the sample user",
+               /*min=*/1);
+  flags.ParseOrExit(argc - 1, argv + 1);
+  const double scale = flags.GetDouble("scale");
+  const int top_n = static_cast<int>(flags.GetInt("top_n"));
 
   // The platform's historical click log.
   const data::SyntheticDataset synthetic =

@@ -16,8 +16,13 @@
 
 int main(int argc, char** argv) {
   using namespace imsr;  // NOLINT(build/namespaces)
-  util::Flags flags(argc, argv);
-  const double scale = flags.GetDouble("scale", 0.3);
+  util::FlagSet flags("interest_evolution",
+                      "one user's interests across time spans");
+  flags.AddDouble("scale", 0.3, "fraction of the Taobao preset's size");
+  flags.AddInt("user", -1,
+               "user to follow (-1 = one who gains a new interest)");
+  flags.ParseOrExit(argc - 1, argv + 1);
+  const double scale = flags.GetDouble("scale");
 
   const data::SyntheticDataset synthetic =
       data::GenerateSynthetic(data::SyntheticConfig::Taobao(scale));
@@ -34,7 +39,7 @@ int main(int argc, char** argv) {
 
   // Pick a user who develops a new ground-truth interest mid-stream (or
   // honour --user=).
-  data::UserId user = static_cast<data::UserId>(flags.GetInt("user", -1));
+  data::UserId user = static_cast<data::UserId>(flags.GetInt("user"));
   if (user < 0) {
     for (data::UserId candidate : dataset.active_users(1)) {
       if (!store.Has(candidate)) continue;

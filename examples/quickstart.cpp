@@ -11,12 +11,17 @@
 
 int main(int argc, char** argv) {
   using namespace imsr;  // NOLINT(build/namespaces) — example brevity
-  util::Flags flags(argc, argv);
+  data::SyntheticConfig data_config = data::SyntheticConfig::Taobao(0.4);
+  core::ExperimentConfig config;
+  util::FlagSet flags("quickstart", "IMSR vs fine-tuning on one log");
+  flags.AddInt("users", data_config.num_users, "synthetic users",
+               /*min=*/1);
+  flags.AddInt("epochs", config.strategy.train.epochs,
+               "epochs per incremental span");
+  flags.ParseOrExit(argc - 1, argv + 1);
 
   // 1. Simulate an e-commerce interaction log with evolving interests.
-  data::SyntheticConfig data_config = data::SyntheticConfig::Taobao(0.4);
-  data_config.num_users =
-      static_cast<int32_t>(flags.GetInt("users", data_config.num_users));
+  data_config.num_users = static_cast<int32_t>(flags.GetInt("users"));
   const data::SyntheticDataset synthetic =
       data::GenerateSynthetic(data_config);
   const data::Dataset& dataset = *synthetic.dataset;
@@ -25,12 +30,10 @@ int main(int argc, char** argv) {
               dataset.num_items(), dataset.num_incremental_spans());
 
   // 2. Configure the base model and the IMSR strategy.
-  core::ExperimentConfig config;
   config.model.kind = models::ExtractorKind::kComiRecDr;
   config.model.embedding_dim = 32;
   config.strategy.kind = core::StrategyKind::kImsr;
-  config.strategy.train.epochs =
-      static_cast<int>(flags.GetInt("epochs", 3));
+  config.strategy.train.epochs = static_cast<int>(flags.GetInt("epochs"));
   config.eval.top_n = 20;
 
   // 3. Run IMSR and plain fine-tuning on the same data.

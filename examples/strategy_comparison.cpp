@@ -15,21 +15,28 @@
 
 int main(int argc, char** argv) {
   using namespace imsr;  // NOLINT(build/namespaces)
-  util::Flags flags(argc, argv);
+  core::ExperimentConfig config;
+  util::FlagSet flags("strategy_comparison",
+                      "every learning strategy on one synthetic log");
+  flags.AddString("data", "taobao", "dataset preset");
+  flags.AddDouble("scale", 0.3, "fraction of the preset's full size");
+  flags.AddString("model", "dr", "base model (mind | dr | sa)");
+  flags.AddInt("dim", config.model.embedding_dim, "embedding dimension",
+               /*min=*/1);
+  flags.AddInt("repeats", 1, "seeds averaged per strategy", /*min=*/1);
+  flags.ParseOrExit(argc - 1, argv + 1);
 
   const data::SyntheticDataset synthetic =
       data::GenerateSynthetic(data::SyntheticConfig::Preset(
-          flags.GetString("data", "taobao"),
-          flags.GetDouble("scale", 0.3)));
+          flags.GetString("data"), flags.GetDouble("scale")));
   const data::Dataset& dataset = *synthetic.dataset;
   std::printf("%s: %lld users, %d items\n\n",
               synthetic.config.name.c_str(),
               static_cast<long long>(dataset.num_kept_users()),
               dataset.num_items());
 
-  core::ExperimentConfig config;
   {
-    const std::string model_name = flags.GetString("model", "dr");
+    const std::string model_name = flags.GetString("model");
     std::string error;
     if (!models::ExtractorKindFromName(model_name, &config.model.kind,
                                        &error)) {
@@ -37,8 +44,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  config.model.embedding_dim = flags.GetInt("dim", 32);
-  const int repeats = static_cast<int>(flags.GetInt("repeats", 1));
+  config.model.embedding_dim = flags.GetInt("dim");
+  const int repeats = static_cast<int>(flags.GetInt("repeats"));
 
   util::Table table({"Strategy", "avg HR@20", "avg NDCG@20", "train s",
                      "avg K"});

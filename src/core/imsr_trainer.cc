@@ -144,19 +144,9 @@ nn::Var ImsrTrainer::BatchLoss(
   const bool retain =
       teacher != nullptr && config_.eir.kind != RetentionKind::kNone;
   nn::Var target_embeddings = model_->embeddings().Lookup(targets);
-  if (!model_->ForwardReprsBatch(flat_history, history_offsets,
-                                 interest_inits, batch_users,
-                                 target_embeddings, &reprs,
-                                 retain ? &interests : nullptr)) {
-    model_->ForwardInterestsBatch(flat_history, history_offsets,
-                                  interest_inits, batch_users, &interests);
-    for (size_t b = 0; b < count; ++b) {
-      nn::Var target_embedding = nn::ops::RowVector(
-          target_embeddings, static_cast<int64_t>(b));
-      reprs.push_back(
-          models::AttentiveAggregate(interests[b], target_embedding));
-    }
-  }
+  model_->ForwardReprsBatch(flat_history, history_offsets, interest_inits,
+                            batch_users, target_embeddings, &reprs,
+                            retain ? &interests : nullptr);
   nn::Var candidate_embeddings = model_->embeddings().Lookup(flat);
   nn::Var loss = models::SampledSoftmaxBatchLoss(
       reprs, candidate_embeddings, static_cast<int64_t>(block));

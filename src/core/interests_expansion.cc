@@ -12,7 +12,7 @@ void ExpandUserInterests(models::MsrModel* model,
                          int span,
                          const ExpansionConfig& config,
                          util::Rng& rng,
-                         nn::Optimizer* optimizer,
+                         nn::Adam* optimizer,
                          ExpansionOutcome* outcome) {
   IMSR_CHECK(model != nullptr);
   IMSR_CHECK(store != nullptr);
@@ -91,7 +91,7 @@ ExpansionOutcome RunInterestsExpansion(models::MsrModel* model,
                                        int span,
                                        const ExpansionConfig& config,
                                        util::Rng& rng,
-                                       nn::Optimizer* optimizer) {
+                                       nn::Adam* optimizer) {
   IMSR_TRACE_SPAN("expansion/run");
   ExpansionOutcome outcome;
   for (data::UserId user : dataset.active_users(span)) {

@@ -42,7 +42,7 @@ void ExpandUserInterests(models::MsrModel* model,
                          int span,
                          const ExpansionConfig& config,
                          util::Rng& rng,
-                         nn::Optimizer* optimizer,
+                         nn::Adam* optimizer,
                          ExpansionOutcome* outcome);
 
 // Runs Algorithm 1 over every active user of `span` (perfbench's
@@ -55,7 +55,7 @@ ExpansionOutcome RunInterestsExpansion(models::MsrModel* model,
                                        int span,
                                        const ExpansionConfig& config,
                                        util::Rng& rng,
-                                       nn::Optimizer* optimizer);
+                                       nn::Adam* optimizer);
 
 }  // namespace imsr::core
 

@@ -33,11 +33,10 @@ class DynamicRoutingExtractor : public MultiInterestExtractor {
                     const std::vector<data::UserId>& users,
                     std::vector<nn::Var>* out) override;
 
-  // Always true. The unfused reference chain (ForwardBatch + readout)
-  // stays as the bitwise oracle of the fused path (trainer_test).
-  bool SupportsFusedRepr() const override { return true; }
-
-  // Shared-transform MatMul once for the batch, then per sample: frozen
+  // The unfused reference chain (ForwardBatch + readout, the base
+  // class's body) stays as the bitwise oracle of this path
+  // (trainer_test). Shared-transform MatMul once for the batch, then per
+  // sample: frozen
   // B2I routing over the slice values and ONE fused readout node
   // (models::RoutedAttentiveReadout) straight to the user
   // representation — the 7-nodes-per-sample reference chain collapsed

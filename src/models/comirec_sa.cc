@@ -59,7 +59,7 @@ nn::Tensor SelfAttentionExtractor::RandomQueryColumns(
 void SelfAttentionExtractor::EnsureUserCapacity(data::UserId user,
                                                 int64_t num_interests,
                                                 util::Rng& rng,
-                                                nn::Optimizer* optimizer) {
+                                                nn::Adam* optimizer) {
   IMSR_CHECK_GT(num_interests, 0);
   auto it = user_query_.find(user);
   if (it == user_query_.end()) {
@@ -92,7 +92,7 @@ void SelfAttentionExtractor::EnsureUserCapacity(data::UserId user,
 
 void SelfAttentionExtractor::KeepUserInterests(
     data::UserId user, const std::vector<int64_t>& kept,
-    nn::Optimizer* optimizer) {
+    nn::Adam* optimizer) {
   auto it = user_query_.find(user);
   IMSR_CHECK(it != user_query_.end());
   IMSR_CHECK(!kept.empty()) << "a user must keep at least one interest";

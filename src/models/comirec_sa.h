@@ -29,10 +29,10 @@ class SelfAttentionExtractor : public MultiInterestExtractor {
   std::vector<nn::Var> SharedParameters() override { return {w1_}; }
 
   void EnsureUserCapacity(data::UserId user, int64_t num_interests,
-                          util::Rng& rng, nn::Optimizer* optimizer) override;
+                          util::Rng& rng, nn::Adam* optimizer) override;
   void KeepUserInterests(data::UserId user,
                          const std::vector<int64_t>& kept,
-                         nn::Optimizer* optimizer) override;
+                         nn::Adam* optimizer) override;
 
   void Reset(util::Rng& rng) override;
 

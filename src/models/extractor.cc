@@ -1,5 +1,6 @@
 #include "models/extractor.h"
 
+#include "models/aggregator.h"
 #include "nn/ops.h"
 #include "util/check.h"
 
@@ -24,14 +25,21 @@ void MultiInterestExtractor::ForwardBatch(
 }
 
 void MultiInterestExtractor::ForwardReprBatch(
-    const nn::Var& /*flat_item_embeddings*/,
-    const std::vector<int64_t>& /*offsets*/,
-    const std::vector<const nn::Tensor*>& /*interest_inits*/,
-    const std::vector<data::UserId>& /*users*/,
-    const nn::Var& /*target_embeddings*/, std::vector<nn::Var>* /*reprs*/,
-    std::vector<nn::Var>* /*interests*/) {
-  IMSR_CHECK(false) << "ForwardReprBatch called on an extractor without a "
-                       "fused path; check SupportsFusedRepr() first";
+    const nn::Var& flat_item_embeddings, const std::vector<int64_t>& offsets,
+    const std::vector<const nn::Tensor*>& interest_inits,
+    const std::vector<data::UserId>& users,
+    const nn::Var& target_embeddings, std::vector<nn::Var>* reprs,
+    std::vector<nn::Var>* interests) {
+  IMSR_CHECK(reprs != nullptr);
+  std::vector<nn::Var> local;
+  std::vector<nn::Var>* out = interests != nullptr ? interests : &local;
+  const size_t first = out->size();
+  ForwardBatch(flat_item_embeddings, offsets, interest_inits, users, out);
+  for (size_t b = 0; b + 1 < offsets.size(); ++b) {
+    nn::Var target =
+        nn::ops::RowVector(target_embeddings, static_cast<int64_t>(b));
+    reprs->push_back(AttentiveAggregate((*out)[first + b], target));
+  }
 }
 
 }  // namespace imsr::models

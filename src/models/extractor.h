@@ -55,23 +55,18 @@ class MultiInterestExtractor {
       const std::vector<const nn::Tensor*>& interest_inits,
       const std::vector<data::UserId>& users, std::vector<nn::Var>* out);
 
-  // True when the extractor implements ForwardReprBatch; the batched
-  // trainer checks this to take the fused readout path.
-  virtual bool SupportsFusedRepr() const { return false; }
-
-  // Fused batched forward straight to the per-sample user representation
-  // v_b = AttentiveAggregate(interests_b, target_b) (Eq. 5), one graph
-  // node per sample instead of the interest-matrix chain — the fast path
-  // of the batched trainer (DESIGN.md section 11). Sample b's history
-  // embeddings are rows [offsets[b], offsets[b+1]) of
+  // Batched forward straight to the per-sample user representation
+  // v_b = AttentiveAggregate(interests_b, target_b) (Eq. 5), the entry
+  // point of the batched trainer (DESIGN.md section 11). Sample b's
+  // history embeddings are rows [offsets[b], offsets[b+1]) of
   // `flat_item_embeddings`; its target embedding is row b of
-  // `target_embeddings`. Appends one (d) Var per sample to `reprs`, with
-  // values and gradients bitwise identical to ForwardBatch +
-  // AttentiveAggregate. When `interests` is non-null it also receives
-  // one (K x d) interest Var per sample, for consumers of the interest
-  // matrix itself (the EIR retention term); their gradients fold into
-  // the fused node with the reference chain's merge order. Only
-  // callable when SupportsFusedRepr(); the default aborts.
+  // `target_embeddings`. Appends one (d) Var per sample to `reprs` and,
+  // when `interests` is non-null, one (K x d) interest Var per sample,
+  // for consumers of the interest matrix itself (the EIR retention
+  // term). The default is the reference chain: ForwardBatch, then per
+  // sample RowVector of the target and AttentiveAggregate. ComiRec-DR
+  // overrides it with one fused readout node per sample whose values and
+  // gradients are bitwise identical to that chain.
   virtual void ForwardReprBatch(
       const nn::Var& flat_item_embeddings,
       const std::vector<int64_t>& offsets,
@@ -98,12 +93,12 @@ class MultiInterestExtractor {
   virtual void EnsureUserCapacity(data::UserId /*user*/,
                                   int64_t /*num_interests*/,
                                   util::Rng& /*rng*/,
-                                  nn::Optimizer* /*optimizer*/) {}
+                                  nn::Adam* /*optimizer*/) {}
   // Shrinks the user's capacity to the given kept interest indices.
   // Default: no-op.
   virtual void KeepUserInterests(data::UserId /*user*/,
                                  const std::vector<int64_t>& /*kept*/,
-                                 nn::Optimizer* /*optimizer*/) {}
+                                 nn::Adam* /*optimizer*/) {}
 
   // Re-initialises all parameters (full retraining).
   virtual void Reset(util::Rng& rng) = 0;

@@ -65,19 +65,17 @@ void MsrModel::ForwardInterestsBatch(
                            out);
 }
 
-bool MsrModel::ForwardReprsBatch(
+void MsrModel::ForwardReprsBatch(
     const std::vector<data::ItemId>& flat_history,
     const std::vector<int64_t>& offsets,
     const std::vector<const nn::Tensor*>& interest_inits,
     const std::vector<data::UserId>& users,
     const nn::Var& target_embeddings, std::vector<nn::Var>* reprs,
     std::vector<nn::Var>* interests) {
-  if (!extractor_->SupportsFusedRepr()) return false;
   IMSR_CHECK(!flat_history.empty());
   nn::Var flat_embeddings = embeddings_.Lookup(flat_history);
   extractor_->ForwardReprBatch(flat_embeddings, offsets, interest_inits,
                                users, target_embeddings, reprs, interests);
-  return true;
 }
 
 nn::Tensor MsrModel::ForwardInterestsNoGrad(

@@ -57,13 +57,11 @@ class MsrModel {
       const std::vector<int64_t>& offsets,
       const std::vector<const nn::Tensor*>& interest_inits,
       const std::vector<data::UserId>& users, std::vector<nn::Var>* out);
-  // Fused fast path: one embedding gather for `flat_history`, then the
-  // extractor's ForwardReprBatch straight to the per-sample user
-  // representations (one graph node per sample), plus the per-sample
-  // interest Vars when `interests` is non-null. Returns false without
-  // building anything when the extractor lacks a fused path — the
-  // caller falls back to ForwardInterestsBatch + aggregation.
-  bool ForwardReprsBatch(
+  // The trainer's entry point: one embedding gather for `flat_history`,
+  // then the extractor's ForwardReprBatch straight to the per-sample
+  // user representations, plus the per-sample interest Vars when
+  // `interests` is non-null.
+  void ForwardReprsBatch(
       const std::vector<data::ItemId>& flat_history,
       const std::vector<int64_t>& offsets,
       const std::vector<const nn::Tensor*>& interest_inits,

@@ -42,7 +42,7 @@ void AdamUpdateSpan(float* __restrict__ m, float* __restrict__ v,
 
 }  // namespace
 
-void Optimizer::Register(const Var& parameter) {
+void Adam::Register(const Var& parameter) {
   IMSR_CHECK(parameter.defined());
   IMSR_CHECK(parameter.requires_grad())
       << "optimiser parameters must require gradients";
@@ -52,8 +52,9 @@ void Optimizer::Register(const Var& parameter) {
   parameters_.push_back(parameter);
 }
 
-void Optimizer::Unregister(const Var& parameter) {
+void Adam::Unregister(const Var& parameter) {
   VarNode* key = parameter.node().get();
+  state_.erase(key);
   auto it = index_.find(key);
   if (it == index_.end()) return;
   const size_t pos = it->second;
@@ -65,13 +66,8 @@ void Optimizer::Unregister(const Var& parameter) {
   parameters_.pop_back();
 }
 
-void Optimizer::ZeroGradAll() {
+void Adam::ZeroGradAll() {
   for (Var& parameter : parameters_) parameter.ZeroGrad();
-}
-
-void Adam::Unregister(const Var& parameter) {
-  state_.erase(parameter.node().get());
-  Optimizer::Unregister(parameter);
 }
 
 // The update rule is elementwise: each parameter's new value is an

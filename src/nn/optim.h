@@ -13,34 +13,10 @@
 
 namespace imsr::nn {
 
-// Registry of the parameters an optimiser updates; extractors and
-// interests expansion take an Optimizer* to (un)register per-user
-// parameters.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  // Adds a parameter (idempotent). The Var must require gradients.
-  virtual void Register(const Var& parameter);
-
-  // Drops a parameter and its state (used when per-user parameters are
-  // replaced during interests expansion).
-  virtual void Unregister(const Var& parameter);
-
-  // Applies one update to every registered parameter that has a gradient.
-  virtual void Step() = 0;
-
-  // Clears gradients on all registered parameters.
-  void ZeroGradAll();
-
-  size_t num_parameters() const { return parameters_.size(); }
-
- protected:
-  std::vector<Var> parameters_;
-  std::unordered_map<VarNode*, size_t> index_;
-};
-
-class Adam : public Optimizer {
+// The optimiser: a registry of the parameters it updates plus their Adam
+// state. Extractors and interests expansion take an Adam* to
+// (un)register per-user parameters.
+class Adam {
  public:
   struct Config {
     float learning_rate = 1e-3f;
@@ -52,9 +28,20 @@ class Adam : public Optimizer {
   explicit Adam(const Config& config) : config_(config) {}
   explicit Adam(float learning_rate) : config_{learning_rate} {}
 
-  void Unregister(const Var& parameter) override;
-  void Step() override;
+  // Adds a parameter (idempotent). The Var must require gradients.
+  void Register(const Var& parameter);
 
+  // Drops a parameter and its state (used when per-user parameters are
+  // replaced during interests expansion).
+  void Unregister(const Var& parameter);
+
+  // Applies one update to every registered parameter that has a gradient.
+  void Step();
+
+  // Clears gradients on all registered parameters.
+  void ZeroGradAll();
+
+  size_t num_parameters() const { return parameters_.size(); }
   const Config& config() const { return config_; }
   void set_learning_rate(float lr) { config_.learning_rate = lr; }
 
@@ -65,6 +52,8 @@ class Adam : public Optimizer {
     int64_t step = 0;
   };
   Config config_;
+  std::vector<Var> parameters_;
+  std::unordered_map<VarNode*, size_t> index_;
   std::unordered_map<VarNode*, State> state_;
 };
 

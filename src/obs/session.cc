@@ -10,11 +10,20 @@
 
 namespace imsr::obs {
 
-ObsOptions ObsOptionsFromFlags(const util::Flags& flags) {
+void RegisterObsFlags(util::FlagSet* flags) {
+  flags->AddString("metrics_out", "",
+                   "write the metrics registry here at exit (.json or .csv)");
+  flags->AddString("trace_out", "",
+                   "write a chrome://tracing trace here at exit");
+  flags->AddDouble("metrics_interval", 0.0,
+                   "rewrite --metrics_out every N seconds while running");
+}
+
+ObsOptions ObsOptionsFromFlags(const util::FlagSet& flags) {
   ObsOptions options;
-  options.metrics_out = flags.GetString("metrics_out", "");
-  options.trace_out = flags.GetString("trace_out", "");
-  options.metrics_interval_seconds = flags.GetDouble("metrics_interval", 0.0);
+  options.metrics_out = flags.GetString("metrics_out");
+  options.trace_out = flags.GetString("trace_out");
+  options.metrics_interval_seconds = flags.GetDouble("metrics_interval");
   return options;
 }
 

@@ -12,7 +12,7 @@
 #include <thread>
 
 namespace imsr::util {
-class Flags;
+class FlagSet;
 }  // namespace imsr::util
 
 namespace imsr::obs {
@@ -30,8 +30,11 @@ struct ObsOptions {
   bool active() const { return !metrics_out.empty() || !trace_out.empty(); }
 };
 
-// Reads --metrics_out / --trace_out / --metrics_interval.
-ObsOptions ObsOptionsFromFlags(const util::Flags& flags);
+// The observability flags of every long-lived tool: RegisterObsFlags
+// adds --metrics_out, --trace_out and --metrics_interval, and
+// ObsOptionsFromFlags reads them back after the parse.
+void RegisterObsFlags(util::FlagSet* flags);
+ObsOptions ObsOptionsFromFlags(const util::FlagSet& flags);
 
 class ObsSession {
  public:

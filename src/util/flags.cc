@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <utility>
@@ -51,75 +52,9 @@ size_t EditDistance(const std::string& a, const std::string& b,
   return row[b.size()];
 }
 
-}  // namespace
-
-Flags::Flags(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string name;
-    std::string value;
-    IMSR_CHECK(SplitFlagToken(arg, &name, &value))
-        << "expected --name=value argument, got '" << arg << "'";
-    values_[name] = value;
-  }
-}
-
-Flags::Flags(std::map<std::string, std::string> values)
-    : values_(std::move(values)) {}
-
-bool Flags::TryParse(int argc, char** argv, Flags* flags,
-                     std::string* error) {
-  std::map<std::string, std::string> values;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string name;
-    std::string value;
-    if (!SplitFlagToken(arg, &name, &value)) {
-      if (error != nullptr) {
-        *error = "expected --name=value argument, got '" + arg + "'";
-      }
-      return false;
-    }
-    values[name] = value;
-  }
-  *flags = Flags(std::move(values));
-  return true;
-}
-
-bool Flags::Has(const std::string& name) const {
-  return values_.count(name) > 0;
-}
-
-std::string Flags::GetString(const std::string& name,
-                             const std::string& default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : it->second;
-}
-
-int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  int64_t value = 0;
-  std::string error;
-  IMSR_CHECK(ParseFlagInt(name, it->second, &value, &error)) << error;
-  return value;
-}
-
-double Flags::GetDouble(const std::string& name, double default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  double value = 0.0;
-  std::string error;
-  IMSR_CHECK(ParseFlagDouble(name, it->second, &value, &error)) << error;
-  return value;
-}
-
-bool Flags::GetBool(const std::string& name, bool default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  return it->second == "true" || it->second == "1";
-}
-
+// Full-token value parsers: trailing garbage is an error. On failure
+// they fill `error` with the message the CLI tests assert on
+// ("flag --name expects an integer, got '...'").
 bool ParseFlagInt(const std::string& name, const std::string& text,
                   int64_t* out, std::string* error) {
   int64_t value = 0;
@@ -168,6 +103,15 @@ bool ParseFlagBool(const std::string& name, const std::string& text,
   return false;
 }
 
+// Renders a number the way HelpText and the bound errors print it.
+std::string NumberText(double value) {
+  std::ostringstream text;
+  text << value;
+  return text.str();
+}
+
+}  // namespace
+
 std::string SuggestFlagName(const std::string& name,
                             const std::vector<std::string>& known) {
   // Tolerate more typos in longer names, but never suggest something
@@ -209,19 +153,21 @@ void FlagSet::AddString(const std::string& name,
 }
 
 void FlagSet::AddInt(const std::string& name, int64_t default_value,
-                     const std::string& help) {
+                     const std::string& help, std::optional<int64_t> min) {
   Spec* spec = Register(name, Type::kInt, help);
   spec->int_value = default_value;
   spec->default_text = std::to_string(default_value);
+  spec->int_min = min;
+  if (min) spec->min_text = std::to_string(*min);
 }
 
 void FlagSet::AddDouble(const std::string& name, double default_value,
-                        const std::string& help) {
+                        const std::string& help, std::optional<double> min) {
   Spec* spec = Register(name, Type::kDouble, help);
   spec->double_value = default_value;
-  std::ostringstream text;
-  text << default_value;
-  spec->default_text = text.str();
+  spec->default_text = NumberText(default_value);
+  spec->double_min = min;
+  if (min) spec->min_text = NumberText(*min);
 }
 
 void FlagSet::AddBool(const std::string& name, bool default_value,
@@ -232,7 +178,6 @@ void FlagSet::AddBool(const std::string& name, bool default_value,
 }
 
 bool FlagSet::Parse(int argc, char** argv, std::string* error) {
-  std::map<std::string, std::string> raw;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -288,11 +233,31 @@ bool FlagSet::Parse(int argc, char** argv, std::string* error) {
         }
         break;
     }
+    const bool below =
+        (spec.int_min && spec.int_value < *spec.int_min) ||
+        (spec.double_min && !(spec.double_value >= *spec.double_min));
+    if (below) {
+      if (error != nullptr) {
+        *error = "--" + name + " must be >= " + spec.min_text;
+      }
+      return false;
+    }
     spec.set = true;
-    raw[name] = value;
   }
-  view_ = Flags(std::move(raw));
   return true;
+}
+
+void FlagSet::ParseOrExit(int argc, char** argv) {
+  std::string error;
+  if (!Parse(argc, argv, &error)) {
+    std::fprintf(stderr, "error: %s\nrun '%s --help' for the flag list\n",
+                 error.c_str(), program_.c_str());
+    std::exit(2);
+  }
+  if (help_requested_) {
+    std::printf("%s", HelpText().c_str());
+    std::exit(0);
+  }
 }
 
 std::string FlagSet::HelpText() const {
@@ -311,7 +276,9 @@ std::string FlagSet::HelpText() const {
     const Spec& spec = specs_[i];
     out << "  " << labels[i]
         << std::string(width - labels[i].size() + 2, ' ') << spec.help
-        << " (default: " << spec.default_text << ")\n";
+        << " (default: " << spec.default_text;
+    if (!spec.min_text.empty()) out << ", >= " << spec.min_text;
+    out << ")\n";
   }
   return out.str();
 }

@@ -1,63 +1,25 @@
-// Command-line flag parsing, two layers:
+// Command-line flags: a declarative registry every binary parses through.
 //
-//  * Flags — the original tiny --key=value map. Tokens are parsed
-//    permissively (any name is accepted); typed getters validate values
-//    lazily. Bench and example binaries keep using this. The constructor
-//    aborts on a malformed token; TryParse is the fallible variant.
-//
-//  * FlagSet — a declarative registry for the long-lived tools
-//    (imsr_cli, imsr_serve, imsr_loadgen): flags are registered up front
-//    with a type, default and help line, Parse() is fallible full-token
-//    parsing (a malformed value or an unknown flag becomes a usage error
-//    with a nearest-name suggestion, never an abort), --help / -h is
-//    recognised, and HelpText() renders the registered table. Typed
-//    getters return the registered default when a flag was not given;
-//    reading an unregistered name is a programmer error (IMSR_CHECK).
+// A program registers each flag up front with a type, a default, a help
+// line and, for numbers, an optional lower bound. ParseOrExit() is the
+// one parse step of every main: full-token parsing where a malformed or
+// out-of-range value, a repeated flag or an unknown name (with a
+// nearest-name suggestion) is a usage error that exits 2, and --help / -h
+// prints HelpText() and exits 0. Typed getters return the registered
+// default when a flag was not given, so each default is written once, at
+// registration; Has() tells a given flag from its default for the few
+// flags whose default depends on other state. Reading an unregistered
+// name is a programmer error (IMSR_CHECK).
 #ifndef IMSR_UTIL_FLAGS_H_
 #define IMSR_UTIL_FLAGS_H_
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace imsr::util {
-
-class Flags {
- public:
-  Flags() = default;
-  // Parses argv entries of the form --name=value or --name (value "true").
-  // Unrecognised positional arguments abort with a usage message.
-  Flags(int argc, char** argv);
-  // Wraps an already-parsed name -> value map (the FlagSet bridge).
-  explicit Flags(std::map<std::string, std::string> values);
-
-  // Fallible token parse over argv[0..argc): returns false and fills
-  // `error` on a token that is not --name[=value], instead of aborting.
-  static bool TryParse(int argc, char** argv, Flags* flags,
-                       std::string* error);
-
-  bool Has(const std::string& name) const;
-  std::string GetString(const std::string& name,
-                        const std::string& default_value) const;
-  int64_t GetInt(const std::string& name, int64_t default_value) const;
-  double GetDouble(const std::string& name, double default_value) const;
-  bool GetBool(const std::string& name, bool default_value) const;
-
- private:
-  std::map<std::string, std::string> values_;
-};
-
-// Shared fallible value parsers (used by Flags, FlagSet and tools that
-// parse flag-shaped tokens themselves). Full-token: trailing garbage is
-// an error. On failure they fill `error` with the message the CLI tests
-// assert on ("flag --name expects an integer, got '...'").
-bool ParseFlagInt(const std::string& name, const std::string& text,
-                  int64_t* out, std::string* error);
-bool ParseFlagDouble(const std::string& name, const std::string& text,
-                     double* out, std::string* error);
-bool ParseFlagBool(const std::string& name, const std::string& text,
-                   bool* out, std::string* error);
 
 // Nearest registered name within a small edit distance, or "" when
 // nothing is close enough (powers "did you mean --x?" suggestions).
@@ -71,13 +33,18 @@ class FlagSet {
   FlagSet(std::string program, std::string synopsis);
 
   // Registration. Duplicate names abort (programmer error). The help
-  // line should not repeat the default; HelpText() appends it.
+  // line should not repeat the default or the bound; HelpText() appends
+  // them. A lower bound `min` is checked only when the flag is given, so
+  // a default outside it can mean "unset" (--nprobe's 0 = index
+  // default). A bounded double also rejects NaN.
   void AddString(const std::string& name, const std::string& default_value,
                  const std::string& help);
   void AddInt(const std::string& name, int64_t default_value,
-              const std::string& help);
+              const std::string& help,
+              std::optional<int64_t> min = std::nullopt);
   void AddDouble(const std::string& name, double default_value,
-                 const std::string& help);
+                 const std::string& help,
+                 std::optional<double> min = std::nullopt);
   void AddBool(const std::string& name, bool default_value,
                const std::string& help);
 
@@ -85,10 +52,17 @@ class FlagSet {
   // with one of:
   //   "expected --name=value argument, got '...'"   (positional token)
   //   "unknown flag --x (did you mean --y?)"        (typo)
+  //   "flag --x given more than once"               (repeat)
   //   "flag --x expects an integer, got '...'"      (bad value)
+  //   "--x must be >= N"                            (below the bound)
   // --help / -h sets help_requested() and keeps parsing (so
   // `tool --help` never errors on the flags it would reject otherwise).
   bool Parse(int argc, char** argv, std::string* error);
+
+  // The parse step of every main, over argv[0..argc) like Parse: a usage
+  // error prints "error: ..." and a pointer to --help on stderr and
+  // exits 2; a help request prints HelpText() on stdout and exits 0.
+  void ParseOrExit(int argc, char** argv);
 
   bool help_requested() const { return help_requested_; }
   // usage line + synopsis + one aligned row per registered flag.
@@ -102,10 +76,6 @@ class FlagSet {
   double GetDouble(const std::string& name) const;
   bool GetBool(const std::string& name) const;
 
-  // Map view over the parsed raw values, for helpers that predate
-  // FlagSet (obs::ObsOptionsFromFlags, util::ApplyThreadFlag).
-  const Flags& flags() const { return view_; }
-
  private:
   enum class Type { kString, kInt, kDouble, kBool };
 
@@ -114,11 +84,14 @@ class FlagSet {
     Type type = Type::kString;
     std::string help;
     std::string default_text;  // rendered for HelpText at registration
+    std::string min_text;      // "" when unbounded
     // Registered default and (when set) parsed value.
     std::string string_value;
     int64_t int_value = 0;
     double double_value = 0.0;
     bool bool_value = false;
+    std::optional<int64_t> int_min;
+    std::optional<double> double_min;
     bool set = false;
   };
 
@@ -131,7 +104,6 @@ class FlagSet {
   std::vector<Spec> specs_;               // registration order (help)
   std::map<std::string, size_t> index_;   // name -> specs_ slot
   bool help_requested_ = false;
-  Flags view_;
 };
 
 }  // namespace imsr::util

@@ -4,7 +4,6 @@
 
 #include "obs/obs.h"
 #include "util/check.h"
-#include "util/flags.h"
 #include "util/parallel.h"
 #include "util/stopwatch.h"
 
@@ -166,13 +165,6 @@ int GlobalThreadCount() {
   std::lock_guard<std::mutex> lock(g_pool_mutex);
   if (g_thread_count <= 0) g_thread_count = DefaultThreadCount();
   return g_thread_count;
-}
-
-void ApplyThreadFlag(const Flags& flags) {
-  const int64_t threads = flags.GetInt("threads", 0);
-  if (threads > 0) {
-    SetGlobalThreadCount(static_cast<int>(threads));
-  }
 }
 
 }  // namespace imsr::util

@@ -25,7 +25,7 @@
 
 namespace imsr::util {
 
-class Flags;
+class FlagSet;
 
 class ThreadPool {
  public:
@@ -87,9 +87,13 @@ void SetGlobalThreadCount(int threads);
 // Current (or to-be-created) size of the process-wide pool.
 int GlobalThreadCount();
 
-// Applies the --threads=N command-line flag to the process-wide pool.
-// Without it the pool has one thread per hardware thread.
-void ApplyThreadFlag(const Flags& flags);
+// The --threads=N flag of every binary: RegisterThreadFlag adds it
+// (N >= 0, 0 = one thread per hardware thread) and ApplyThreadFlag sizes
+// the process-wide pool from it after the parse. Defined in
+// thread_flag.cc, so programs that size the pool directly do not link
+// the flag parser.
+void RegisterThreadFlag(FlagSet* flags);
+void ApplyThreadFlag(const FlagSet& flags);
 
 }  // namespace imsr::util
 

@@ -229,6 +229,17 @@ if "$CLI" train-span --log="$LOG" --min_interactions=5 \
 fi
 grep -q "expects an integer" "$ERR" || fail "bad int flag missing message"
 
+# Out-of-range numbers are usage errors (exit 2) declared with the flag,
+# not aborts deep in the trainer or silently ignored values.
+for FLAG in --batch_size=0 --threads=-4; do
+  RC=0
+  "$CLI" pretrain --log="$LOG" --min_interactions=5 \
+    --checkpoint="$WORKDIR/unused.bin" "$FLAG" >/dev/null 2>"$ERR" || RC=$?
+  [ "$RC" -eq 2 ] || fail "$FLAG: expected exit 2, got $RC"
+  grep -q -- "${FLAG%%=*} must be >= " "$ERR" || \
+    fail "$FLAG: range message missing: $(cat "$ERR")"
+done
+
 if "$CLI" evaluate --log="$LOG" --min_interactions=5 \
     --checkpoint="$CKPT" --alpha=half >/dev/null 2>"$ERR"; then
   fail "expected failure on --alpha=half"

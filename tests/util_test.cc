@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "util/csv.h"
 #include "util/flags.h"
@@ -195,55 +196,27 @@ TEST(FormatTest, Doubles) {
   EXPECT_EQ(FormatPercent(0.1234, 2), "12.34");
 }
 
-TEST(FlagsTest, ParsesTypes) {
-  const char* argv[] = {"prog", "--name=abc", "--count=42",
-                        "--rate=0.5", "--verbose"};
-  Flags flags(5, const_cast<char**>(argv));
-  EXPECT_TRUE(flags.Has("name"));
-  EXPECT_EQ(flags.GetString("name", ""), "abc");
-  EXPECT_EQ(flags.GetInt("count", 0), 42);
-  EXPECT_DOUBLE_EQ(flags.GetDouble("rate", 0.0), 0.5);
-  EXPECT_TRUE(flags.GetBool("verbose", false));
-  EXPECT_EQ(flags.GetInt("missing", 7), 7);
-}
-
-TEST(FlagsTest, RejectsNonNumericValues) {
-  const char* argv[] = {"prog", "--threads=abc", "--rate=0.5x",
-                        "--big=99999999999999999999"};
-  Flags flags(4, const_cast<char**>(argv));
-  EXPECT_DEATH(flags.GetInt("threads", 0), "expects an integer");
-  EXPECT_DEATH(flags.GetDouble("rate", 0.0), "expects a number");
-  EXPECT_DEATH(flags.GetInt("big", 0), "expects an integer");
-}
-
-TEST(FlagsTest, AcceptsNegativeAndBoundaryValues) {
-  const char* argv[] = {"prog", "--delta=-12", "--zero=0",
-                        "--exp=-1.5e3"};
-  Flags flags(4, const_cast<char**>(argv));
-  EXPECT_EQ(flags.GetInt("delta", 0), -12);
-  EXPECT_EQ(flags.GetInt("zero", 7), 0);
-  EXPECT_DOUBLE_EQ(flags.GetDouble("exp", 0.0), -1500.0);
-}
-
-TEST(FlagsTest, TryParseReportsPositionalTokens) {
-  const char* argv[] = {"--ok=1", "stray"};
-  Flags flags;
-  std::string error;
-  EXPECT_FALSE(Flags::TryParse(2, const_cast<char**>(argv), &flags, &error));
-  EXPECT_EQ(error, "expected --name=value argument, got 'stray'");
-
-  const char* good[] = {"--ok=1"};
-  ASSERT_TRUE(Flags::TryParse(1, const_cast<char**>(good), &flags, &error));
-  EXPECT_EQ(flags.GetInt("ok", 0), 1);
-}
-
 FlagSet MakeTestFlagSet() {
   FlagSet set("tool", "unit-test flag set");
   set.AddString("out", "results.json", "output path");
   set.AddInt("shards", 4, "worker shard count");
   set.AddDouble("rate", 0.5, "target rate");
   set.AddBool("verbose", false, "chatty logging");
+  set.AddInt("delta", 0, "signed offset");
+  set.AddInt("workers", 4, "worker count", /*min=*/1);
+  set.AddInt("probes", 0, "probes (omit = auto)", /*min=*/1);
+  set.AddDouble("qps", 0.0, "offered load", /*min=*/0.0);
   return set;
+}
+
+// Parses `args` into `set`; returns the error ("" on success).
+std::string ParseError(std::vector<const char*> args, FlagSet* set) {
+  std::string error;
+  if (set->Parse(static_cast<int>(args.size()),
+                 const_cast<char**>(args.data()), &error)) {
+    return "";
+  }
+  return error;
 }
 
 TEST(FlagSetTest, DefaultsAndParsedValues) {
@@ -258,6 +231,45 @@ TEST(FlagSetTest, DefaultsAndParsedValues) {
   EXPECT_TRUE(set.Has("shards"));
   EXPECT_FALSE(set.Has("out"));
   EXPECT_FALSE(set.help_requested());
+}
+
+TEST(FlagSetTest, AcceptsNegativeAndBoundaryValues) {
+  FlagSet set = MakeTestFlagSet();
+  EXPECT_EQ(ParseError({"--delta=-12", "--shards=0", "--rate=-1.5e3",
+                        "--workers=1", "--qps=0"},
+                       &set),
+            "");
+  EXPECT_EQ(set.GetInt("delta"), -12);
+  EXPECT_EQ(set.GetInt("shards"), 0);
+  EXPECT_DOUBLE_EQ(set.GetDouble("rate"), -1500.0);
+  EXPECT_EQ(set.GetInt("workers"), 1);
+  EXPECT_DOUBLE_EQ(set.GetDouble("qps"), 0.0);
+  // A bound is checked only when the flag is given: the omitted --probes
+  // keeps its out-of-bound "auto" default.
+  EXPECT_FALSE(set.Has("probes"));
+  EXPECT_EQ(set.GetInt("probes"), 0);
+}
+
+TEST(FlagSetTest, ValuesBelowTheBoundAreUsageErrors) {
+  {
+    FlagSet set = MakeTestFlagSet();
+    EXPECT_EQ(ParseError({"--workers=0"}, &set), "--workers must be >= 1");
+  }
+  {
+    FlagSet set = MakeTestFlagSet();
+    EXPECT_EQ(ParseError({"--probes=-4"}, &set), "--probes must be >= 1");
+  }
+  {
+    FlagSet set = MakeTestFlagSet();
+    EXPECT_EQ(ParseError({"--qps=-0.5"}, &set), "--qps must be >= 0");
+  }
+  {
+    FlagSet set = MakeTestFlagSet();
+    EXPECT_EQ(ParseError({"--qps=nan"}, &set), "--qps must be >= 0");
+  }
+  FlagSet set = MakeTestFlagSet();
+  EXPECT_NE(set.HelpText().find("worker count (default: 4, >= 1)"),
+            std::string::npos);
 }
 
 TEST(FlagSetTest, FullTokenValueValidation) {
@@ -286,6 +298,23 @@ TEST(FlagSetTest, FullTokenValueValidation) {
     const char* argv[] = {"positional"};
     EXPECT_FALSE(set.Parse(1, const_cast<char**>(argv), &error));
     EXPECT_EQ(error, "expected --name=value argument, got 'positional'");
+  }
+  // Non-numeric and overflowing values are parse errors, never aborts.
+  {
+    FlagSet set = MakeTestFlagSet();
+    EXPECT_EQ(ParseError({"--shards=abc"}, &set),
+              "flag --shards expects an integer, got 'abc'");
+  }
+  {
+    FlagSet set = MakeTestFlagSet();
+    EXPECT_EQ(ParseError({"--rate=0.5x"}, &set),
+              "flag --rate expects a number, got '0.5x'");
+  }
+  {
+    FlagSet set = MakeTestFlagSet();
+    EXPECT_EQ(ParseError({"--delta=99999999999999999999"}, &set),
+              "flag --delta expects an integer, got "
+              "'99999999999999999999'");
   }
 }
 
@@ -316,17 +345,6 @@ TEST(FlagSetTest, HelpRequestSkipsValidation) {
   EXPECT_NE(help.find("--shards"), std::string::npos);
   EXPECT_NE(help.find("worker shard count (default: 4)"), std::string::npos);
   EXPECT_NE(help.find("(default: results.json)"), std::string::npos);
-}
-
-TEST(FlagSetTest, FlagsViewBridgesLegacyHelpers) {
-  FlagSet set = MakeTestFlagSet();
-  const char* argv[] = {"--shards=2", "--out=x.csv"};
-  std::string error;
-  ASSERT_TRUE(set.Parse(2, const_cast<char**>(argv), &error)) << error;
-  const Flags& view = set.flags();
-  EXPECT_EQ(view.GetInt("shards", 0), 2);
-  EXPECT_EQ(view.GetString("out", ""), "x.csv");
-  EXPECT_FALSE(view.Has("rate"));
 }
 
 TEST(FlagSetTest, RejectsDuplicateCommandLineOccurrence) {

@@ -7,7 +7,7 @@
 //              Table-II-style statistics of a log
 //   pretrain   --log=log.csv --checkpoint=ckpt.bin [--model=dr] [--dim=32]
 //              train on the pre-training span, write a checkpoint.
-//              --batch_size=B sets the optimizer minibatch (default 64)
+//              --batch_size=B sets the optimizer minibatch
 //   train-span --log=log.csv --checkpoint=ckpt.bin --span=1
 //              one incremental IMSR update (EIR+NID+PIT), checkpoint back
 //
@@ -15,11 +15,11 @@
 // previous checkpoint to ckpt.bin.1 … ckpt.bin.N before saving, so span-t
 // state survives even a failed span-t+1 save (saves are additionally
 // atomic: tmp file + fsync + rename).
-//   evaluate   --log=log.csv --checkpoint=ckpt.bin --test-span=2
+//   evaluate   --log=log.csv --checkpoint=ckpt.bin --test_span=2
 //              HR@N / NDCG@N of the stored interests on a span's test
 //              items, scored over a published ServingSnapshot (identical
 //              to the live-model path bitwise)
-//   recommend  --log=log.csv --checkpoint=ckpt.bin --user=5 [--top-n=10]
+//   recommend  --log=log.csv --checkpoint=ckpt.bin --user=5 [--top_n=10]
 //              top-N items for one user from the stored interests
 //   recommend  --log=log.csv --checkpoint=ckpt.bin
 //              --recommend_requests=req.txt --recommend_out=top.csv
@@ -49,8 +49,7 @@
 // Retrieval (evaluate / recommend / stream): --retrieval=exact|ivf picks
 // brute-force or IVF approximate retrieval; under ivf an index is built
 // into every published snapshot and --nprobe=N sets the lists probed per
-// interest (default: the index's own default). The flag defaults to
-// exact.
+// interest (default: the index's own default).
 //
 // Observability (any subcommand): --metrics_out=metrics.json (or .csv)
 // exports the metrics registry at exit, --trace_out=trace.json exports a
@@ -67,6 +66,7 @@
 
 #include "core/checkpoint.h"
 #include "core/imsr_trainer.h"
+#include "core/train_flags.h"
 #include "data/log_io.h"
 #include "data/stats.h"
 #include "data/synthetic.h"
@@ -100,49 +100,36 @@ int Usage() {
 }
 
 // --- per-subcommand flag registries -----------------------------------
-// Every subcommand builds a util::FlagSet from these helpers, so parsing
-// is fallible (typos get suggestions instead of aborts) and
+// Every subcommand builds a util::FlagSet from these helpers, so
 // `imsr_cli <cmd> --help` renders the exact flag table that command
-// accepts. The Cmd* bodies read through the FlagSet's legacy-map view,
-// which only contains flags that were actually given — dynamic defaults
-// (e.g. --span defaulting to the checkpoint's next span) keep working.
+// accepts, and the Cmd* bodies read each flag through its registered
+// default. Flags whose default depends on other state (--span,
+// --test_span, generate's --seed, --curve_every) are read through Has().
 
 // Flags every subcommand accepts: threading + observability exports.
-void RegisterObsFlags(util::FlagSet* set) {
-  set->AddInt("threads", 0,
-              "process-wide worker pool size (0 = hardware threads)");
-  set->AddString("metrics_out", "",
-                 "write the metrics registry here at exit (.json or .csv)");
-  set->AddString("trace_out", "",
-                 "write a chrome://tracing trace here at exit");
-  set->AddDouble("metrics_interval", 0.0,
-                 "rewrite --metrics_out every N seconds while running");
+void RegisterCommonFlags(util::FlagSet* set) {
+  util::RegisterThreadFlag(set);
+  obs::RegisterObsFlags(set);
 }
 
 void RegisterDatasetFlags(util::FlagSet* set) {
   set->AddString("log", "", "CSV interaction log (required)");
-  set->AddInt("spans", 6, "incremental spans to split the log into");
+  set->AddInt("spans", 6, "incremental spans to split the log into",
+              /*min=*/1);
   set->AddDouble("alpha", 0.5, "pre-training fraction of the log");
   set->AddInt("min_interactions", 12,
               "drop users with fewer total interactions");
 }
 
-void RegisterModelFlags(util::FlagSet* set) {
+// --model plus the shared --dim, and with `training` the shared
+// training knobs and the CLI's own.
+void RegisterModelFlags(util::FlagSet* set, bool training) {
   set->AddString("model", "dr",
                  "interest extractor (mind | dr | sa)");
-  set->AddInt("dim", 32, "embedding / attention dimension");
-}
-
-void RegisterTrainFlags(util::FlagSet* set) {
-  set->AddInt("pretrain_epochs", 5, "epochs over the pre-training span");
-  set->AddInt("epochs", 3, "epochs per incremental span");
-  set->AddInt("batch_size", 64, "optimizer minibatch size");
-  set->AddDouble("lr", 0.005, "Adam learning rate");
-  set->AddInt("k0", 4, "initial interests per user");
-  set->AddDouble("kd", 0.1, "EIR retention coefficient");
-  set->AddDouble("c1", 0.06, "NID puzzlement threshold coefficient");
-  set->AddDouble("c2", 0.3, "PIT trim threshold coefficient");
-  set->AddInt("delta_k", 3, "max interests added per expansion");
+  core::RegisterTrainFlags(set, training);
+  if (!training) return;
+  set->AddInt("batch_size", core::TrainConfig{}.batch_size,
+              "optimizer minibatch size", /*min=*/1);
   set->AddBool("early_stopping", false, "stop a span on loss plateau");
   set->AddInt("seed", 7, "RNG seed for init and sampling");
 }
@@ -155,14 +142,15 @@ void RegisterCheckpointFlags(util::FlagSet* set, bool writes) {
   }
 }
 
-void RegisterRetrievalFlags(util::FlagSet* set) {
+// --top_n, --rule and the retrieval pair of the scoring commands.
+void RegisterScoringFlags(util::FlagSet* set, int64_t top_n,
+                          const std::string& top_n_help) {
+  set->AddInt("top_n", top_n, top_n_help, /*min=*/1);
+  set->AddString("rule", "attentive", "scoring rule (attentive | max)");
   set->AddString("retrieval", "exact", "retrieval mode (exact | ivf)");
   set->AddInt("nprobe", 0,
-              "IVF lists probed per interest (omit = index default)");
-}
-
-void RegisterRuleFlag(util::FlagSet* set) {
-  set->AddString("rule", "attentive", "scoring rule (attentive | max)");
+              "IVF lists probed per interest (omit = index default)",
+              /*min=*/1);
 }
 
 // Builds the registry for `command`; false for unknown subcommands.
@@ -175,7 +163,7 @@ bool BuildFlagSet(const std::string& command, util::FlagSet* out) {
     set.AddDouble("scale", 0.3, "fraction of the preset's full size");
     set.AddInt("seed", 0, "generator seed (omit to keep the preset's)");
     set.AddString("out", "", "output CSV path (required)");
-    RegisterObsFlags(&set);
+    RegisterCommonFlags(&set);
     *out = std::move(set);
     return true;
   }
@@ -183,7 +171,7 @@ bool BuildFlagSet(const std::string& command, util::FlagSet* out) {
     util::FlagSet set("imsr_cli stats",
                       "Table-II-style statistics of a log");
     RegisterDatasetFlags(&set);
-    RegisterObsFlags(&set);
+    RegisterCommonFlags(&set);
     *out = std::move(set);
     return true;
   }
@@ -194,14 +182,13 @@ bool BuildFlagSet(const std::string& command, util::FlagSet* out) {
             ? "train on the pre-training span, write a checkpoint"
             : "one incremental IMSR update (EIR+NID+PIT)");
     RegisterDatasetFlags(&set);
-    RegisterModelFlags(&set);
-    RegisterTrainFlags(&set);
+    RegisterModelFlags(&set, /*training=*/true);
     RegisterCheckpointFlags(&set, /*writes=*/true);
     if (command == "train-span") {
       set.AddInt("span", 0,
                  "span to train (omit = next after the checkpoint)");
     }
-    RegisterObsFlags(&set);
+    RegisterCommonFlags(&set);
     *out = std::move(set);
     return true;
   }
@@ -209,14 +196,12 @@ bool BuildFlagSet(const std::string& command, util::FlagSet* out) {
     util::FlagSet set("imsr_cli evaluate",
                       "HR@N / NDCG@N over a published snapshot");
     RegisterDatasetFlags(&set);
-    RegisterModelFlags(&set);
+    RegisterModelFlags(&set, /*training=*/false);
     RegisterCheckpointFlags(&set, /*writes=*/false);
     set.AddInt("test_span", 0,
                "span to test (omit = next after the checkpoint)");
-    set.AddInt("top_n", 20, "ranking cutoff N");
-    RegisterRuleFlag(&set);
-    RegisterRetrievalFlags(&set);
-    RegisterObsFlags(&set);
+    RegisterScoringFlags(&set, 20, "ranking cutoff N");
+    RegisterCommonFlags(&set);
     *out = std::move(set);
     return true;
   }
@@ -224,17 +209,15 @@ bool BuildFlagSet(const std::string& command, util::FlagSet* out) {
     util::FlagSet set("imsr_cli recommend",
                       "top-N items for one user or a request file");
     RegisterDatasetFlags(&set);
-    RegisterModelFlags(&set);
+    RegisterModelFlags(&set, /*training=*/false);
     RegisterCheckpointFlags(&set, /*writes=*/false);
     set.AddInt("user", -1, "user id to recommend for");
-    set.AddInt("top_n", 10, "items to return per request");
     set.AddString("recommend_requests", "",
                   "request file ('user[,top_n]' per line) for batch mode");
     set.AddString("recommend_out", "",
                   "output CSV for batch mode (required with requests)");
-    RegisterRuleFlag(&set);
-    RegisterRetrievalFlags(&set);
-    RegisterObsFlags(&set);
+    RegisterScoringFlags(&set, 10, "items to return per request");
+    RegisterCommonFlags(&set);
     *out = std::move(set);
     return true;
   }
@@ -242,106 +225,81 @@ bool BuildFlagSet(const std::string& command, util::FlagSet* out) {
     util::FlagSet set("imsr_cli stream",
                       "online prequential loop with live publishes");
     RegisterDatasetFlags(&set);
-    RegisterModelFlags(&set);
-    RegisterTrainFlags(&set);
+    RegisterModelFlags(&set, /*training=*/true);
     RegisterCheckpointFlags(&set, /*writes=*/false);
     set.AddString("mode", "imsr",
                   "training mode (imsr | ft fine-tuning baseline)");
-    set.AddInt("publish_every", 200, "events between snapshot publishes");
+    set.AddInt("publish_every", 200, "events between snapshot publishes",
+               /*min=*/1);
     set.AddInt("expand_every", 5, "publishes between NID/PIT expansions");
-    set.AddInt("micro_epochs", 1, "epochs per micro-span");
-    set.AddInt("top_n", 20, "prequential ranking cutoff N");
-    set.AddInt("window", 500, "sliding recall window size");
+    set.AddInt("micro_epochs", 1, "epochs per micro-span", /*min=*/1);
+    set.AddInt("window", 500, "sliding recall window size", /*min=*/1);
     set.AddInt("curve_every", 0,
                "curve sample cadence (omit = publish_every / 2)");
-    set.AddInt("queue_cap", 1024, "ingest queue bound (full blocks)");
+    set.AddInt("queue_cap", 1024, "ingest queue bound (full blocks)",
+               /*min=*/1);
     set.AddInt("max_events", 0, "truncate the stream (0 = all)");
     set.AddBool("threaded", true,
                 "run producer and trainer on separate threads");
     set.AddString("curve_out", "", "write the recall curve CSV here");
     set.AddString("summary_out", "", "write the run summary JSON here");
-    RegisterRuleFlag(&set);
-    RegisterRetrievalFlags(&set);
-    RegisterObsFlags(&set);
+    RegisterScoringFlags(&set, 20, "prequential ranking cutoff N");
+    RegisterCommonFlags(&set);
     *out = std::move(set);
     return true;
   }
   return false;
 }
 
-// Fills `config` from --model/--dim; a bad --model value prints the valid
+// Fills `model` from --model and --dim and, when `train` is non-null,
+// `train` from the training flags. A bad --model value prints the valid
 // names and returns false (usage error) instead of aborting.
-bool ModelConfigFromFlags(const util::Flags& flags,
-                          models::ModelConfig* config) {
+bool ConfigFromFlags(const util::FlagSet& flags, models::ModelConfig* model,
+                     core::TrainConfig* train) {
   std::string error;
-  if (!models::ExtractorKindFromName(flags.GetString("model", "dr"),
-                                     &config->kind, &error)) {
+  if (!models::ExtractorKindFromName(flags.GetString("model"), &model->kind,
+                                     &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return false;
   }
-  config->embedding_dim = flags.GetInt("dim", 32);
-  config->attention_dim = flags.GetInt("dim", 32);
+  core::ReadTrainFlags(flags, model, train);
+  if (train != nullptr) {
+    train->batch_size = static_cast<int>(flags.GetInt("batch_size"));
+    train->early_stopping = flags.GetBool("early_stopping");
+    train->seed = static_cast<uint64_t>(flags.GetInt("seed"));
+  }
   return true;
 }
 
 // Reads --rule (attentive | max); a typo prints the valid names and
 // returns false.
-bool ScoreRuleFromFlags(const util::Flags& flags, eval::ScoreRule* rule) {
+bool ScoreRuleFromFlags(const util::FlagSet& flags, eval::ScoreRule* rule) {
   std::string error;
-  if (!eval::ScoreRuleFromName(flags.GetString("rule", "attentive"), rule,
-                               &error)) {
+  if (!eval::ScoreRuleFromName(flags.GetString("rule"), rule, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return false;
   }
   return true;
 }
 
-// Reads --retrieval (exact | ivf, default exact) and --nprobe. An
-// unknown --retrieval spelling or an explicit --nprobe < 1 is a usage
-// error.
-bool RetrievalFromFlags(const util::Flags& flags,
+// Reads --retrieval (exact | ivf) and --nprobe (its bound is checked at
+// parse time); an unknown --retrieval spelling is a usage error.
+bool RetrievalFromFlags(const util::FlagSet& flags,
                         serve::RetrievalMode* mode, int* nprobe) {
   std::string error;
-  if (!serve::RetrievalModeFromName(
-          flags.GetString("retrieval", "exact"),
-          mode, &error)) {
+  if (!serve::RetrievalModeFromName(flags.GetString("retrieval"), mode,
+                                    &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return false;
   }
-  const int64_t value = flags.GetInt("nprobe", 0);
-  if (flags.Has("nprobe") && value < 1) {
-    std::fprintf(stderr, "error: --nprobe must be >= 1\n");
-    return false;
-  }
-  *nprobe = static_cast<int>(value);
+  *nprobe = static_cast<int>(flags.GetInt("nprobe"));
   return true;
-}
-
-core::TrainConfig TrainConfigFromFlags(const util::Flags& flags) {
-  core::TrainConfig config;
-  config.pretrain_epochs =
-      static_cast<int>(flags.GetInt("pretrain_epochs", 5));
-  config.epochs = static_cast<int>(flags.GetInt("epochs", 3));
-  config.batch_size = static_cast<int>(
-      flags.GetInt("batch_size", config.batch_size));
-  config.learning_rate =
-      static_cast<float>(flags.GetDouble("lr", 0.005));
-  config.initial_interests = static_cast<int>(flags.GetInt("k0", 4));
-  config.eir.coefficient =
-      static_cast<float>(flags.GetDouble("kd", 0.1));
-  config.expansion.nid.c1 = flags.GetDouble("c1", 0.06);
-  config.expansion.pit.c2 = flags.GetDouble("c2", 0.3);
-  config.expansion.delta_k =
-      static_cast<int>(flags.GetInt("delta_k", 3));
-  config.early_stopping = flags.GetBool("early_stopping", false);
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  return config;
 }
 
 // Loads the CSV log and builds the span-structured dataset.
-bool LoadDataset(const util::Flags& flags,
+bool LoadDataset(const util::FlagSet& flags,
                  std::unique_ptr<data::Dataset>* dataset) {
-  const std::string path = flags.GetString("log", "");
+  const std::string path = flags.GetString("log");
   if (path.empty()) {
     std::fprintf(stderr, "error: --log=<csv> is required\n");
     return false;
@@ -356,17 +314,19 @@ bool LoadDataset(const util::Flags& flags,
   data::CompactIds(&log);
   *dataset = std::make_unique<data::Dataset>(
       log.num_users, log.num_items, std::move(log.interactions),
-      static_cast<int>(flags.GetInt("spans", 6)),
-      flags.GetDouble("alpha", 0.5),
-      static_cast<int>(flags.GetInt("min_interactions", 12)));
+      static_cast<int>(flags.GetInt("spans")),
+      flags.GetDouble("alpha"),
+      static_cast<int>(flags.GetInt("min_interactions")));
   return true;
 }
 
-int CmdGenerate(const util::Flags& flags) {
+int CmdGenerate(const util::FlagSet& flags) {
   data::SyntheticConfig config = data::SyntheticConfig::Preset(
-      flags.GetString("preset", "taobao"), flags.GetDouble("scale", 0.3));
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", config.seed));
-  const std::string out = flags.GetString("out", "");
+      flags.GetString("preset"), flags.GetDouble("scale"));
+  if (flags.Has("seed")) {
+    config.seed = static_cast<uint64_t>(flags.GetInt("seed"));
+  }
+  const std::string out = flags.GetString("out");
   if (out.empty()) {
     std::fprintf(stderr, "error: --out=<csv> is required\n");
     return 2;
@@ -388,7 +348,7 @@ int CmdGenerate(const util::Flags& flags) {
   return 0;
 }
 
-int CmdStats(const util::Flags& flags) {
+int CmdStats(const util::FlagSet& flags) {
   std::unique_ptr<data::Dataset> dataset;
   if (!LoadDataset(flags, &dataset)) return 1;
   const data::DatasetStats stats = ComputeStats(*dataset);
@@ -407,17 +367,17 @@ int CmdStats(const util::Flags& flags) {
   return 0;
 }
 
-int CmdPretrain(const util::Flags& flags) {
+int CmdPretrain(const util::FlagSet& flags) {
   std::unique_ptr<data::Dataset> dataset;
   if (!LoadDataset(flags, &dataset)) return 1;
-  const std::string checkpoint = flags.GetString("checkpoint", "");
+  const std::string checkpoint = flags.GetString("checkpoint");
   if (checkpoint.empty()) {
     std::fprintf(stderr, "error: --checkpoint=<file> is required\n");
     return 2;
   }
-  const core::TrainConfig train = TrainConfigFromFlags(flags);
+  core::TrainConfig train;
   models::ModelConfig model_config;
-  if (!ModelConfigFromFlags(flags, &model_config)) return 2;
+  if (!ConfigFromFlags(flags, &model_config, &train)) return 2;
   models::MsrModel model(model_config, dataset->num_items(), train.seed);
   core::InterestStore store;
   core::ImsrTrainer trainer(&model, &store, train);
@@ -426,7 +386,7 @@ int CmdPretrain(const util::Flags& flags) {
   metadata.trained_through_span = 0;
   metadata.note = "imsr_cli pretrain";
   core::RotateCheckpoints(
-      checkpoint, static_cast<int>(flags.GetInt("keep_checkpoints", 0)));
+      checkpoint, static_cast<int>(flags.GetInt("keep_checkpoints")));
   std::string error;
   if (!SaveCheckpoint(checkpoint, model, store, metadata, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
@@ -438,17 +398,17 @@ int CmdPretrain(const util::Flags& flags) {
   return 0;
 }
 
-int CmdTrainSpan(const util::Flags& flags) {
+int CmdTrainSpan(const util::FlagSet& flags) {
   std::unique_ptr<data::Dataset> dataset;
   if (!LoadDataset(flags, &dataset)) return 1;
-  const std::string checkpoint = flags.GetString("checkpoint", "");
+  const std::string checkpoint = flags.GetString("checkpoint");
   if (checkpoint.empty()) {
     std::fprintf(stderr, "error: --checkpoint=<file> is required\n");
     return 2;
   }
-  const core::TrainConfig train = TrainConfigFromFlags(flags);
+  core::TrainConfig train;
   models::ModelConfig model_config;
-  if (!ModelConfigFromFlags(flags, &model_config)) return 2;
+  if (!ConfigFromFlags(flags, &model_config, &train)) return 2;
   models::MsrModel model(model_config, dataset->num_items(), train.seed);
   core::InterestStore store;
   core::CheckpointMetadata metadata;
@@ -457,8 +417,9 @@ int CmdTrainSpan(const util::Flags& flags) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
-  const int span = static_cast<int>(flags.GetInt(
-      "span", metadata.trained_through_span + 1));
+  const int span = flags.Has("span")
+                       ? static_cast<int>(flags.GetInt("span"))
+                       : metadata.trained_through_span + 1;
   if (span < 1 || span > dataset->num_incremental_spans()) {
     std::fprintf(stderr, "error: --span must be in [1, %d]\n",
                  dataset->num_incremental_spans());
@@ -469,7 +430,7 @@ int CmdTrainSpan(const util::Flags& flags) {
   metadata.trained_through_span = span;
   metadata.note = "imsr_cli train-span";
   core::RotateCheckpoints(
-      checkpoint, static_cast<int>(flags.GetInt("keep_checkpoints", 0)));
+      checkpoint, static_cast<int>(flags.GetInt("keep_checkpoints")));
   if (!SaveCheckpoint(checkpoint, model, store, metadata, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
@@ -499,16 +460,16 @@ std::shared_ptr<const serve::ServingSnapshot> PublishedSnapshot(
   return registry.Current();
 }
 
-int CmdEvaluate(const util::Flags& flags) {
+int CmdEvaluate(const util::FlagSet& flags) {
   std::unique_ptr<data::Dataset> dataset;
   if (!LoadDataset(flags, &dataset)) return 1;
-  const std::string checkpoint = flags.GetString("checkpoint", "");
+  const std::string checkpoint = flags.GetString("checkpoint");
   if (checkpoint.empty()) {
     std::fprintf(stderr, "error: --checkpoint=<file> is required\n");
     return 2;
   }
   models::ModelConfig model_config;
-  if (!ModelConfigFromFlags(flags, &model_config)) return 2;
+  if (!ConfigFromFlags(flags, &model_config, /*train=*/nullptr)) return 2;
   models::MsrModel model(model_config, dataset->num_items(), 1);
   core::InterestStore store;
   core::CheckpointMetadata metadata;
@@ -518,15 +479,21 @@ int CmdEvaluate(const util::Flags& flags) {
     return 1;
   }
   eval::EvalConfig config;
-  config.top_n = static_cast<int>(flags.GetInt("top_n", 20));
+  config.top_n = static_cast<int>(flags.GetInt("top_n"));
   if (!ScoreRuleFromFlags(flags, &config.rule)) return 2;
   // <= 0 defers to the process-wide pool size (--threads).
-  config.threads = static_cast<int>(flags.GetInt("threads", 0));
+  config.threads = static_cast<int>(flags.GetInt("threads"));
   if (!RetrievalFromFlags(flags, &config.retrieval, &config.nprobe)) {
     return 2;
   }
-  const int test_span = static_cast<int>(flags.GetInt(
-      "test_span", metadata.trained_through_span + 1));
+  const int test_span = flags.Has("test_span")
+                            ? static_cast<int>(flags.GetInt("test_span"))
+                            : metadata.trained_through_span + 1;
+  if (test_span < 0 || test_span >= dataset->num_spans()) {
+    std::fprintf(stderr, "error: --test_span must be in [0, %d]\n",
+                 dataset->num_spans() - 1);
+    return 2;
+  }
   // Score over a published snapshot — the exact state the serving path
   // reads, bitwise identical to the live-model path. Under --retrieval=ivf
   // the snapshot carries an index and ranks run serving-accurate.
@@ -591,11 +558,11 @@ bool ParseRequestLine(const std::string& line,
 
 // Batch-serving mode of `recommend`: requests file -> top-N CSV, answered
 // from a published ServingSnapshot via the serve::Recommend fan-out.
-int RecommendBatch(const util::Flags& flags, const models::MsrModel& model,
+int RecommendBatch(const util::FlagSet& flags, const models::MsrModel& model,
                    const core::InterestStore& store,
                    int trained_through_span) {
-  const std::string requests_path = flags.GetString("recommend_requests", "");
-  const std::string out_path = flags.GetString("recommend_out", "");
+  const std::string requests_path = flags.GetString("recommend_requests");
+  const std::string out_path = flags.GetString("recommend_out");
   if (out_path.empty()) {
     std::fprintf(stderr,
                  "error: --recommend_requests needs --recommend_out=<csv>\n");
@@ -626,11 +593,11 @@ int RecommendBatch(const util::Flags& flags, const models::MsrModel& model,
   }
 
   serve::ServeConfig config;
-  config.default_top_n = static_cast<int>(flags.GetInt("top_n", 10));
+  config.default_top_n = static_cast<int>(flags.GetInt("top_n"));
   eval::ScoreRule rule;
   if (!ScoreRuleFromFlags(flags, &rule)) return 2;
   config.rule = rule;
-  config.threads = static_cast<int>(flags.GetInt("threads", 0));
+  config.threads = static_cast<int>(flags.GetInt("threads"));
   if (!RetrievalFromFlags(flags, &config.retrieval, &config.nprobe)) {
     return 2;
   }
@@ -680,8 +647,8 @@ int RecommendBatch(const util::Flags& flags, const models::MsrModel& model,
 // events a fresh snapshot is trained and published. --mode=ft selects
 // the plain fine-tuning baseline (no retention loss, no expansion, no
 // interest persistence) for freshness-vs-retention comparisons.
-int CmdStream(const util::Flags& flags) {
-  const std::string log_path = flags.GetString("log", "");
+int CmdStream(const util::FlagSet& flags) {
+  const std::string log_path = flags.GetString("log");
   if (log_path.empty()) {
     std::fprintf(stderr, "error: --log=<csv> is required\n");
     return 2;
@@ -694,15 +661,17 @@ int CmdStream(const util::Flags& flags) {
     return 1;
   }
   data::CompactIds(&log);
-  const double alpha = flags.GetDouble("alpha", 0.5);
+  const double alpha = flags.GetDouble("alpha");
   std::vector<data::Interaction> interactions = log.interactions;
   data::Dataset dataset(
       log.num_users, log.num_items, std::move(log.interactions),
-      static_cast<int>(flags.GetInt("spans", 6)), alpha,
-      static_cast<int>(flags.GetInt("min_interactions", 12)));
+      static_cast<int>(flags.GetInt("spans")), alpha,
+      static_cast<int>(flags.GetInt("min_interactions")));
 
-  core::TrainConfig train = TrainConfigFromFlags(flags);
-  const std::string mode = flags.GetString("mode", "imsr");
+  core::TrainConfig train;
+  models::ModelConfig model_config;
+  if (!ConfigFromFlags(flags, &model_config, &train)) return 2;
+  const std::string mode = flags.GetString("mode");
   if (mode == "ft") {
     train.eir.kind = core::RetentionKind::kNone;
     train.enable_expansion = false;
@@ -711,15 +680,13 @@ int CmdStream(const util::Flags& flags) {
     std::fprintf(stderr, "error: --mode must be 'imsr' or 'ft'\n");
     return 2;
   }
-  models::ModelConfig model_config;
-  if (!ModelConfigFromFlags(flags, &model_config)) return 2;
 
   // Base state: a checkpoint when given, otherwise an in-process
   // pretrain on span 0 of the log.
   models::MsrModel model(model_config, dataset.num_items(), train.seed);
   core::InterestStore store;
   core::CheckpointMetadata metadata;
-  const std::string checkpoint = flags.GetString("checkpoint", "");
+  const std::string checkpoint = flags.GetString("checkpoint");
   if (!checkpoint.empty()) {
     if (!LoadCheckpoint(checkpoint, &model, &store, &metadata, &error)) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
@@ -749,11 +716,11 @@ int CmdStream(const util::Flags& flags) {
   if (!RetrievalFromFlags(flags, &retrieval, &nprobe)) return 2;
 
   stream::StreamTrainerConfig trainer_config;
-  trainer_config.publish_every = flags.GetInt("publish_every", 200);
+  trainer_config.publish_every = flags.GetInt("publish_every");
   trainer_config.expand_every =
-      static_cast<int>(flags.GetInt("expand_every", 5));
+      static_cast<int>(flags.GetInt("expand_every"));
   trainer_config.micro_epochs =
-      static_cast<int>(flags.GetInt("micro_epochs", 1));
+      static_cast<int>(flags.GetInt("micro_epochs"));
   trainer_config.initial_span =
       static_cast<int>(metadata.trained_through_span);
   trainer_config.train = train;
@@ -762,14 +729,15 @@ int CmdStream(const util::Flags& flags) {
   trainer_config.build_index = retrieval == serve::RetrievalMode::kIVF;
 
   stream::PrequentialConfig eval_config;
-  eval_config.top_n = static_cast<int>(flags.GetInt("top_n", 20));
-  eval_config.window = flags.GetInt("window", 500);
+  eval_config.top_n = static_cast<int>(flags.GetInt("top_n"));
+  eval_config.window = flags.GetInt("window");
   eval_config.retrieval = retrieval;
   eval_config.nprobe = nprobe;
-  eval_config.curve_every = flags.GetInt(
-      "curve_every", std::max<int64_t>(trainer_config.publish_every / 2,
-                                       1));
-  if (!ScoreRuleFromName(flags.GetString("rule", "attentive"),
+  eval_config.curve_every =
+      flags.Has("curve_every")
+          ? flags.GetInt("curve_every")
+          : std::max<int64_t>(trainer_config.publish_every / 2, 1);
+  if (!ScoreRuleFromName(flags.GetString("rule"),
                          &eval_config.rule, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
@@ -777,10 +745,10 @@ int CmdStream(const util::Flags& flags) {
 
   stream::StreamServiceConfig service_config;
   service_config.queue_cap =
-      static_cast<size_t>(flags.GetInt("queue_cap", 1024));
+      static_cast<size_t>(flags.GetInt("queue_cap"));
   service_config.max_events =
-      static_cast<uint64_t>(flags.GetInt("max_events", 0));
-  service_config.threaded = flags.GetBool("threaded", true);
+      static_cast<uint64_t>(flags.GetInt("max_events"));
+  service_config.threaded = flags.GetBool("threaded");
   // Ctrl-C / SIGTERM drains the queue, flushes the trainer and still
   // writes --curve_out / --summary_out before exiting 0.
   util::InstallShutdownHandlers();
@@ -793,7 +761,7 @@ int CmdStream(const util::Flags& flags) {
                                 service_config);
   const stream::StreamResult result = service.Run(&source);
 
-  const std::string curve_out = flags.GetString("curve_out", "");
+  const std::string curve_out = flags.GetString("curve_out");
   if (!curve_out.empty()) {
     std::ostringstream curve;
     curve << "last_sequence,scored,window_recall,window_ndcg,"
@@ -814,7 +782,7 @@ int CmdStream(const util::Flags& flags) {
     }
   }
 
-  const std::string summary_out = flags.GetString("summary_out", "");
+  const std::string summary_out = flags.GetString("summary_out");
   if (!summary_out.empty()) {
     std::ostringstream summary;
     char buffer[64];
@@ -881,16 +849,16 @@ int CmdStream(const util::Flags& flags) {
   return 0;
 }
 
-int CmdRecommend(const util::Flags& flags) {
+int CmdRecommend(const util::FlagSet& flags) {
   std::unique_ptr<data::Dataset> dataset;
   if (!LoadDataset(flags, &dataset)) return 1;
-  const std::string checkpoint = flags.GetString("checkpoint", "");
+  const std::string checkpoint = flags.GetString("checkpoint");
   if (checkpoint.empty()) {
     std::fprintf(stderr, "error: --checkpoint=<file> is required\n");
     return 2;
   }
   models::ModelConfig model_config;
-  if (!ModelConfigFromFlags(flags, &model_config)) return 2;
+  if (!ConfigFromFlags(flags, &model_config, /*train=*/nullptr)) return 2;
   models::MsrModel model(model_config, dataset->num_items(), 1);
   core::InterestStore store;
   core::CheckpointMetadata metadata;
@@ -904,14 +872,14 @@ int CmdRecommend(const util::Flags& flags) {
                           metadata.trained_through_span);
   }
   const auto user =
-      static_cast<data::UserId>(flags.GetInt("user", -1));
+      static_cast<data::UserId>(flags.GetInt("user"));
   if (user < 0 || !store.Has(user)) {
     std::fprintf(stderr,
                  "error: --user=<id> must name a user with interests\n");
     return 2;
   }
   serve::ServeConfig config;
-  config.default_top_n = static_cast<int>(flags.GetInt("top_n", 10));
+  config.default_top_n = static_cast<int>(flags.GetInt("top_n"));
   if (!ScoreRuleFromFlags(flags, &config.rule) ||
       !RetrievalFromFlags(flags, &config.retrieval, &config.nprobe)) {
     return 2;
@@ -940,7 +908,7 @@ int CmdRecommend(const util::Flags& flags) {
 
 }  // namespace
 
-int Dispatch(const std::string& command, const util::Flags& flags) {
+int Dispatch(const std::string& command, const util::FlagSet& flags) {
   if (command == "generate") return CmdGenerate(flags);
   if (command == "stats") return CmdStats(flags);
   if (command == "pretrain") return CmdPretrain(flags);
@@ -958,20 +926,9 @@ int main(int argc, char** argv) {
     Usage();
     return 0;
   }
-  util::FlagSet flag_set("imsr_cli", "");
-  if (!BuildFlagSet(command, &flag_set)) return Usage();
-  std::string parse_error;
-  if (!flag_set.Parse(argc - 2, argv + 2, &parse_error)) {
-    std::fprintf(stderr, "error: %s\n", parse_error.c_str());
-    std::fprintf(stderr, "run 'imsr_cli %s --help' for the flag list\n",
-                 command.c_str());
-    return 2;
-  }
-  if (flag_set.help_requested()) {
-    std::printf("%s", flag_set.HelpText().c_str());
-    return 0;
-  }
-  const util::Flags& flags = flag_set.flags();
+  util::FlagSet flags("imsr_cli", "");
+  if (!BuildFlagSet(command, &flags)) return Usage();
+  flags.ParseOrExit(argc - 2, argv + 2);
   util::ApplyThreadFlag(flags);  // --threads=N sizes the process-wide pool
   // The session enables tracing / periodic metric flushing while the
   // command runs; its destructor (after the command's spans close) writes

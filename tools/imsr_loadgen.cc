@@ -65,53 +65,32 @@ int main(int argc, char** argv) {
   flags.AddString("socket", "", "server unix-domain socket path");
   flags.AddString("host", "127.0.0.1", "server host (tcp)");
   flags.AddInt("port", 0, "server tcp port (when --socket is empty)");
-  flags.AddInt("connections", 4, "concurrent client connections");
+  // Numeric bounds are checked at parse time, before anything starts: a
+  // negative count would wrap to a huge unsigned quota (or a Zipf table
+  // that never finishes building), and --top_n=0 would make every answer
+  // fail.
+  flags.AddInt("connections", 4, "concurrent client connections",
+               /*min=*/1);
   flags.AddInt("depth", 8,
-               "outstanding requests per connection (closed loop)");
+               "outstanding requests per connection (closed loop)",
+               /*min=*/1);
   flags.AddDouble("rate", 0.0,
                   "open-loop Poisson arrival rate in req/s across all "
-                  "connections (0 = closed loop)");
-  flags.AddInt("requests", 10000, "total requests across all connections");
-  flags.AddInt("users", 100000, "user id space [0, N)");
+                  "connections (0 = closed loop)",
+                  /*min=*/0.0);
+  flags.AddInt("requests", 10000, "total requests across all connections",
+               /*min=*/1);
+  flags.AddInt("users", 100000, "user id space [0, N)", /*min=*/1);
   flags.AddDouble("zipf", 0.99,
                   "Zipf skew theta in [0,1); 0 = uniform user draw");
-  flags.AddInt("top_n", 10, "items requested per query");
+  flags.AddInt("top_n", 10, "items requested per query", /*min=*/1);
   flags.AddInt("burst_every", 0,
-               "every K responses fire a burst (0 = no bursts)");
-  flags.AddInt("burst_size", 0, "extra requests per burst");
+               "every K responses fire a burst (0 = no bursts)", /*min=*/0);
+  flags.AddInt("burst_size", 0, "extra requests per burst", /*min=*/0);
   flags.AddInt("seed", 1, "traffic RNG seed");
   flags.AddString("json_out", "", "write the results JSON here");
-  flags.AddString("metrics_out", "",
-                  "write the metrics registry here at exit");
-  flags.AddString("trace_out", "", "write a tracing export here at exit");
-  flags.AddDouble("metrics_interval", 0.0,
-                  "rewrite --metrics_out every N seconds while running");
-
-  std::string parse_error;
-  if (!flags.Parse(argc - 1, argv + 1, &parse_error)) {
-    std::fprintf(stderr, "error: %s\nrun 'imsr_loadgen --help'\n",
-                 parse_error.c_str());
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::printf("%s", flags.HelpText().c_str());
-    return 0;
-  }
-  // Numeric flags are checked before anything starts: a negative count
-  // would wrap to a huge unsigned quota (or a Zipf table that never
-  // finishes building), and --top_n=0 would make every answer fail.
-  const auto below = [&flags](const char* name, int64_t min) {
-    if (flags.GetInt(name) >= min) return false;
-    std::fprintf(stderr,
-                 "error: --%s must be >= %lld\nrun 'imsr_loadgen --help'\n",
-                 name, static_cast<long long>(min));
-    return true;
-  };
-  if (below("users", 1) || below("top_n", 1) || below("requests", 1) ||
-      below("connections", 1) || below("depth", 1) ||
-      below("burst_every", 0) || below("burst_size", 0)) {
-    return 2;
-  }
+  obs::RegisterObsFlags(&flags);
+  flags.ParseOrExit(argc - 1, argv + 1);
   // User ids travel as int32: a larger space would wrap to negative ids,
   // which the server rejects as malformed frames.
   const int64_t max_users = int64_t{INT32_MAX} + 1;
@@ -138,15 +117,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --zipf must be in [0, 1)\n");
     return 2;
   }
-  if (!(spec.rate >= 0.0)) {
-    std::fprintf(stderr, "error: --rate must be >= 0\n");
-    return 2;
-  }
   if (spec.endpoint.unix_path.empty() && spec.endpoint.port == 0) {
     std::fprintf(stderr, "error: need --socket or --port\n");
     return 2;
   }
-  obs::ObsSession obs_session(obs::ObsOptionsFromFlags(flags.flags()));
+  obs::ObsSession obs_session(obs::ObsOptionsFromFlags(flags));
 
   // Direct registry use (not the macros) so latency recording works in
   // every build, including -DIMSR_OBS=OFF.

@@ -31,6 +31,7 @@
 
 #include "core/checkpoint.h"
 #include "core/imsr_trainer.h"
+#include "core/train_flags.h"
 #include "data/log_io.h"
 #include "models/msr_model.h"
 #include "obs/obs.h"
@@ -119,80 +120,58 @@ int main(int argc, char** argv) {
   flags.AddInt("port", 0,
                "tcp port on 127.0.0.1 when --socket is empty (0 = "
                "ephemeral)");
-  flags.AddInt("shards", 4, "worker shards (hash-routed by user id)");
+  // Numeric bounds are checked at parse time, so a bad value fails in
+  // milliseconds instead of after a corpus build (or, for a negative
+  // --cache_mb, silently wrapping to a huge budget).
+  flags.AddInt("shards", 4, "worker shards (hash-routed by user id)",
+               /*min=*/1);
   flags.AddInt("queue_cap", 256,
-               "per-shard queue bound; full queues reject with overload");
+               "per-shard queue bound; full queues reject with overload",
+               /*min=*/1);
   flags.AddInt("batch_max", 32,
                "max requests a shard scores per queue drain (1 = the "
-               "unbatched pop-score-respond loop)");
+               "unbatched pop-score-respond loop)",
+               /*min=*/1);
   flags.AddInt("cache_mb", 64,
                "total response-cache budget in MiB, split across shards "
-               "(0 disables the cache)");
-  flags.AddInt("top_n", 10, "default items per request");
+               "(0 disables the cache)",
+               /*min=*/0);
+  flags.AddInt("top_n", 10, "default items per request", /*min=*/1);
   flags.AddString("rule", "attentive", "scoring rule (attentive | max)");
   flags.AddString("retrieval", "exact", "retrieval mode (exact | ivf)");
   flags.AddInt("nprobe", 0,
-               "IVF lists probed per interest (omit = index default)");
+               "IVF lists probed per interest (omit = index default)",
+               /*min=*/1);
   // Dataset boot.
   flags.AddString("log", "", "CSV interaction log (dataset boot)");
   flags.AddString("checkpoint", "",
                   "checkpoint to restore (omit = pretrain in-process)");
-  flags.AddInt("spans", 6, "spans for the dataset split");
+  flags.AddInt("spans", 6, "spans for the dataset split", /*min=*/1);
   flags.AddDouble("alpha", 0.5, "pre-training fraction of the log");
   flags.AddInt("min_interactions", 12,
                "drop users with fewer total interactions");
   flags.AddString("model", "dr", "interest extractor (mind | dr | sa)");
-  flags.AddInt("dim", 32, "embedding / attention dimension");
+  core::RegisterTrainFlags(&flags, /*with_training=*/false);
   flags.AddInt("pretrain_epochs", 1,
                "epochs for the in-process pretrain fallback");
-  flags.AddInt("k0", 4, "initial interests per user (pretrain fallback)");
+  flags.AddInt("k0", core::TrainConfig{}.initial_interests,
+               "initial interests per user (pretrain fallback)", /*min=*/1);
   flags.AddInt("seed", 7, "RNG seed");
   flags.AddBool("live", false,
                 "replay the log's post-pretrain events through an "
                 "in-process StreamTrainer while serving");
   flags.AddInt("publish_every", 200,
-               "events per micro-span publish under --live");
+               "events per micro-span publish under --live", /*min=*/1);
   // Synthetic boot.
   flags.AddInt("items", 0, "synthetic corpus items (synthetic boot)");
   flags.AddInt("users", 0, "synthetic users (synthetic boot)");
   flags.AddInt("publish_ms", 0,
                "republish a fresh snapshot every T ms (synthetic boot)");
-  flags.AddInt("threads", 0,
-               "process-wide worker pool size (snapshot/index builds)");
-  flags.AddString("metrics_out", "",
-                  "write the metrics registry here at exit");
-  flags.AddString("trace_out", "", "write a tracing export here at exit");
-  flags.AddDouble("metrics_interval", 0.0,
-                  "rewrite --metrics_out every N seconds while serving");
-
-  std::string parse_error;
-  if (!flags.Parse(argc - 1, argv + 1, &parse_error)) {
-    std::fprintf(stderr, "error: %s\nrun 'imsr_serve --help'\n",
-                 parse_error.c_str());
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::printf("%s", flags.HelpText().c_str());
-    return 0;
-  }
-  // Numeric flags are checked before any set-up, so a bad value fails in
-  // milliseconds instead of after a corpus build (or, for a negative
-  // --cache_mb, silently wrapping to a huge budget). --nprobe is checked
-  // only when given: omitted, it means the index default.
-  const auto below = [&flags](const char* name, int64_t min) {
-    if (flags.GetInt(name) >= min) return false;
-    std::fprintf(stderr,
-                 "error: --%s must be >= %lld\nrun 'imsr_serve --help'\n",
-                 name, static_cast<long long>(min));
-    return true;
-  };
-  if (below("shards", 1) || below("queue_cap", 1) || below("batch_max", 1) ||
-      below("cache_mb", 0) || below("top_n", 1) ||
-      (flags.Has("nprobe") && below("nprobe", 1))) {
-    return 2;
-  }
-  util::ApplyThreadFlag(flags.flags());
-  obs::ObsSession obs_session(obs::ObsOptionsFromFlags(flags.flags()));
+  util::RegisterThreadFlag(&flags);
+  obs::RegisterObsFlags(&flags);
+  flags.ParseOrExit(argc - 1, argv + 1);
+  util::ApplyThreadFlag(flags);
+  obs::ObsSession obs_session(obs::ObsOptionsFromFlags(flags));
 
   eval::ScoreRule rule;
   serve::RetrievalMode retrieval;
@@ -214,8 +193,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
   }
-  model_config.embedding_dim = flags.GetInt("dim");
-  model_config.attention_dim = flags.GetInt("dim");
+  core::ReadTrainFlags(flags, &model_config, /*train=*/nullptr);
 
   std::unique_ptr<models::MsrModel> model;
   core::InterestStore store;
