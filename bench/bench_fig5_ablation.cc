@@ -45,15 +45,16 @@ int main(int argc, char** argv) {
        core::RetentionKind::kSigmoidKd},
   };
 
-  for (const char* dataset_name : {"books", "taobao"}) {
-    const data::SyntheticDataset synthetic = GenerateSynthetic(
-        data::SyntheticConfig::Preset(dataset_name, setup.scale));
+  for (const data::SyntheticConfig& preset :
+       {data::SyntheticConfig::Books(setup.scale),
+        data::SyntheticConfig::Taobao(setup.scale)}) {
+    const data::SyntheticDataset synthetic = GenerateSynthetic(preset);
     const data::Dataset& dataset = *synthetic.dataset;
 
     for (models::ExtractorKind model_kind :
          {models::ExtractorKind::kComiRecDr,
           models::ExtractorKind::kComiRecSa}) {
-      std::printf("--- %s / %s ---\n", dataset_name,
+      std::printf("--- %s / %s ---\n", preset.name.c_str(),
                   models::ExtractorKindName(model_kind));
       std::vector<std::string> header = {"Variant"};
       for (int span = 0; span <= dataset.num_incremental_spans() - 1;

@@ -22,11 +22,12 @@ int main(int argc, char** argv) {
       "Figure 6 — hyperparameter sensitivity (c1, c2, K & delta-K)",
       "Fig. 6 (HR with varying c1, c2, initial K and delta-K)");
 
-  for (const char* dataset_name : {"books", "taobao"}) {
-    const data::SyntheticDataset synthetic = GenerateSynthetic(
-        data::SyntheticConfig::Preset(dataset_name, setup.scale));
+  for (const data::SyntheticConfig& preset :
+       {data::SyntheticConfig::Books(setup.scale),
+        data::SyntheticConfig::Taobao(setup.scale)}) {
+    const data::SyntheticDataset synthetic = GenerateSynthetic(preset);
     const data::Dataset& dataset = *synthetic.dataset;
-    std::printf("--- %s ---\n", dataset_name);
+    std::printf("--- %s ---\n", preset.name.c_str());
 
     // (a) c1 sweep (paper: {0.02..0.12}, c2 fixed at 0.3).
     {

@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   core::ExperimentConfig config;
   util::FlagSet flags("strategy_comparison",
                       "every learning strategy on one synthetic log");
-  flags.AddString("data", "taobao", "dataset preset");
+  flags.AddString("data", "taobao",
+                  "dataset preset (electronics | clothing | books | taobao)");
   flags.AddDouble("scale", 0.3, "fraction of the preset's full size");
   flags.AddString("model", "dr", "base model (mind | dr | sa)");
   flags.AddInt("dim", config.model.embedding_dim, "embedding dimension",
@@ -26,24 +27,23 @@ int main(int argc, char** argv) {
   flags.AddInt("repeats", 1, "seeds averaged per strategy", /*min=*/1);
   flags.ParseOrExit(argc - 1, argv + 1);
 
-  const data::SyntheticDataset synthetic =
-      data::GenerateSynthetic(data::SyntheticConfig::Preset(
-          flags.GetString("data"), flags.GetDouble("scale")));
+  data::SyntheticConfig preset;
+  std::string error;
+  if (!data::SyntheticConfig::PresetFromName(flags.GetString("data"),
+                                             flags.GetDouble("scale"),
+                                             &preset, &error) ||
+      !models::ExtractorKindFromName(flags.GetString("model"),
+                                     &config.model.kind, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
+  }
+  const data::SyntheticDataset synthetic = data::GenerateSynthetic(preset);
   const data::Dataset& dataset = *synthetic.dataset;
   std::printf("%s: %lld users, %d items\n\n",
               synthetic.config.name.c_str(),
               static_cast<long long>(dataset.num_kept_users()),
               dataset.num_items());
 
-  {
-    const std::string model_name = flags.GetString("model");
-    std::string error;
-    if (!models::ExtractorKindFromName(model_name, &config.model.kind,
-                                       &error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 2;
-    }
-  }
   config.model.embedding_dim = flags.GetInt("dim");
   const int repeats = static_cast<int>(flags.GetInt("repeats"));
 

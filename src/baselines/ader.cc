@@ -10,12 +10,22 @@
 namespace imsr::baselines {
 namespace {
 
+// Exemplar pool: truncated sequences of at most kMaxExemplarLength items,
+// kExemplarsPerSpan new ones per active user and span. Replay: the
+// kSelectFraction most similar of a user's exemplars, at most
+// kMaxSelected per user and span. kKdCoefficient weighs the
+// distillation term.
+constexpr int kExemplarsPerSpan = 5;
+constexpr int kMaxExemplarLength = 5;
+constexpr double kSelectFraction = 0.5;
+constexpr int kMaxSelected = 2;
+constexpr float kKdCoefficient = 0.1f;
+
 class AderStrategy : public core::LearningStrategy {
  public:
   AderStrategy(const core::StrategyConfig& config, models::MsrModel* model,
                core::InterestStore* store)
       : LearningStrategy(model, store),
-        config_(config),
         trainer_(model, store, AderTrainConfig(config)),
         rng_(config.train.seed ^ 0xADE2ULL) {}
 
@@ -59,7 +69,7 @@ class AderStrategy : public core::LearningStrategy {
     // ADER's "adaptive distillation": the same sigmoid-KD machinery as
     // EIR, at ADER's own coefficient, but no capacity expansion.
     train.eir.kind = core::RetentionKind::kSigmoidKd;
-    train.eir.coefficient = config.ader_kd_coefficient;
+    train.eir.coefficient = kKdCoefficient;
     train.enable_expansion = false;
     train.persist_interests = false;
     return train;
@@ -103,9 +113,8 @@ class AderStrategy : public core::LearningStrategy {
                 [](const auto& a, const auto& b) { return a.first > b.first; });
       const size_t keep = std::min(
           static_cast<size_t>(std::ceil(
-              config_.ader_select_fraction *
-              static_cast<double>(ranked.size()))),
-          static_cast<size_t>(config_.ader_max_selected));
+              kSelectFraction * static_cast<double>(ranked.size()))),
+          static_cast<size_t>(kMaxSelected));
       for (size_t i = 0; i < keep; ++i) {
         selected.push_back(it->second[ranked[i].second]);
       }
@@ -118,14 +127,13 @@ class AderStrategy : public core::LearningStrategy {
       const data::UserSpanData& span_data = dataset.user_span(user, span);
       if (span_data.all.size() < 2) continue;
       auto& entries = pool_[user];
-      for (int added = 0; added < config_.ader_exemplars_per_span;
-           ++added) {
+      for (int added = 0; added < kExemplarsPerSpan; ++added) {
         // Random truncation: a contiguous chunk ending at a random target.
         const auto end = static_cast<size_t>(rng_.IntInRange(
             1, static_cast<int64_t>(span_data.all.size()) - 1));
         const size_t begin =
-            end > static_cast<size_t>(config_.ader_max_exemplar_length)
-                ? end - config_.ader_max_exemplar_length
+            end > static_cast<size_t>(kMaxExemplarLength)
+                ? end - kMaxExemplarLength
                 : 0;
         data::TrainingSample exemplar;
         exemplar.user = user;
@@ -138,7 +146,6 @@ class AderStrategy : public core::LearningStrategy {
     }
   }
 
-  core::StrategyConfig config_;
   core::ImsrTrainer trainer_;
   util::Rng rng_;
   std::unordered_map<data::UserId, std::vector<data::TrainingSample>> pool_;

@@ -13,6 +13,13 @@ namespace {
 
 // Gate-MLP input features per embedding row.
 constexpr int64_t kGateFeatures = 4;
+// Transfer-module training: hidden width of the gate MLP, its Adam
+// learning rate, epochs over the span's validation items and the cap on
+// how many of those items it trains on.
+constexpr int kHidden = 8;
+constexpr float kTransferLr = 0.05f;
+constexpr int kTransferEpochs = 2;
+constexpr int kMaxTransferSamples = 512;
 
 class SmlStrategy : public core::LearningStrategy {
  public:
@@ -103,11 +110,11 @@ class SmlStrategy : public core::LearningStrategy {
     const nn::Var new_const(new_table);
 
     // Shared gate MLP: features (I x 4) -> tanh hidden -> sigmoid gate.
-    const int64_t hidden = config_.sml_hidden;
+    const int64_t hidden = kHidden;
     nn::Var w1(nn::XavierUniform(kGateFeatures, hidden, rng_),
                /*requires_grad=*/true);
     nn::Var w2(nn::XavierUniform(hidden, 1, rng_), /*requires_grad=*/true);
-    nn::Adam adam(config_.sml_transfer_lr);
+    nn::Adam adam(kTransferLr);
     adam.Register(w1);
     adam.Register(w2);
 
@@ -122,8 +129,7 @@ class SmlStrategy : public core::LearningStrategy {
       if (span_data.valid >= 0 && store_->Has(user)) {
         samples.push_back({user, span_data.valid});
       }
-      if (static_cast<int>(samples.size()) >=
-          config_.sml_max_transfer_samples) {
+      if (static_cast<int>(samples.size()) >= kMaxTransferSamples) {
         break;
       }
     }
@@ -142,7 +148,7 @@ class SmlStrategy : public core::LearningStrategy {
           nn::ops::MatMul(hidden_act, w2), 1.2f));  // (I x 1)
     };
 
-    for (int epoch = 0; epoch < config_.sml_transfer_epochs; ++epoch) {
+    for (int epoch = 0; epoch < kTransferEpochs; ++epoch) {
       if (samples.empty()) break;
       nn::Var gates = gates_graph();
       nn::Var loss;

@@ -4,6 +4,13 @@
 #include "util/check.h"
 
 namespace imsr::core {
+namespace {
+
+// Users with fewer new-span items are skipped: puzzlement needs a few
+// observations.
+constexpr int kMinSpanItems = 3;
+
+}  // namespace
 
 void ExpandUserInterests(models::MsrModel* model,
                          InterestStore* store,
@@ -20,7 +27,7 @@ void ExpandUserInterests(models::MsrModel* model,
   IMSR_CHECK_GE(config.delta_k, 1);
 
   const int64_t dim = model->config().embedding_dim;
-  if (static_cast<int>(items.size()) < config.min_span_items) return;
+  if (static_cast<int>(items.size()) < kMinSpanItems) return;
   IMSR_CHECK(store->Has(user))
       << "expansion requires an initialised store entry for user " << user;
   ++outcome->users_considered;

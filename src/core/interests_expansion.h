@@ -19,7 +19,6 @@ struct ExpansionConfig {
   PitConfig pit;
   int delta_k = 3;        // new interest vectors allocated per detection
   int max_interests = 16; // hard cap on K_u
-  int min_span_items = 3; // puzzlement needs a few observations
 };
 
 struct ExpansionOutcome {

@@ -20,17 +20,18 @@ struct PitConfig {
   // range transfer across extractors (see DESIGN.md §1).
   double c2 = 0.3;
   bool relative = true;
-  // Ridge added to the Gram matrix before inversion — existing interests
-  // can be nearly collinear.
-  double ridge = 1e-4;
 };
 
 // Projection of vector `h` (d) onto the row span of `basis` (K x d):
-// basis^T (basis basis^T)^-1 basis h, via a ridge-regularised K x K solve.
-nn::Tensor ProjectOntoRowSpan(const nn::Tensor& basis, const nn::Tensor& h);
+// basis^T (basis basis^T)^-1 basis h, via a K x K solve with a 1e-6 ridge
+// on the Gram diagonal. Returns false when the Gram is singular even so
+// (duplicated or linearly dependent rows), which depends on `basis`
+// alone.
+bool ProjectOntoRowSpan(const nn::Tensor& basis, const nn::Tensor& h,
+                        nn::Tensor* projection);
 
 // h minus its projection — the part of a new interest not expressible as a
-// combination of existing interests.
+// combination of existing interests. Aborts on a singular Gram.
 nn::Tensor OrthogonalComponent(const nn::Tensor& basis, const nn::Tensor& h);
 
 struct TrimResult {
@@ -41,20 +42,25 @@ struct TrimResult {
   // surviving new rows replaced by their orthogonal components.
   nn::Tensor interests;
   // Orthogonal-component norm of every candidate new row (diagnostics,
-  // Fig. 3).
+  // Fig. 3); empty when the existing rows' Gram is singular.
   std::vector<double> new_norms;
 };
 
 // Applies Eq. 16 + Eq. 17 to `interests` (K_total x d) whose first
 // `num_existing` rows are the user's existing interests and remaining rows
-// the freshly learned candidates. `num_existing` must be >= 1.
+// the freshly learned candidates. `num_existing` must be >= 1. When the
+// existing rows' Gram is singular (duplicated or linearly dependent
+// rows), no candidate can be projected: every candidate is trimmed, the
+// existing rows are kept as they are, and pit/singular_gram counts it.
 TrimResult ProjectAndTrim(const nn::Tensor& interests, int64_t num_existing,
                           const PitConfig& config);
 
 // Solves the dense symmetric positive-definite system A x = b via
-// Gaussian elimination with partial pivoting (K is small). Exposed for
-// testing.
-nn::Tensor SolveLinearSystem(const nn::Tensor& a, const nn::Tensor& b);
+// Gaussian elimination with partial pivoting (K is small). Returns false,
+// leaving *x unspecified, when a pivot falls below 1e-12: the system is
+// singular. The pivots depend on `a` alone. Exposed for testing.
+bool SolveLinearSystem(const nn::Tensor& a, const nn::Tensor& b,
+                       nn::Tensor* x);
 
 }  // namespace imsr::core
 

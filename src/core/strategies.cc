@@ -124,10 +124,7 @@ void FullRetrainStrategy::RetrainFromScratch(const data::Dataset& dataset,
   const std::vector<data::TrainingSample> samples =
       data::BuildCumulativeSamples(dataset, up_to_span,
                                    config_.train.max_history);
-  const int epochs =
-      config_.fr_epochs > 0 ? config_.fr_epochs
-                            : config_.train.pretrain_epochs;
-  for (int epoch = 0; epoch < epochs; ++epoch) {
+  for (int epoch = 0; epoch < config_.train.pretrain_epochs; ++epoch) {
     trainer.TrainEpoch(samples, /*teacher=*/nullptr);
   }
 

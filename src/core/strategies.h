@@ -9,11 +9,6 @@
 
 #include "core/imsr_trainer.h"
 
-namespace imsr::baselines {
-struct SmlConfig;
-struct AderConfig;
-}  // namespace imsr::baselines
-
 namespace imsr::core {
 
 enum class StrategyKind {
@@ -32,24 +27,9 @@ StrategyKind StrategyKindFromName(const std::string& name);
 struct StrategyConfig {
   StrategyKind kind = StrategyKind::kImsr;
   TrainConfig train;
-  // FR trains fresh models on accumulated data; 0 means "use train.epochs".
-  int fr_epochs = 0;
   // FR keeps the interest count comparable to IMSR's expanded models
   // (paper: "the interests number will be kept same as IMSR").
   int fr_initial_interests = 6;
-
-  // SML baseline knobs (see baselines/sml.h).
-  int sml_transfer_epochs = 2;
-  int sml_hidden = 8;
-  float sml_transfer_lr = 0.05f;
-  int sml_max_transfer_samples = 512;
-
-  // ADER baseline knobs (see baselines/ader.h).
-  int ader_exemplars_per_span = 5;
-  double ader_select_fraction = 0.5;
-  int ader_max_selected = 2;  // replay budget per user per span
-  int ader_max_exemplar_length = 5;
-  float ader_kd_coefficient = 0.1f;
 };
 
 // A strategy drives one (model, interest store) pair through pretraining

@@ -82,13 +82,26 @@ SyntheticConfig SyntheticConfig::Taobao(double scale) {
   return c;
 }
 
-SyntheticConfig SyntheticConfig::Preset(const std::string& name,
-                                        double scale) {
-  if (name == "electronics") return Electronics(scale);
-  if (name == "clothing") return Clothing(scale);
-  if (name == "books") return Books(scale);
-  if (name == "taobao") return Taobao(scale);
-  IMSR_CHECK(false) << "unknown dataset preset '" << name << "'";
+bool SyntheticConfig::PresetFromName(const std::string& name, double scale,
+                                     SyntheticConfig* config,
+                                     std::string* error) {
+  IMSR_CHECK(config != nullptr);
+  if (name == "electronics") {
+    *config = Electronics(scale);
+  } else if (name == "clothing") {
+    *config = Clothing(scale);
+  } else if (name == "books") {
+    *config = Books(scale);
+  } else if (name == "taobao") {
+    *config = Taobao(scale);
+  } else {
+    if (error != nullptr) {
+      *error = "unknown dataset preset '" + name +
+               "' (valid: electronics, clothing, books, taobao)";
+    }
+    return false;
+  }
+  return true;
 }
 
 SyntheticDataset GenerateSynthetic(const SyntheticConfig& config) {

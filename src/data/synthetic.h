@@ -59,8 +59,11 @@ struct SyntheticConfig {
   static SyntheticConfig Clothing(double scale = 1.0);
   static SyntheticConfig Books(double scale = 1.0);
   static SyntheticConfig Taobao(double scale = 1.0);
-  // Preset lookup by lowercase name; aborts on unknown names.
-  static SyntheticConfig Preset(const std::string& name, double scale = 1.0);
+  // Fallible preset lookup by lowercase name ("electronics" | "clothing"
+  // | "books" | "taobao"); on an unknown name returns false and fills
+  // `error` with the valid names.
+  static bool PresetFromName(const std::string& name, double scale,
+                             SyntheticConfig* config, std::string* error);
 };
 
 // Generation-time ground truth, exposed for the diagnostic benches

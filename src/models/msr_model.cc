@@ -7,17 +7,21 @@
 namespace imsr::models {
 namespace {
 
+// Routing iterations L of MIND and ComiRec-DR (the paper's value), and the
+// std of MIND's Gaussian initial routing logits.
+constexpr int kRoutingIterations = 3;
+constexpr float kMindLogitNoise = 0.1f;
+
 std::unique_ptr<MultiInterestExtractor> MakeExtractor(
     const ModelConfig& config, util::Rng& rng) {
   switch (config.kind) {
     case ExtractorKind::kMind:
-      return std::make_unique<MindExtractor>(config.embedding_dim,
-                                             config.routing_iterations,
-                                             config.mind_logit_noise, rng);
+      return std::make_unique<MindExtractor>(
+          config.embedding_dim, kRoutingIterations, kMindLogitNoise, rng);
     case ExtractorKind::kComiRecDr:
       return std::make_unique<DynamicRoutingExtractor>(
           config.embedding_dim,
-          RoutingConfig{config.routing_iterations, 0.0f}, rng);
+          RoutingConfig{kRoutingIterations, 0.0f}, rng);
     case ExtractorKind::kComiRecSa:
       return std::make_unique<SelfAttentionExtractor>(
           config.embedding_dim, config.attention_dim, rng);

@@ -17,8 +17,6 @@ struct ModelConfig {
   ExtractorKind kind = ExtractorKind::kComiRecDr;
   int64_t embedding_dim = 32;   // d
   int64_t attention_dim = 32;   // d_a (ComiRec-SA)
-  int routing_iterations = 3;   // L
-  float mind_logit_noise = 0.1f;
 };
 
 class MsrModel {

@@ -874,14 +874,6 @@ Tensor MatVecTransA(const Tensor& a, const Tensor& x) {
 }
 IMSR_HOT_END
 
-Tensor MatVecBatch(const Tensor& a, const Tensor& xs) {
-  IMSR_CHECK_EQ(a.dim(), 2);
-  IMSR_CHECK_EQ(xs.dim(), 2);
-  IMSR_CHECK_EQ(a.size(1), xs.size(1));
-  // out[r][i] = dot(xs.row(r), a.row(i)) — exactly A * xs^T transposed.
-  return MatMulTransB(xs, a);
-}
-
 float DotFlat(const Tensor& a, const Tensor& b) {
   IMSR_CHECK_EQ(a.numel(), b.numel());
   return DotSpan(a.data(), b.data(), a.numel());

@@ -250,9 +250,6 @@ Tensor MatVec(const Tensor& a, const Tensor& x);
 // MatVec(Transpose(a), x) — bitwise identical — without materialising the
 // transpose.
 Tensor MatVecTransA(const Tensor& a, const Tensor& x);
-// Batched matrix-vector: applies `a` to every row of xs (batch x k),
-// returning (batch x m) with out.row(r) == MatVec(a, xs.row(r)).
-Tensor MatVecBatch(const Tensor& a, const Tensor& xs);
 
 // Dot product of equally sized tensors (flattened).
 float DotFlat(const Tensor& a, const Tensor& b);

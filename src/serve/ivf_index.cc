@@ -19,6 +19,12 @@ namespace {
 // depend on thread count and the built index is bitwise deterministic.
 constexpr int64_t kAssignBlock = 4096;
 
+// k-means fit: Lloyd iterations over a strided sample of at most
+// kTrainSample items (every item is still assigned to a list
+// afterwards).
+constexpr int kKmeansIters = 4;
+constexpr int64_t kTrainSample = 65536;
+
 // Query rows scored per pass over a code block: the K x 16 int32 tile
 // for kScanCols queries stays in registers while the block streams by.
 constexpr int64_t kScanCols = 4;
@@ -57,7 +63,7 @@ float QuantizeRow(const float* row, int64_t n, int8_t* codes,
 void AssignNearest(const nn::Tensor& embeddings,
                    const std::vector<int64_t>& ids,
                    const nn::Tensor& centroids,
-                   const std::vector<float>& centroid_norms, int threads,
+                   const std::vector<float>& centroid_norms,
                    std::vector<int32_t>* assignment) {
   const int64_t count = static_cast<int64_t>(ids.size());
   const int64_t num_centroids = centroids.size(0);
@@ -69,7 +75,7 @@ void AssignNearest(const nn::Tensor& embeddings,
     nn::GatherRowsInto(embeddings, ids.data() + block, rows, &gathered);
     nn::MatMulTransBInto(gathered, nn::ViewOf(centroids), &products);
     const float* dots = products.data();
-    util::ParallelChunks(rows, threads, [&](int64_t begin, int64_t end) {
+    util::ParallelChunks(rows, /*threads=*/0, [&](int64_t begin, int64_t end) {
       for (int64_t r = begin; r < end; ++r) {
         const float* row = dots + r * num_centroids;
         int32_t best = 0;
@@ -182,7 +188,6 @@ IvfIndex::IvfIndex(const nn::Tensor& embeddings,
   IMSR_CHECK_EQ(embeddings.dim(), 2);
   num_items_ = embeddings.size(0);
   dim_ = embeddings.size(1);
-  rerank_factor_ = std::max(1, config.rerank_factor);
   min_rerank_ = std::max(1, config.min_rerank);
 
   const int64_t num_centroids =
@@ -220,9 +225,7 @@ IvfIndex::IvfIndex(const nn::Tensor& embeddings,
   // gets a list assignment below). Assignment is per-item independent and
   // the centroid update accumulates serially in sample order, so the
   // result is bitwise identical for any thread count.
-  const int64_t train_count =
-      std::min(num_items_, config.train_sample > 0 ? config.train_sample
-                                                   : int64_t{65536});
+  const int64_t train_count = std::min(num_items_, kTrainSample);
   std::vector<int64_t> train_ids(static_cast<size_t>(train_count));
   for (int64_t i = 0; i < train_count; ++i) {
     train_ids[static_cast<size_t>(i)] = (i * num_items_) / train_count;
@@ -231,9 +234,9 @@ IvfIndex::IvfIndex(const nn::Tensor& embeddings,
   std::vector<float> centroid_norms = RowSquaredNorms(centroids_);
   std::vector<float> sums;
   std::vector<int64_t> counts;
-  for (int iter = 0; iter < config.kmeans_iters; ++iter) {
+  for (int iter = 0; iter < kKmeansIters; ++iter) {
     AssignNearest(embeddings, train_ids, centroids_, centroid_norms,
-                  config.threads, &assignment);
+                  &assignment);
     sums.assign(static_cast<size_t>(num_centroids * dim_), 0.0f);
     counts.assign(static_cast<size_t>(num_centroids), 0);
     for (int64_t i = 0; i < train_count; ++i) {
@@ -261,7 +264,7 @@ IvfIndex::IvfIndex(const nn::Tensor& embeddings,
   std::vector<int64_t> all_ids(static_cast<size_t>(num_items_));
   std::iota(all_ids.begin(), all_ids.end(), int64_t{0});
   AssignNearest(embeddings, all_ids, centroids_, centroid_norms,
-                config.threads, &assignment);
+                &assignment);
   list_begin_.assign(static_cast<size_t>(num_centroids + 1), 0);
   for (int64_t i = 0; i < num_items_; ++i) {
     ++list_begin_[static_cast<size_t>(assignment[i]) + 1];
@@ -287,7 +290,7 @@ IvfIndex::IvfIndex(const nn::Tensor& embeddings,
   codes_.assign(static_cast<size_t>(num_blocks * kCodeBlockRows * dim_), 0);
   scales_.resize(static_cast<size_t>(num_items_));
   util::ParallelChunks(
-      num_blocks, config.threads, [&](int64_t begin, int64_t end) {
+      num_blocks, /*threads=*/0, [&](int64_t begin, int64_t end) {
         for (int64_t p = begin * kCodeBlockRows;
              p < std::min(num_items_, end * kCodeBlockRows); ++p) {
           const data::ItemId item = list_items_[static_cast<size_t>(p)];
@@ -304,10 +307,7 @@ IvfIndex::IvfIndex(const nn::Tensor& embeddings,
   // geometry, not on how many lists exist. 6 holds recall@20 >= 0.95 on
   // clustered corpora (tests/ann_test.cc) while scanning only
   // ~nprobe*K/C of the corpus.
-  default_nprobe_ = static_cast<int>(
-      config.default_nprobe > 0
-          ? std::min<int64_t>(config.default_nprobe, num_centroids)
-          : std::min<int64_t>(num_centroids, 6));
+  default_nprobe_ = static_cast<int>(std::min<int64_t>(num_centroids, 6));
 
   static std::atomic<uint64_t> next_build_id{0};
   build_id_ = ++next_build_id;
@@ -408,7 +408,7 @@ void IvfIndex::SearchTopN(
   // The kept set is the best `capacity` candidates under RanksBefore —
   // the same set for any scan order.
   const int64_t capacity = std::max<int64_t>(
-      static_cast<int64_t>(top_n) * rerank_factor_, min_rerank_);
+      static_cast<int64_t>(top_n) * kRerankFactor, min_rerank_);
   eval::TopNAccumulator& shortlist = scratch->shortlist;
   shortlist.Reset(capacity);
   const int64_t chunk_rows = kScanChunkBlocks * kCodeBlockRows;

@@ -64,25 +64,15 @@ const char* RetrievalModeName(RetrievalMode mode);
 bool RetrievalModeFromName(const std::string& name, RetrievalMode* mode,
                            std::string* error);
 
+// Exact re-rank depth: a search re-scores max(top_n * kRerankFactor,
+// IvfBuildConfig::min_rerank) shortlist entries with floats.
+constexpr int kRerankFactor = 4;
+
 struct IvfBuildConfig {
   // Coarse centroid count; <= 0 picks ceil(sqrt(num_items)), clamped to
   // [1, num_items].
   int64_t num_centroids = 0;
-  // Lloyd iterations over the training sample.
-  int kmeans_iters = 4;
-  // Items used to fit the centroids (strided sample; every item is still
-  // assigned to a list afterwards). <= 0 picks min(num_items, 65536).
-  int64_t train_sample = 0;
-  // Default lists probed per interest at query time; <= 0 picks
-  // min(num_centroids, 6).
-  int default_nprobe = 0;
-  // Exact re-rank depth: max(top_n * rerank_factor, min_rerank)
-  // shortlist entries get float re-scored.
-  int rerank_factor = 4;
   int min_rerank = 64;
-  // Worker threads for the build fan-outs; <= 0 uses the process pool
-  // size. The built index is bitwise identical for any value.
-  int threads = 0;
 };
 
 // Per-search accounting (probe counts, shortlist size, re-rank depth).
@@ -136,13 +126,15 @@ class IvfIndex {
   int64_t num_items() const { return num_items_; }
   int64_t num_centroids() const { return centroids_.size(0); }
   int64_t dim() const { return dim_; }
+  // Lists probed per interest when a search passes nprobe <= 0:
+  // min(num_centroids, 6).
   int default_nprobe() const { return default_nprobe_; }
   // Re-rank knobs as resolved at build time. Construction is fully
   // deterministic in (embeddings, seeds, config), so two indexes built
-  // over bitwise-equal inputs with equal resolved knobs answer every
-  // query identically — what SnapshotRegistry's data-epoch comparison
-  // relies on (snapshot.h).
-  int rerank_factor() const { return rerank_factor_; }
+  // over bitwise-equal inputs with equal centroid counts and min_rerank
+  // answer every query identically — what SnapshotRegistry's data-epoch
+  // comparison relies on (snapshot.h).
+  int rerank_factor() const { return kRerankFactor; }
   int min_rerank() const { return min_rerank_; }
   // Process-monotonic construction stamp (> 0); lets tests prove every
   // published snapshot carries a FRESH index, not a reused one.
@@ -204,7 +196,6 @@ class IvfIndex {
   int64_t num_items_ = 0;
   int64_t dim_ = 0;
   int default_nprobe_ = 1;
-  int rerank_factor_ = 4;
   int min_rerank_ = 64;
   uint64_t build_id_ = 0;
 

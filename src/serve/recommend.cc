@@ -271,7 +271,7 @@ std::vector<RecommendResponse> Recommend(
   // on how requests are grouped, so the result is identical for any
   // thread count.
   util::ParallelChunks(
-      static_cast<int64_t>(requests.size()), config.threads,
+      static_cast<int64_t>(requests.size()), /*threads=*/0,
       [&](int64_t begin, int64_t end) {
         RecommendScratch scratch;
         for (int64_t i = begin; i < end; i += kRecommendSubBatch) {

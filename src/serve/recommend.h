@@ -40,9 +40,6 @@ struct RecommendResponse {
 struct ServeConfig {
   int default_top_n = 10;
   eval::ScoreRule rule = eval::ScoreRule::kAttentive;
-  // Worker threads for the batch fan-out; <= 0 uses the process-wide
-  // pool's configured size. Responses are identical for any thread count.
-  int threads = 0;
   // kIVF routes through the snapshot's IvfIndex (exact float scores on
   // the approximate shortlist); a snapshot without an index falls back
   // to exact scoring (counted in serve/ivf_fallback_exact).
@@ -109,9 +106,9 @@ void RecommendBatch(const ServingSnapshot& snapshot,
                     IvfSearchStats* stats = nullptr);
 
 // Answers every request against `snapshot`; responses are parallel to
-// `requests`. Fans the batch out over the process-wide pool
-// (ServeConfig::threads); each chunk runs RecommendBatch on sub-batches
-// of at most 32 requests. Responses are identical for any thread count.
+// `requests`. Fans the batch out over the whole process-wide pool; each
+// chunk runs RecommendBatch on sub-batches of at most 32 requests.
+// Responses are identical for any pool size.
 std::vector<RecommendResponse> Recommend(
     const ServingSnapshot& snapshot,
     const std::vector<RecommendRequest>& requests,

@@ -78,8 +78,7 @@ struct ShardSetConfig {
   // Total response-cache budget in bytes, split evenly across shards.
   // 0 disables caching entirely.
   size_t cache_bytes = 0;
-  // Scoring configuration (threads is ignored — parallelism comes from
-  // the shards themselves).
+  // Scoring configuration; parallelism comes from the shards themselves.
   ServeConfig serve;
 };
 

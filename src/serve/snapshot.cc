@@ -64,17 +64,15 @@ bool ServingSnapshot::SameScoringContent(const ServingSnapshot& other) const {
       a.row_begin != b.row_begin) {
     return false;
   }
-  // Index equivalence: both absent, or both built with the same resolved
-  // knobs (construction is deterministic in the embeddings + seeds the
-  // float comparisons below cover).
+  // Index equivalence: both absent, or both built with the same
+  // centroid count and min_rerank (construction is deterministic in the
+  // embeddings + seeds the float comparisons below cover, and the probe
+  // width follows from the centroid count).
   const IvfIndex* ai = content_->index.get();
   const IvfIndex* bi = other.content_->index.get();
   if ((ai == nullptr) != (bi == nullptr)) return false;
-  if (ai != nullptr &&
-      (ai->num_centroids() != bi->num_centroids() ||
-       ai->default_nprobe() != bi->default_nprobe() ||
-       ai->rerank_factor() != bi->rerank_factor() ||
-       ai->min_rerank() != bi->min_rerank())) {
+  if (ai != nullptr && (ai->num_centroids() != bi->num_centroids() ||
+                        ai->min_rerank() != bi->min_rerank())) {
     return false;
   }
   // Bitwise float compares (memcmp, not ==): NaN payloads and signed

@@ -1,5 +1,5 @@
 // The unit of the online pipeline: one interaction stamped with its
-// arrival order. `sequence` is assigned by the EventSource (1-based, in
+// arrival order. `sequence` is assigned by the event source (1-based, in
 // the order events leave the source) and is the currency of the
 // prequential-ordering contract: a ServingSnapshot that was trained
 // through sequence S must only score events with sequence > S.

@@ -8,19 +8,13 @@
 namespace imsr::stream {
 
 ReplayEventSource::ReplayEventSource(
-    std::vector<data::Interaction> interactions, int64_t start_after)
+    std::vector<data::Interaction> interactions)
     : interactions_(std::move(interactions)) {
   std::stable_sort(interactions_.begin(), interactions_.end(),
                    [](const data::Interaction& a,
                       const data::Interaction& b) {
                      return a.timestamp < b.timestamp;
                    });
-  interactions_.erase(
-      std::remove_if(interactions_.begin(), interactions_.end(),
-                     [start_after](const data::Interaction& record) {
-                       return record.timestamp <= start_after;
-                     }),
-      interactions_.end());
 }
 
 bool ReplayEventSource::Next(StreamEvent* event) {
@@ -48,6 +42,19 @@ int64_t PretrainBoundaryTimestamp(
   const double z_span = static_cast<double>(z_max - z_min) + 1.0;
   return static_cast<int64_t>(
       std::ceil(static_cast<double>(z_min) + alpha * z_span));
+}
+
+std::vector<data::Interaction> PostPretrainEvents(
+    std::vector<data::Interaction> log, const data::Dataset& dataset,
+    double alpha) {
+  const int64_t boundary = PretrainBoundaryTimestamp(log, alpha);
+  log.erase(std::remove_if(log.begin(), log.end(),
+                           [&](const data::Interaction& record) {
+                             return record.timestamp < boundary ||
+                                    !dataset.user_kept(record.user);
+                           }),
+            log.end());
+  return log;
 }
 
 }  // namespace imsr::stream

@@ -1,4 +1,4 @@
-// Event sources for the online pipeline: where the stream's interactions
+// The online pipeline's event source: where the stream's interactions
 // come from. A ReplayEventSource turns a recorded log (data/log_io CSV or
 // a flattened SyntheticDataset) into an ordered stream; the source is the
 // single authority for `StreamEvent::sequence`, so every downstream
@@ -8,41 +8,30 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
+#include "data/dataset.h"
 #include "data/interaction.h"
 #include "stream/event.h"
 
 namespace imsr::stream {
 
-class EventSource {
+// Replays recorded interactions in timestamp order (stable for ties, so
+// a user's in-window order survives).
+class ReplayEventSource {
  public:
-  virtual ~EventSource() = default;
+  explicit ReplayEventSource(std::vector<data::Interaction> interactions);
 
   // Fills `event` (including its sequence number) with the next record;
   // false at end of stream.
-  virtual bool Next(StreamEvent* event) = 0;
-};
-
-// Replays recorded interactions in timestamp order (stable for ties, so
-// a user's in-window order survives), optionally skipping everything at
-// or before `start_after` — the knob that replays only the post-pretrain
-// portion of a log against a pretrained checkpoint.
-class ReplayEventSource : public EventSource {
- public:
-  explicit ReplayEventSource(
-      std::vector<data::Interaction> interactions,
-      int64_t start_after = std::numeric_limits<int64_t>::min());
-
-  bool Next(StreamEvent* event) override;
+  bool Next(StreamEvent* event);
 
   // Events not yet emitted.
   size_t remaining() const { return interactions_.size() - position_; }
   size_t total() const { return interactions_.size(); }
 
  private:
-  std::vector<data::Interaction> interactions_;  // sorted, filtered
+  std::vector<data::Interaction> interactions_;  // sorted
   size_t position_ = 0;
   uint64_t next_sequence_ = 1;
 };
@@ -50,10 +39,18 @@ class ReplayEventSource : public EventSource {
 // The timestamp at which a log's pre-training window ends under the
 // Dataset split (z_min + alpha * (z_max - z_min + 1), see data/dataset.cc);
 // interactions with timestamp >= the boundary belong to the incremental
-// spans. Use as ReplayEventSource's `start_after` = boundary - 1 to
-// stream exactly the post-pretrain events.
+// spans.
 int64_t PretrainBoundaryTimestamp(
     const std::vector<data::Interaction>& interactions, double alpha);
+
+// What a stream replays against a pretrained state: the records of `log`
+// at or after PretrainBoundaryTimestamp(log, alpha) whose user survived
+// `dataset`'s min-interactions filter (cold ids never earn a dataset
+// entry, matching the batch eval), in log order. `dataset` is the span
+// split of the same log at the same alpha.
+std::vector<data::Interaction> PostPretrainEvents(
+    std::vector<data::Interaction> log, const data::Dataset& dataset,
+    double alpha);
 
 }  // namespace imsr::stream
 

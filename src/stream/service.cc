@@ -37,7 +37,7 @@ void StreamService::Step(const StreamEvent& event) {
   trainer_->Consume(event);
 }
 
-StreamResult StreamService::Run(EventSource* source) {
+StreamResult StreamService::Run(ReplayEventSource* source) {
   IMSR_CHECK(source != nullptr);
   IMSR_TRACE_SPAN("stream/run");
   if (registry_->Current() == nullptr) trainer_->PublishInitial();

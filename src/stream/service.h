@@ -1,5 +1,5 @@
 // StreamService — the online loop: an ingestion thread reads the
-// EventSource into a BoundedEventQueue (backpressure: a full queue blocks
+// ReplayEventSource into a BoundedEventQueue (backpressure: a full queue blocks
 // the producer, never drops events), and the consumer loop runs the
 // prequential protocol per event — grab the current ServingSnapshot,
 // score the event against it, only then hand the event to the
@@ -71,7 +71,7 @@ class StreamService {
   // Drains `source` through the prequential loop. Publishes the initial
   // snapshot first if the registry is empty, and flushes the trainer's
   // partial micro-span at end of stream.
-  StreamResult Run(EventSource* source);
+  StreamResult Run(ReplayEventSource* source);
 
  private:
   // One prequential iteration: score, then learn.

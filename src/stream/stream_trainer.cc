@@ -33,7 +33,7 @@ void StreamTrainer::PublishInitial() {
 void StreamTrainer::BuildAndPublish(int span) {
   if (config_.build_index) {
     registry_->Publish(
-        serve::BuildSnapshot(*model_, *store_, span, config_.ivf));
+        serve::BuildSnapshot(*model_, *store_, span, serve::IvfBuildConfig{}));
     ++index_builds_;
   } else {
     registry_->Publish(serve::BuildSnapshot(*model_, *store_, span));

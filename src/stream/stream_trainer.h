@@ -39,11 +39,10 @@ struct StreamTrainerConfig {
   // `train.enable_expansion` select IMSR vs the fine-tuning baseline
   // exactly as in core/strategies.
   core::TrainConfig train;
-  // Build an IvfIndex into every published snapshot (initial and per
-  // micro-span). Index build time lands inside the publish latency stats
-  // and the serve/index_build_ms histogram.
+  // Build an IvfIndex (default IvfBuildConfig) into every published
+  // snapshot (initial and per micro-span). Index build time lands inside
+  // the publish latency stats and the serve/index_build_ms histogram.
   bool build_index = false;
-  serve::IvfBuildConfig ivf;
 };
 
 // Latency accounting for the publish path (kept outside obs so the bench

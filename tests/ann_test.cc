@@ -37,6 +37,7 @@
 #include "serve/registry.h"
 #include "serve/snapshot.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace imsr::serve {
 namespace {
@@ -140,10 +141,10 @@ TEST(IvfRecallTest, RecallAtDefaultNprobeAcrossSizesAndThreads) {
       users.push_back(MakeInterests(corpus, /*k=*/1 + (u % 4), rng));
     }
     const core::PackedInterests seeds = PackInterests(users, kDim);
+    const int original_threads = util::GlobalThreadCount();
     for (const int threads : {1, 4}) {
-      IvfBuildConfig config;
-      config.threads = threads;
-      const IvfIndex index(corpus.embeddings, seeds, config);
+      util::SetGlobalThreadCount(threads);
+      const IvfIndex index(corpus.embeddings, seeds, IvfBuildConfig{});
       for (const eval::ScoreRule rule :
            {eval::ScoreRule::kAttentive, eval::ScoreRule::kMaxInterest}) {
         IvfIndex::Scratch scratch;
@@ -167,6 +168,7 @@ TEST(IvfRecallTest, RecallAtDefaultNprobeAcrossSizesAndThreads) {
             << " default_nprobe=" << index.default_nprobe();
       }
     }
+    util::SetGlobalThreadCount(original_threads);
   }
 }
 
@@ -510,12 +512,14 @@ TEST(IvfEdgeTest, BuildIsBitwiseDeterministicAcrossThreadCounts) {
     users.push_back(MakeInterests(corpus, 1 + (u % 4), rng));
   }
   const core::PackedInterests seeds = PackInterests(users, kDim);
-  IvfBuildConfig config_a;
-  config_a.threads = 1;
-  IvfBuildConfig config_b;
-  config_b.threads = 4;
-  const IvfIndex a(corpus.embeddings, seeds, config_a);
-  const IvfIndex b(corpus.embeddings, seeds, config_b);
+  // The build fans out over the whole process-wide pool: build once on
+  // one thread and once on four.
+  const int original_threads = util::GlobalThreadCount();
+  util::SetGlobalThreadCount(1);
+  const IvfIndex a(corpus.embeddings, seeds, IvfBuildConfig{});
+  util::SetGlobalThreadCount(4);
+  const IvfIndex b(corpus.embeddings, seeds, IvfBuildConfig{});
+  util::SetGlobalThreadCount(original_threads);
   ASSERT_EQ(a.num_centroids(), b.num_centroids());
   EXPECT_EQ(0, std::memcmp(a.centroids().data(), b.centroids().data(),
                            static_cast<size_t>(a.centroids().numel()) *

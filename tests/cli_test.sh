@@ -143,6 +143,21 @@ OUT=$("$CLI" stream --log="$LOG" --min_interactions=5 \
     --checkpoint="$CKPT" --mode=ft --publish_every=50 --max_events=120)
 echo "$OUT" | grep -q "streamed 120 events" || fail "ft stream missing"
 
+# An SA stream that expands every publish reaches users whose existing
+# interests have a singular Gram. PIT trims that span's candidates for
+# them (pit/singular_gram) instead of aborting.
+SA_LOG="$WORKDIR/sa_log.csv"
+SA_CKPT="$WORKDIR/sa.bin"
+"$CLI" generate --preset=taobao --scale=0.25 --seed=11 --out="$SA_LOG" \
+    >/dev/null
+"$CLI" pretrain --log="$SA_LOG" --model=sa --pretrain_epochs=2 \
+    --checkpoint="$SA_CKPT" >/dev/null
+RC=0
+OUT=$("$CLI" stream --log="$SA_LOG" --model=sa --checkpoint="$SA_CKPT" \
+    --publish_every=500 --expand_every=1 --max_events=3000) || RC=$?
+[ "$RC" -eq 0 ] || fail "sa stream with expansion: expected exit 0, got $RC"
+echo "$OUT" | grep -q "streamed 3000 events" || fail "sa stream summary missing"
+
 # --- IVF retrieval ---------------------------------------------------------
 
 # evaluate under IVF: same protocol, ranks from the index's top-N, and
@@ -245,6 +260,30 @@ if "$CLI" evaluate --log="$LOG" --min_interactions=5 \
   fail "expected failure on --alpha=half"
 fi
 grep -q "expects a number" "$ERR" || fail "bad double flag missing message"
+
+# --alpha outside (0, 1) is a usage error (exit 2), before the log is
+# read, on every dataset-loading command.
+for ALPHA in 2 0; do
+  RC=0
+  "$CLI" stats --log="$LOG" --alpha="$ALPHA" >/dev/null 2>"$ERR" || RC=$?
+  [ "$RC" -eq 2 ] || fail "stats --alpha=$ALPHA: expected exit 2, got $RC"
+  grep -q -- "--alpha must be in (0, 1)" "$ERR" \
+      || fail "stats --alpha=$ALPHA: message missing: $(cat "$ERR")"
+done
+RC=0
+"$CLI" stream --log="$LOG" --checkpoint="$CKPT" --alpha=1 \
+    >/dev/null 2>"$ERR" || RC=$?
+[ "$RC" -eq 2 ] || fail "stream --alpha=1: expected exit 2, got $RC"
+
+# A --preset typo lists the four presets instead of aborting.
+RC=0
+"$CLI" generate --preset=taobo --out="$WORKDIR/typo.csv" \
+    >/dev/null 2>"$ERR" || RC=$?
+[ "$RC" -eq 2 ] || fail "--preset=taobo: expected exit 2, got $RC"
+grep -q "unknown dataset preset 'taobo'" "$ERR" \
+    || fail "preset typo missing message"
+grep -q "electronics, clothing, books, taobao" "$ERR" \
+    || fail "preset typo missing valid names"
 
 # Positional (non --name=value) arguments are rejected.
 if "$CLI" stats "$LOG" >/dev/null 2>"$ERR"; then

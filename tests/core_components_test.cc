@@ -13,6 +13,7 @@
 #include "core/pit.h"
 #include "nn/gradcheck.h"
 #include "nn/ops.h"
+#include "obs/obs.h"
 
 namespace imsr::core {
 namespace {
@@ -246,21 +247,29 @@ TEST(NidTest, CountAssignedItemsMatchesPerItemArgmax) {
 TEST(PitTest, SolveLinearSystemIdentityAndGeneral) {
   const nn::Tensor eye = nn::Tensor::Identity(3);
   const nn::Tensor b = nn::Tensor::FromVector({1, 2, 3});
-  EXPECT_LT(nn::MaxAbsDiff(SolveLinearSystem(eye, b), b), 1e-6f);
+  nn::Tensor x;
+  ASSERT_TRUE(SolveLinearSystem(eye, b, &x));
+  EXPECT_LT(nn::MaxAbsDiff(x, b), 1e-6f);
 
   // General SPD system, verified by substitution.
   nn::Tensor a({2, 2}, {4, 1, 1, 3});
   const nn::Tensor rhs = nn::Tensor::FromVector({1, 2});
-  const nn::Tensor x = SolveLinearSystem(a, rhs);
+  ASSERT_TRUE(SolveLinearSystem(a, rhs, &x));
   EXPECT_LT(nn::MaxAbsDiff(nn::MatVec(a, x), rhs), 1e-5f);
+
+  // A singular system is reported, not aborted on.
+  const nn::Tensor singular({2, 2}, {1, 2, 2, 4});
+  EXPECT_FALSE(SolveLinearSystem(singular, rhs, &x));
 }
 
 TEST(PitTest, ProjectionOntoSpanIsIdempotent) {
   util::Rng rng(9);
   const nn::Tensor basis = nn::Tensor::Randn({3, 8}, rng);
   const nn::Tensor h = nn::Tensor::Randn({8}, rng);
-  const nn::Tensor p1 = ProjectOntoRowSpan(basis, h);
-  const nn::Tensor p2 = ProjectOntoRowSpan(basis, p1);
+  nn::Tensor p1;
+  nn::Tensor p2;
+  ASSERT_TRUE(ProjectOntoRowSpan(basis, h, &p1));
+  ASSERT_TRUE(ProjectOntoRowSpan(basis, p1, &p2));
   EXPECT_LT(nn::MaxAbsDiff(p1, p2), 1e-3f);
 }
 
@@ -343,6 +352,31 @@ TEST(PitTest, StricterC2TrimsMore) {
       ProjectAndTrim(interests, 3, strict).kept.size();
   EXPECT_GE(kept_loose, kept_strict);
   EXPECT_EQ(kept_strict, 3u);
+}
+
+// Duplicated existing interests make the Gram singular even with the
+// solver's ridge (at these norms 1e-6 is below float resolution): no
+// candidate can be projected, so PIT keeps the existing rows, trims every
+// candidate and counts it, instead of aborting.
+TEST(PitTest, SingularExistingGramTrimsEveryCandidate) {
+  util::Rng rng(15);
+  const nn::Tensor row = nn::Scale(nn::Tensor::Randn({8}, rng), 10.0f);
+  const nn::Tensor interests = nn::ConcatRows(
+      {row.Reshape({1, 8}), row.Reshape({1, 8}),
+       nn::Tensor::Randn({3, 8}, rng)});
+  IMSR_OBS_ONLY(obs::Counter& singular =
+                    obs::Registry().GetCounter("pit/singular_gram");
+                const int64_t before = singular.value();)
+  PitConfig config;
+  config.c2 = 0.0;  // every projectable candidate would be kept
+  const TrimResult result = ProjectAndTrim(interests, 2, config);
+  EXPECT_EQ(result.kept, (std::vector<int64_t>{0, 1}));
+  EXPECT_TRUE(result.new_norms.empty());
+  ASSERT_EQ(result.interests.size(0), 2);
+  for (int64_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(result.interests.Row(k).storage(), interests.Row(k).storage());
+  }
+  IMSR_OBS_ONLY(EXPECT_EQ(singular.value() - before, 1);)
 }
 
 // ---- EIR ----

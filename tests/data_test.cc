@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "data/dataset.h"
 #include "data/sampler.h"
@@ -110,11 +111,24 @@ TEST(SyntheticTest, DeterministicGivenSeed) {
 
 TEST(SyntheticTest, AllPresetsGenerate) {
   for (const char* name : {"electronics", "clothing", "books", "taobao"}) {
-    const SyntheticDataset synthetic =
-        GenerateSynthetic(SyntheticConfig::Preset(name, 0.05));
+    SyntheticConfig config;
+    std::string error;
+    ASSERT_TRUE(SyntheticConfig::PresetFromName(name, 0.05, &config, &error))
+        << error;
+    const SyntheticDataset synthetic = GenerateSynthetic(config);
     EXPECT_GT(synthetic.dataset->num_kept_users(), 0) << name;
     EXPECT_EQ(synthetic.dataset->num_incremental_spans(), 6) << name;
   }
+}
+
+TEST(SyntheticTest, UnknownPresetListsTheValidNames) {
+  SyntheticConfig config;
+  std::string error;
+  EXPECT_FALSE(SyntheticConfig::PresetFromName("taobo", 1.0, &config, &error));
+  EXPECT_NE(error.find("'taobo'"), std::string::npos) << error;
+  EXPECT_NE(error.find("electronics, clothing, books, taobao"),
+            std::string::npos)
+      << error;
 }
 
 TEST(SyntheticTest, GroundTruthConsistency) {

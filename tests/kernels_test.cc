@@ -113,19 +113,6 @@ TEST(KernelsTest, MatMulTransBIntoReusesBuffer) {
   EXPECT_LE(nn::MaxAbsDiff(out, nn::MatMulTransB(a2, b1)), 0.0f);
 }
 
-TEST(KernelsTest, MatVecBatchMatchesPerRowMatVec) {
-  util::Rng rng(106);
-  const nn::Tensor a = nn::Tensor::Randn({19, 11}, rng);
-  const nn::Tensor xs = nn::Tensor::Randn({7, 11}, rng);
-  const nn::Tensor batched = nn::MatVecBatch(a, xs);
-  ASSERT_EQ(batched.size(0), 7);
-  ASSERT_EQ(batched.size(1), 19);
-  for (int64_t r = 0; r < xs.size(0); ++r) {
-    const nn::Tensor single = nn::MatVec(a, xs.Row(r));
-    EXPECT_LE(nn::MaxAbsDiff(batched.Row(r), single), 1e-5f) << "row " << r;
-  }
-}
-
 // Kernels dispatched over the pool must be bitwise identical for 1 and N
 // threads (row-partitioned work, fixed per-row accumulation order).
 TEST(KernelsTest, LargeKernelsBitwiseIdenticalAcrossThreadCounts) {

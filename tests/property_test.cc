@@ -157,7 +157,8 @@ TEST_P(PitProperty, OrthogonalDecompositionIsExact) {
   util::Rng rng(static_cast<uint64_t>(seed));
   const nn::Tensor basis = nn::Tensor::Randn({k, dim}, rng);
   const nn::Tensor h = nn::Tensor::Randn({dim}, rng);
-  const nn::Tensor proj = core::ProjectOntoRowSpan(basis, h);
+  nn::Tensor proj;
+  ASSERT_TRUE(core::ProjectOntoRowSpan(basis, h, &proj));
   const nn::Tensor orth = core::OrthogonalComponent(basis, h);
   // h = proj + orth.
   EXPECT_LT(nn::MaxAbsDiff(nn::Add(proj, orth), h), 1e-4f);
@@ -177,8 +178,9 @@ TEST_P(PitProperty, ProjectionShrinksNorm) {
   util::Rng rng(static_cast<uint64_t>(seed) + 99);
   const nn::Tensor basis = nn::Tensor::Randn({k, dim}, rng);
   const nn::Tensor h = nn::Tensor::Randn({dim}, rng);
-  EXPECT_LE(nn::L2NormFlat(core::ProjectOntoRowSpan(basis, h)),
-            nn::L2NormFlat(h) * (1.0f + 1e-4f));
+  nn::Tensor proj;
+  ASSERT_TRUE(core::ProjectOntoRowSpan(basis, h, &proj));
+  EXPECT_LE(nn::L2NormFlat(proj), nn::L2NormFlat(h) * (1.0f + 1e-4f));
   EXPECT_LE(nn::L2NormFlat(core::OrthogonalComponent(basis, h)),
             nn::L2NormFlat(h) * (1.0f + 1e-4f));
 }

@@ -27,6 +27,7 @@
 #include "serve/registry.h"
 #include "serve/snapshot.h"
 #include "stream/prequential.h"
+#include "util/thread_pool.h"
 
 namespace imsr::serve {
 namespace {
@@ -322,8 +323,9 @@ TEST(SnapshotRegistryTest, ConcurrentPublishNeverExposesPartialState) {
                   stamp);
         // And the full read path: a Recommend batch against the held
         // snapshot while the writer keeps publishing.
-        const std::vector<RecommendResponse> responses = Recommend(
-            *snapshot, {{0, 3}, {1, 2}, {9, 1}}, ServeConfig{3, eval::ScoreRule::kMaxInterest, 1});
+        const std::vector<RecommendResponse> responses =
+            Recommend(*snapshot, {{0, 3}, {1, 2}, {9, 1}},
+                      ServeConfig{3, eval::ScoreRule::kMaxInterest});
         ASSERT_EQ(responses.size(), 3u);
         ASSERT_TRUE(responses[0].ok);
         ASSERT_TRUE(responses[1].ok);
@@ -398,11 +400,12 @@ TEST(RecommendTest, IdenticalAcrossThreadCounts) {
   }
   ServeConfig config;
   config.rule = eval::ScoreRule::kAttentive;
-  config.threads = 1;
+  const int original_threads = util::GlobalThreadCount();
+  util::SetGlobalThreadCount(1);
   const std::vector<RecommendResponse> sequential =
       Recommend(snapshot, requests, config);
   for (int threads : {2, 4, 8}) {
-    config.threads = threads;
+    util::SetGlobalThreadCount(threads);
     const std::vector<RecommendResponse> parallel =
         Recommend(snapshot, requests, config);
     ASSERT_EQ(parallel.size(), sequential.size());
@@ -417,6 +420,7 @@ TEST(RecommendTest, IdenticalAcrossThreadCounts) {
       }
     }
   }
+  util::SetGlobalThreadCount(original_threads);
 }
 
 // --- Exact top-N oracle -----------------------------------------------------
@@ -528,6 +532,9 @@ std::unique_ptr<ServingSnapshot> MakeOracleSnapshot(int64_t num_items,
 // the top-N, and the strict (score desc, item id asc) order leaves no
 // freedom in which tied item is kept or where it sorts.
 TEST(RecommendOracleTest, PrunedExactTopNMatchesBruteForceBitwise) {
+  // Recommend's fan-out spans the whole pool: three workers.
+  const int original_threads = util::GlobalThreadCount();
+  util::SetGlobalThreadCount(3);
   for (const int64_t num_items : {1, 1023, 1025, 3000}) {
     for (const float scale : {1.0f, 60.0f}) {
       const std::unique_ptr<ServingSnapshot> snapshot =
@@ -540,7 +547,6 @@ TEST(RecommendOracleTest, PrunedExactTopNMatchesBruteForceBitwise) {
         ServeConfig config;
         config.rule = rule;
         config.retrieval = RetrievalMode::kExact;
-        config.threads = 3;
         const int n = static_cast<int>(num_items);
         // Every user four times with four top_n values: the batch keeps
         // one accumulator per user at the largest and serves the rest as
@@ -605,6 +611,7 @@ TEST(RecommendOracleTest, PrunedExactTopNMatchesBruteForceBitwise) {
       }
     }
   }
+  util::SetGlobalThreadCount(original_threads);
 }
 
 // The pruning counters are added once per call, not per row: a call

@@ -130,23 +130,6 @@ TEST(SimdTest, MatVecWithinToleranceOfSequentialReference) {
   }
 }
 
-TEST(SimdTest, MatVecBatchMatchesPerRowMatVec) {
-  util::Rng rng(15);
-  const nn::Tensor a = nn::Tensor::Randn({9, 33}, rng);
-  const nn::Tensor xs = nn::Tensor::Randn({6, 33}, rng);
-  const nn::Tensor batched = nn::MatVecBatch(a, xs);
-  // Same inner kernels per row — agreement is within the reduction
-  // tolerance (the 2x4 tile of MatMulTransB splits accumulators
-  // differently from the single-row dot).
-  for (int64_t r = 0; r < xs.size(0); ++r) {
-    const nn::Tensor row = nn::MatVec(a, xs.Row(r));
-    for (int64_t i = 0; i < a.size(0); ++i) {
-      EXPECT_NEAR(batched.at(r, i), row.at(i),
-                  DotTolerance(a.data() + i * 33, xs.data() + r * 33, 33));
-    }
-  }
-}
-
 TEST(SimdTest, MatMulTransBWithinToleranceOfSequentialReference) {
   util::Rng rng(16);
   for (int64_t k : kSizes) {

@@ -123,29 +123,47 @@ TEST(ReplaySourceTest, EmitsTimestampOrderWithSequentialSequences) {
   EXPECT_EQ(source.remaining(), 0u);
 }
 
-TEST(ReplaySourceTest, StartAfterSkipsEarlierEvents) {
-  std::vector<data::Interaction> log = {
-      {0, 1, 10}, {0, 2, 20}, {0, 3, 30}, {0, 4, 40}};
-  ReplayEventSource source(log, /*start_after=*/20);
-  EXPECT_EQ(source.total(), 2u);
-  StreamEvent event;
-  ASSERT_TRUE(source.Next(&event));
-  EXPECT_EQ(event.timestamp, 30);
-  EXPECT_EQ(event.sequence, 1u);  // sequences restart on the filtered set
-}
-
-TEST(ReplaySourceTest, PretrainBoundaryMatchesDatasetSplit) {
+TEST(ReplaySourceTest, PostPretrainEventsMatchDatasetSplit) {
   // Timeline [0, 99], alpha 0.5 -> boundary at 50 (dataset.cc's span_of:
   // ts < z_min + alpha*(z_max - z_min + 1) is pre-training).
   std::vector<data::Interaction> log;
   for (int64_t ts = 0; ts < 100; ts += 7) log.push_back({0, 0, ts});
-  const int64_t boundary = PretrainBoundaryTimestamp(log, 0.5);
-  EXPECT_EQ(boundary, 50);
-  ReplayEventSource source(log, boundary - 1);
-  StreamEvent event;
-  while (source.Next(&event)) {
-    EXPECT_GE(event.timestamp, boundary);
+  EXPECT_EQ(PretrainBoundaryTimestamp(log, 0.5), 50);
+  const data::Dataset dataset(1, 1, log, /*num_incremental_spans=*/3, 0.5,
+                              /*min_interactions=*/1);
+  const std::vector<data::Interaction> replay =
+      PostPretrainEvents(log, dataset, 0.5);
+  int64_t incremental = 0;
+  for (int span = 1; span < dataset.num_spans(); ++span) {
+    incremental += dataset.span_interactions(span);
   }
+  EXPECT_EQ(static_cast<int64_t>(replay.size()), incremental);
+  for (const data::Interaction& record : replay) {
+    EXPECT_GE(record.timestamp, 50);
+  }
+}
+
+TEST(ReplaySourceTest, PostPretrainEventsSkipEarlierEventsAndColdUsers) {
+  // User 0 has four records, user 1 two; min_interactions 3 drops user 1
+  // from the dataset, so none of its records replay. Timeline [10, 40]
+  // -> boundary ceil(10 + 0.5 * 31) = 26.
+  const std::vector<data::Interaction> log = {
+      {0, 1, 10}, {1, 0, 35}, {0, 2, 20}, {0, 4, 40}, {1, 2, 30},
+      {0, 3, 30}};
+  const data::Dataset dataset(2, 5, log, /*num_incremental_spans=*/2, 0.5,
+                              /*min_interactions=*/3);
+  ASSERT_FALSE(dataset.user_kept(1));
+  const std::vector<data::Interaction> replay =
+      PostPretrainEvents(log, dataset, 0.5);
+  ASSERT_EQ(replay.size(), 2u);
+  // Log order is kept; the source sorts by timestamp.
+  EXPECT_EQ(replay[0].timestamp, 40);
+  EXPECT_EQ(replay[1].timestamp, 30);
+  ReplayEventSource source(replay);
+  StreamEvent event;
+  ASSERT_TRUE(source.Next(&event));
+  EXPECT_EQ(event.timestamp, 30);
+  EXPECT_EQ(event.sequence, 1u);  // sequences start on the replayed set
 }
 
 // ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ bool BuildFlagSet(const std::string& command, util::FlagSet* out) {
     util::FlagSet set("imsr_cli generate",
                       "synthesise a CSV interaction log");
     set.AddString("preset", "taobao",
-                  "dataset preset (taobao | electronics)");
+                  "dataset preset (electronics | clothing | books | taobao)");
     set.AddDouble("scale", 0.3, "fraction of the preset's full size");
     set.AddInt("seed", 0, "generator seed (omit to keep the preset's)");
     set.AddString("out", "", "output CSV path (required)");
@@ -296,33 +296,50 @@ bool RetrievalFromFlags(const util::FlagSet& flags,
   return true;
 }
 
-// Loads the CSV log and builds the span-structured dataset.
-bool LoadDataset(const util::FlagSet& flags,
-                 std::unique_ptr<data::Dataset>* dataset) {
+// Loads the CSV log and builds the span-structured dataset; with
+// `interactions` also hands back a copy of the compacted log. Returns 0,
+// or the command's exit status on failure: 2 for a usage error (no
+// --log, or an --alpha outside (0, 1), rejected before the log is read),
+// 1 for an unreadable log.
+int LoadDataset(const util::FlagSet& flags,
+                std::unique_ptr<data::Dataset>* dataset,
+                std::vector<data::Interaction>* interactions = nullptr) {
+  const double alpha = flags.GetDouble("alpha");
+  if (!(alpha > 0.0 && alpha < 1.0)) {
+    std::fprintf(stderr, "error: --alpha must be in (0, 1), got %g\n",
+                 alpha);
+    return 2;
+  }
   const std::string path = flags.GetString("log");
   if (path.empty()) {
     std::fprintf(stderr, "error: --log=<csv> is required\n");
-    return false;
+    return 2;
   }
   data::InteractionLog log;
   std::string error;
   if (!data::ReadInteractionsCsv(path, &log, &error)) {
     std::fprintf(stderr, "error reading %s: %s\n", path.c_str(),
                  error.c_str());
-    return false;
+    return 1;
   }
   data::CompactIds(&log);
+  if (interactions != nullptr) *interactions = log.interactions;
   *dataset = std::make_unique<data::Dataset>(
       log.num_users, log.num_items, std::move(log.interactions),
-      static_cast<int>(flags.GetInt("spans")),
-      flags.GetDouble("alpha"),
+      static_cast<int>(flags.GetInt("spans")), alpha,
       static_cast<int>(flags.GetInt("min_interactions")));
-  return true;
+  return 0;
 }
 
 int CmdGenerate(const util::FlagSet& flags) {
-  data::SyntheticConfig config = data::SyntheticConfig::Preset(
-      flags.GetString("preset"), flags.GetDouble("scale"));
+  data::SyntheticConfig config;
+  std::string error;
+  if (!data::SyntheticConfig::PresetFromName(flags.GetString("preset"),
+                                             flags.GetDouble("scale"),
+                                             &config, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
+  }
   if (flags.Has("seed")) {
     config.seed = static_cast<uint64_t>(flags.GetInt("seed"));
   }
@@ -350,7 +367,7 @@ int CmdGenerate(const util::FlagSet& flags) {
 
 int CmdStats(const util::FlagSet& flags) {
   std::unique_ptr<data::Dataset> dataset;
-  if (!LoadDataset(flags, &dataset)) return 1;
+  if (const int status = LoadDataset(flags, &dataset)) return status;
   const data::DatasetStats stats = ComputeStats(*dataset);
   util::Table table({"metric", "value"});
   table.AddRow({"users (kept)", std::to_string(stats.num_users)});
@@ -369,7 +386,7 @@ int CmdStats(const util::FlagSet& flags) {
 
 int CmdPretrain(const util::FlagSet& flags) {
   std::unique_ptr<data::Dataset> dataset;
-  if (!LoadDataset(flags, &dataset)) return 1;
+  if (const int status = LoadDataset(flags, &dataset)) return status;
   const std::string checkpoint = flags.GetString("checkpoint");
   if (checkpoint.empty()) {
     std::fprintf(stderr, "error: --checkpoint=<file> is required\n");
@@ -400,7 +417,7 @@ int CmdPretrain(const util::FlagSet& flags) {
 
 int CmdTrainSpan(const util::FlagSet& flags) {
   std::unique_ptr<data::Dataset> dataset;
-  if (!LoadDataset(flags, &dataset)) return 1;
+  if (const int status = LoadDataset(flags, &dataset)) return status;
   const std::string checkpoint = flags.GetString("checkpoint");
   if (checkpoint.empty()) {
     std::fprintf(stderr, "error: --checkpoint=<file> is required\n");
@@ -462,7 +479,7 @@ std::shared_ptr<const serve::ServingSnapshot> PublishedSnapshot(
 
 int CmdEvaluate(const util::FlagSet& flags) {
   std::unique_ptr<data::Dataset> dataset;
-  if (!LoadDataset(flags, &dataset)) return 1;
+  if (const int status = LoadDataset(flags, &dataset)) return status;
   const std::string checkpoint = flags.GetString("checkpoint");
   if (checkpoint.empty()) {
     std::fprintf(stderr, "error: --checkpoint=<file> is required\n");
@@ -597,7 +614,6 @@ int RecommendBatch(const util::FlagSet& flags, const models::MsrModel& model,
   eval::ScoreRule rule;
   if (!ScoreRuleFromFlags(flags, &rule)) return 2;
   config.rule = rule;
-  config.threads = static_cast<int>(flags.GetInt("threads"));
   if (!RetrievalFromFlags(flags, &config.retrieval, &config.nprobe)) {
     return 2;
   }
@@ -648,25 +664,11 @@ int RecommendBatch(const util::FlagSet& flags, const models::MsrModel& model,
 // the plain fine-tuning baseline (no retention loss, no expansion, no
 // interest persistence) for freshness-vs-retention comparisons.
 int CmdStream(const util::FlagSet& flags) {
-  const std::string log_path = flags.GetString("log");
-  if (log_path.empty()) {
-    std::fprintf(stderr, "error: --log=<csv> is required\n");
-    return 2;
+  std::unique_ptr<data::Dataset> dataset;
+  std::vector<data::Interaction> interactions;
+  if (const int status = LoadDataset(flags, &dataset, &interactions)) {
+    return status;
   }
-  data::InteractionLog log;
-  std::string error;
-  if (!data::ReadInteractionsCsv(log_path, &log, &error)) {
-    std::fprintf(stderr, "error reading %s: %s\n", log_path.c_str(),
-                 error.c_str());
-    return 1;
-  }
-  data::CompactIds(&log);
-  const double alpha = flags.GetDouble("alpha");
-  std::vector<data::Interaction> interactions = log.interactions;
-  data::Dataset dataset(
-      log.num_users, log.num_items, std::move(log.interactions),
-      static_cast<int>(flags.GetInt("spans")), alpha,
-      static_cast<int>(flags.GetInt("min_interactions")));
 
   core::TrainConfig train;
   models::ModelConfig model_config;
@@ -683,33 +685,25 @@ int CmdStream(const util::FlagSet& flags) {
 
   // Base state: a checkpoint when given, otherwise an in-process
   // pretrain on span 0 of the log.
-  models::MsrModel model(model_config, dataset.num_items(), train.seed);
+  models::MsrModel model(model_config, dataset->num_items(), train.seed);
   core::InterestStore store;
   core::CheckpointMetadata metadata;
   const std::string checkpoint = flags.GetString("checkpoint");
   if (!checkpoint.empty()) {
+    std::string error;
     if (!LoadCheckpoint(checkpoint, &model, &store, &metadata, &error)) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
       return 1;
     }
   } else {
     core::ImsrTrainer pretrainer(&model, &store, train);
-    pretrainer.Pretrain(dataset);
+    pretrainer.Pretrain(*dataset);
     metadata.trained_through_span = 0;
   }
 
-  // The stream: everything after the pre-training window, kept users
-  // only (cold ids never earn a dataset entry, matching the batch eval).
-  const int64_t boundary =
-      stream::PretrainBoundaryTimestamp(interactions, alpha);
-  interactions.erase(
-      std::remove_if(interactions.begin(), interactions.end(),
-                     [&](const data::Interaction& record) {
-                       return record.timestamp < boundary ||
-                              !dataset.user_kept(record.user);
-                     }),
-      interactions.end());
-  stream::ReplayEventSource source(std::move(interactions), boundary - 1);
+  stream::ReplayEventSource source(
+      stream::PostPretrainEvents(std::move(interactions), *dataset,
+                                 flags.GetDouble("alpha")));
 
   serve::RetrievalMode retrieval;
   int nprobe = 0;
@@ -737,11 +731,7 @@ int CmdStream(const util::FlagSet& flags) {
       flags.Has("curve_every")
           ? flags.GetInt("curve_every")
           : std::max<int64_t>(trainer_config.publish_every / 2, 1);
-  if (!ScoreRuleFromName(flags.GetString("rule"),
-                         &eval_config.rule, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
+  if (!ScoreRuleFromFlags(flags, &eval_config.rule)) return 2;
 
   stream::StreamServiceConfig service_config;
   service_config.queue_cap =
@@ -851,7 +841,7 @@ int CmdStream(const util::FlagSet& flags) {
 
 int CmdRecommend(const util::FlagSet& flags) {
   std::unique_ptr<data::Dataset> dataset;
-  if (!LoadDataset(flags, &dataset)) return 1;
+  if (const int status = LoadDataset(flags, &dataset)) return status;
   const std::string checkpoint = flags.GetString("checkpoint");
   if (checkpoint.empty()) {
     std::fprintf(stderr, "error: --checkpoint=<file> is required\n");

@@ -216,6 +216,13 @@ int main(int argc, char** argv) {
                 static_cast<long long>(users),
                 static_cast<long long>(flags.GetInt("dim")));
   } else if (!flags.GetString("log").empty()) {
+    // Dataset requires the pre-training fraction inside (0, 1).
+    const double alpha = flags.GetDouble("alpha");
+    if (!(alpha > 0.0 && alpha < 1.0)) {
+      std::fprintf(stderr, "error: --alpha must be in (0, 1), got %g\n",
+                   alpha);
+      return 2;
+    }
     const std::string log_path = flags.GetString("log");
     data::InteractionLog log;
     if (!data::ReadInteractionsCsv(log_path, &log, &error)) {
@@ -224,7 +231,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     data::CompactIds(&log);
-    const double alpha = flags.GetDouble("alpha");
     std::vector<data::Interaction> interactions = log.interactions;
     dataset = std::make_unique<data::Dataset>(
         log.num_users, log.num_items, std::move(log.interactions),
@@ -252,14 +258,8 @@ int main(int argc, char** argv) {
     }
     span = metadata.trained_through_span;
     if (flags.GetBool("live")) {
-      const int64_t boundary =
-          stream::PretrainBoundaryTimestamp(interactions, alpha);
-      for (const data::Interaction& record : interactions) {
-        if (record.timestamp >= boundary &&
-            dataset->user_kept(record.user)) {
-          replay.push_back(record);
-        }
-      }
+      replay =
+          stream::PostPretrainEvents(std::move(interactions), *dataset, alpha);
     }
     std::printf("dataset boot: %d items, %lld users with interests\n",
                 dataset->num_items(),
